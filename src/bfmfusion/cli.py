@@ -113,18 +113,6 @@ def _add_ea_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap; evaluation is vectorized in-process, so this is "
-        "accepted for forward compatibility and does not change results",
-    )
-
-
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise ValidationError("--threads must be at least 1")
 
 
 def _antichain_text(measure: BinaryFuzzyMeasure) -> str:
@@ -136,7 +124,6 @@ def _antichain_text(measure: BinaryFuzzyMeasure) -> str:
 
 
 def cmd_synth(args) -> int:
-    _check_threads(args)
     with open(args.spec, "r", encoding="utf-8") as fh:
         try:
             spec_obj = json.load(fh)
@@ -173,7 +160,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_threads(args)
     data = load_dataset(args.data)
     cfg = _ea_config(args, args.seed)
 
@@ -221,7 +207,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_fuse_eval(args) -> int:
-    _check_threads(args)
     data = load_dataset(args.data)
 
     if args.measure is not None:
@@ -397,7 +382,6 @@ def bench_table(records: dict) -> list[list[str]]:
 
 
 def cmd_bench(args) -> int:
-    _check_threads(args)
     try:
         source_counts = [int(x) for x in args.sources.split(",") if x.strip() != ""]
     except ValueError as e:
@@ -481,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse-eval", help="apply a measure and score against truth")
     p.add_argument("--data", required=True, help="dataset JSON path")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--measure", help="measure JSON path")
+    src.add_argument("--measure", help="measure JSON path, or a train result JSON")
     src.add_argument("--naive", choices=NAIVE_MODES, help="naive baseline mode")
     p.add_argument("--out", required=True, help="output directory")
     _add_common_flags(p)

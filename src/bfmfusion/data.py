@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .choquet import choquet_batch
 from .errors import ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
-    Measure,
     measure_from_dict,
     measure_to_dict,
     minimal_winning_coalitions,
@@ -106,12 +104,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([bag.label for bag in self.bags], dtype=np.int8)
-
-    def iter_instances(self) -> Iterator[np.ndarray]:
-        """Instances in stable flatten order: bag, then set, then row."""
-        for bag in self.bags:
-            for cs in bag.candidate_sets:
-                yield from cs.instances
 
     def instance_matrix(self) -> np.ndarray:
         """All instances stacked in flatten order, shape (n_instances, S)."""
@@ -301,21 +293,41 @@ def spec_to_dict(spec: SynthSpec) -> dict:
     }
 
 
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0  # a JSON integer; bool is not one
+
+
+def _is_range(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(_is_count(i) for i in x)
+
+
+def _spec_field(obj: dict, name: str, ok=_is_count, kind="a non-negative integer"):
+    if name not in obj:
+        raise ValidationError(f"synthesis spec is missing field {name!r}")
+    if not ok(obj[name]):
+        raise ValidationError(f"synthesis spec field {name} must be {kind}, got {obj[name]!r}")
+    return obj[name]
+
+
 def spec_from_dict(obj: dict) -> SynthSpec:
-    try:
-        truth = measure_from_dict(obj["truth_measure"])
-        return SynthSpec(
-            source_count=obj["source_count"],
-            n_pos_bags=obj["n_pos_bags"],
-            n_neg_bags=obj["n_neg_bags"],
-            sets_per_bag=tuple(obj["sets_per_bag"]),
-            instances_per_set=tuple(obj["instances_per_set"]),
-            noise_sigma=obj["noise_sigma"],
-            truth_measure=truth,
-            rng_seed=obj["rng_seed"],
-        )
-    except KeyError as exc:
-        raise ValidationError(f"synthesis spec is missing field {exc}") from exc
+    """Parse a spec object, checking each field's JSON type before use."""
+    if not isinstance(obj, dict):
+        raise ValidationError("synthesis spec must be a JSON object")
+    pair = "a [lo, hi] pair of integers"
+    return SynthSpec(
+        source_count=_spec_field(obj, "source_count"),
+        n_pos_bags=_spec_field(obj, "n_pos_bags"),
+        n_neg_bags=_spec_field(obj, "n_neg_bags"),
+        sets_per_bag=tuple(_spec_field(obj, "sets_per_bag", _is_range, pair)),
+        instances_per_set=tuple(_spec_field(obj, "instances_per_set", _is_range, pair)),
+        noise_sigma=_spec_field(
+            obj, "noise_sigma", lambda x: type(x) in (int, float), "a number"
+        ),
+        truth_measure=measure_from_dict(
+            _spec_field(obj, "truth_measure", lambda x: isinstance(x, dict), "an object")
+        ),
+        rng_seed=_spec_field(obj, "rng_seed"),
+    )
 
 
 # Negative instances put their non-blocked confidences well above 0 so that

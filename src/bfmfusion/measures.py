@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -319,20 +319,25 @@ def set_with_repair(
     not be targeted.
     """
     mask = _as_mask(subset, measure.source_count)
-    full = measure.full_set
-    if mask == 0 or mask == full:
+    if mask == 0 or mask == measure.full_set:
         raise PinnedElementError(
             "the empty set (always 0) and the full set (always 1) cannot be reassigned"
         )
     if bit not in (0, 1):
         raise ValidationError(f"bit must be 0 or 1, got {bit!r}")
-    masks = _masks(measure.source_count)
-    values = measure.values.copy()
+    values = _set_closed(measure.values, mask, bit, _masks(measure.source_count))
+    return BinaryFuzzyMeasure(measure.source_count, values)
+
+
+def _set_closed(values: np.ndarray, mask: int, bit: int, masks: np.ndarray) -> np.ndarray:
+    """Copy of a binary table with coalition `mask` set to `bit`, closed so
+    that it stays monotone: a 1 raises every superset, a 0 lowers every subset."""
+    values = values.copy()
     if bit == 1:
         values[(masks & mask) == mask] = 1
     else:
         values[(masks | mask) == mask] = 0
-    return BinaryFuzzyMeasure(measure.source_count, values)
+    return values
 
 
 def _by_cardinality(source_count: int) -> np.ndarray:
@@ -355,17 +360,21 @@ def sample_random(
     source_count = _check_source_count(source_count)
     if not 0.0 < density < 1.0:
         raise ValidationError(f"density must lie strictly in (0, 1), got {density}")
-    rng = np.random.default_rng(seed)
+    values = _random_table(source_count, density, np.random.default_rng(seed))
+    return BinaryFuzzyMeasure(source_count, values)
+
+
+def _random_table(source_count: int, density: float, rng: np.random.Generator) -> np.ndarray:
+    """The value table behind `sample_random`, drawn from `rng` with one call."""
     n = 1 << source_count
     values = (rng.random(n) < density).astype(np.uint8)
     values[0] = 0
-    masks = _masks(source_count)
     for i in range(source_count):  # subset-OR sweep: closes upward one bit at a time
-        bit = 1 << i
-        upper = masks[(masks & bit) != 0]
-        values[upper] |= values[upper ^ bit]
+        # axis 1 of this view is bit i: [:, 1] holds each [:, 0] set plus source i
+        pairs = values.reshape(-1, 2, 1 << i)
+        pairs[:, 1] |= pairs[:, 0]
     values[-1] = 1
-    return BinaryFuzzyMeasure(source_count, values)
+    return values
 
 
 def sample_random_real(source_count: int, seed=None) -> RealFuzzyMeasure:
@@ -375,7 +384,12 @@ def sample_random_real(source_count: int, seed=None) -> RealFuzzyMeasure:
     so monotonicity holds by construction; endpoints are pinned exactly.
     """
     source_count = _check_source_count(source_count)
-    rng = np.random.default_rng(seed)
+    values = _random_real_table(source_count, np.random.default_rng(seed))
+    return RealFuzzyMeasure(source_count, values)
+
+
+def _random_real_table(source_count: int, rng: np.random.Generator) -> np.ndarray:
+    """The value table behind `sample_random_real`, drawn from `rng` with one call."""
     n = 1 << source_count
     u = rng.random(n)
     values = np.zeros(n, dtype=np.float64)
@@ -390,7 +404,7 @@ def sample_random_real(source_count: int, seed=None) -> RealFuzzyMeasure:
             np.maximum(lo, np.where(inside, values[layer ^ bit], 0.0), out=lo)
         values[layer] = lo + u[layer] * (1.0 - lo)
     values[-1] = 1.0
-    return RealFuzzyMeasure(source_count, values)
+    return values
 
 
 def enumerate_all(source_count: int, cap: int = ENUMERATION_CAP) -> Iterator[BinaryFuzzyMeasure]:
@@ -501,30 +515,39 @@ def measure_to_antichain_dict(measure: BinaryFuzzyMeasure) -> dict:
     }
 
 
-def measure_from_dict(obj: dict) -> Measure:
+def measure_from_dict(obj) -> Measure:
+    """Parse a bare measure object, or a `train` result's `result.best_measure`.
+
+    Table length and axioms are checked: any bad input raises ValidationError.
+    """
+    if isinstance(obj, dict) and isinstance(obj.get("result"), dict):
+        obj = obj["result"].get("best_measure")
     if not isinstance(obj, dict) or "source_count" not in obj:
         raise ValidationError("measure JSON must be an object with a source_count field")
-    source_count = obj["source_count"]
+    source_count = _check_source_count(obj["source_count"])
     if "minimal_winning" in obj:
-        coalitions = []
-        for c in obj["minimal_winning"]:
-            members = list(c)
-            if not all(isinstance(i, int) and 1 <= i <= source_count for i in members):
+        coalitions = obj["minimal_winning"]
+        if not isinstance(coalitions, list):
+            raise ValidationError("minimal_winning must be a list of coalitions")
+        for c in coalitions:
+            if not isinstance(c, list) or not all(
+                type(i) is int and 1 <= i <= source_count for i in c
+            ):
                 raise ValidationError(
                     f"minimal_winning members must be source numbers in 1..{source_count}, got {c}"
                 )
-            coalitions.append([i - 1 for i in members])
-        return from_minimal_coalitions(source_count, coalitions)
+        return from_minimal_coalitions(source_count, [[i - 1 for i in c] for c in coalitions])
     if "values" not in obj:
         raise ValidationError("measure JSON needs either values or minimal_winning")
     values = obj["values"]
-    if not isinstance(values, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
-    ):
+    if not isinstance(values, list) or not all(type(x) in (int, float) for x in values):
         raise ValidationError("measure values must be a list of numbers")
-    if all(isinstance(x, int) for x in values):
-        return BinaryFuzzyMeasure(source_count, np.array(values))
-    return RealFuzzyMeasure(source_count, np.array(values))
+    kind = BinaryFuzzyMeasure if all(type(x) is int for x in values) else RealFuzzyMeasure
+    measure = kind(source_count, np.array(values))
+    report = validate(measure)
+    if not report.ok:
+        raise ValidationError(f"measure is invalid: {report.violations[0]}")
+    return measure
 
 
 def save_measure(path, measure: Measure, antichain: bool = False) -> None:

@@ -10,14 +10,15 @@ every positive bag has a matching fused to exactly 1.
 
 `prepare` factors out everything measure-independent (the sorted-difference
 decomposition and the set/bag segment boundaries) so that evaluating many
-measures against one dataset, as the evolutionary optimizer does, costs one
-table gather per measure.
+value tables against one dataset, as the optimizer does, costs one gather
+per table. `objective`, `objective_batch` and the optimizer share one
+evaluator, `_evaluate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -104,64 +105,79 @@ def _check_compatible(measure: Measure, prepared: PreparedData) -> None:
         )
 
 
-def _set_extrema(ci: np.ndarray, prepared: PreparedData) -> tuple[np.ndarray, np.ndarray]:
-    set_min = np.minimum.reduceat(ci, prepared.set_starts)
-    set_max = np.maximum.reduceat(ci, prepared.set_starts)
-    return set_min, set_max
+class _Evaluation(NamedTuple):
+    """Objective parts for a stack of P value tables."""
+
+    negative: np.ndarray       # (P,) negative-bag term
+    positive: np.ndarray       # (P,) positive-bag term
+    contributions: np.ndarray  # (P, n_bags)
+    set_extreme: np.ndarray    # (P, n_sets) min CI of a negative set, max CI of a positive one
+    bag_extreme: np.ndarray    # (P, n_bags) largest set extreme in the bag
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.negative + self.positive
+
+
+def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
+    """Evaluate a (P, 2**S) array of value tables in one gather.
+
+    The table is widened to float64 before the gather, so the (P, N, S)
+    intermediates are the gathered values and their product with the level
+    differences. A negative bag contributes the square of its largest set
+    minimum; a positive bag contributes (its largest set maximum - 1)^2,
+    which is the smallest shortfall because (x - 1)^2 falls on [0, 1].
+    """
+    tables = tables.astype(np.float64)
+    ci = (prepared.diffs * tables[:, prepared.masks]).sum(axis=2)
+    neg = prepared.labels == 0
+    set_extreme = np.where(
+        np.repeat(neg, prepared.sets_per_bag),
+        np.minimum.reduceat(ci, prepared.set_starts, axis=1),
+        np.maximum.reduceat(ci, prepared.set_starts, axis=1),
+    )
+    bag_extreme = np.maximum.reduceat(set_extreme, prepared.bag_set_starts, axis=1)
+    contributions = np.where(neg, bag_extreme**2, (bag_extreme - 1.0) ** 2)
+    terms = contributions[:, neg].sum(axis=1), contributions[:, ~neg].sum(axis=1)
+    return _Evaluation(*terms, contributions, set_extreme, bag_extreme)
 
 
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:
     """Evaluate the objective with a per-bag breakdown for diagnostics."""
     prepared = _as_prepared(data)
     _check_compatible(measure, prepared)
-    ci = (prepared.diffs * measure.values[prepared.masks].astype(np.float64)).sum(axis=1)
-    set_min, set_max = _set_extrema(ci, prepared)
-
-    per_bag = []
-    contributions = np.empty(prepared.n_bags)
-    for b in range(prepared.n_bags):
-        lo = prepared.bag_set_starts[b]
-        hi = lo + prepared.sets_per_bag[b]
-        if prepared.labels[b] == 0:
-            vals = set_min[lo:hi] ** 2
-            sel = int(np.argmax(vals))
-        else:
-            vals = (set_max[lo:hi] - 1.0) ** 2
-            sel = int(np.argmin(vals))
-        contributions[b] = vals[sel]
-        per_bag.append(BagContribution(b, float(vals[sel]), sel))
-
-    neg = float(contributions[prepared.labels == 0].sum())
-    pos = float(contributions[prepared.labels == 1].sum())
+    ev = _evaluate(measure.values[None, :], prepared)
+    # the selected set is the first in its bag to reach the bag's extreme
+    set_index = np.arange(len(prepared.set_starts))
+    reaches = ev.set_extreme[0] == np.repeat(ev.bag_extreme[0], prepared.sets_per_bag)
+    first = np.minimum.reduceat(
+        np.where(reaches, set_index, len(set_index)), prepared.bag_set_starts
+    )
+    selected = first - prepared.bag_set_starts
+    per_bag = tuple(
+        BagContribution(b, float(c), int(sel))
+        for b, (c, sel) in enumerate(zip(ev.contributions[0], selected))
+    )
+    neg, pos = float(ev.negative[0]), float(ev.positive[0])
     return ObjectiveBreakdown(
-        total=neg + pos, negative_term=neg, positive_term=pos, per_bag=tuple(per_bag)
+        total=neg + pos, negative_term=neg, positive_term=pos, per_bag=per_bag
     )
 
 
 def objective_batch(
     measures: Sequence[Measure], data: Union[Dataset, PreparedData]
 ) -> np.ndarray:
-    """Objective totals for many measures at once; the optimizer's hot path.
+    """Objective totals for many measures at once.
 
-    Produces exactly the numbers `objective(...).total` would, but in one
-    gather over a stacked value table per generation.
+    Produces exactly the numbers `objective(...).total` would, through the
+    same evaluator, in one gather over the stacked value tables.
     """
     prepared = _as_prepared(data)
     if len(measures) == 0:
         return np.empty(0)
     for m in measures:
         _check_compatible(m, prepared)
-    G = np.stack([m.values for m in measures]).astype(np.float64)
-    ci = (prepared.diffs[None, :, :] * G[:, prepared.masks]).sum(axis=2)
-    set_min = np.minimum.reduceat(ci, prepared.set_starts, axis=1)
-    set_max = np.maximum.reduceat(ci, prepared.set_starts, axis=1)
-    # per-bag outer aggregation; (x - 1)^2 is decreasing on [0, 1], so the
-    # min over sets of the positive shortfall is realized by the largest set max
-    bag_minmax = np.maximum.reduceat(set_min, prepared.bag_set_starts, axis=1)
-    bag_maxmax = np.maximum.reduceat(set_max, prepared.bag_set_starts, axis=1)
-    neg = prepared.labels == 0
-    contributions = np.where(neg, bag_minmax**2, (bag_maxmax - 1.0) ** 2)
-    return contributions[:, neg].sum(axis=1) + contributions[:, ~neg].sum(axis=1)
+    return _evaluate(np.stack([m.values for m in measures]), prepared).total
 
 
 def objective_total(measure: Measure, data: Union[Dataset, PreparedData]) -> float:

@@ -15,32 +15,27 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .data import Dataset, has_both_polarities
-from .errors import CapError, ValidationError
+from .errors import ValidationError
 from .measures import (
     ENUMERATION_CAP,
     BinaryFuzzyMeasure,
     Measure,
     RealFuzzyMeasure,
+    _masks,
+    _random_real_table,
+    _random_table,
+    _set_closed,
     enumerate_all,
-    maximum_measure,
     measure_to_antichain_dict,
     measure_to_dict,
-    minimum_measure,
-    sample_random,
-    sample_random_real,
-    set_with_repair,
-    validate,
 )
-from .objective import PreparedData, objective_batch, prepare
+from .objective import PreparedData, _evaluate, prepare
 from .rng import substream
-
-# When set, every measure entering a population is re-validated. Expensive;
-# meant for debugging and the test suite, not production runs.
-VALIDATE_POPULATION = False
 
 
 @dataclass(frozen=True)
@@ -119,73 +114,55 @@ class TrainResult:
 
 
 class _BinaryOps:
-    """Representation-specific moves for the binary search."""
+    """Row moves of the binary search; a row is a uint8 value table."""
+
+    dtype = np.uint8
+    measure = BinaryFuzzyMeasure
 
     def __init__(self, source_count: int, density: float = 0.5):
         self.source_count = source_count
         self.density = density
-        self.n = 1 << source_count
+        self.masks = _masks(source_count)
 
-    def seed_population(self, rng, size):
-        pop = [minimum_measure(self.source_count), maximum_measure(self.source_count)]
-        while len(pop) < size:
-            pop.append(sample_random(self.source_count, self.density, rng))
-        return pop[:size]
-
-    def small_mutation(self, measure, rng):
+    def small_mutation(self, row, rng):
         # flip one non-pinned element; closure repair keeps the result valid
-        idx = int(rng.integers(1, self.n - 1))
-        return set_with_repair(measure, idx, 0 if measure.values[idx] else 1)
+        idx = int(rng.integers(1, len(row) - 1))
+        return _set_closed(row, idx, 0 if row[idx] else 1, self.masks)
 
     def large_mutation(self, rng):
-        return sample_random(self.source_count, self.density, rng)
+        return _random_table(self.source_count, self.density, rng)
 
-    def sort_key(self, measure, j):
+    def tie_key(self, row):
         # equal objectives prefer sparser coalition structure, then a fixed
         # serialization order, so ranking is a total deterministic order
-        return (j, measure.bit_count(), measure.values.tobytes())
+        return (int(np.count_nonzero(row)), row.tobytes())
 
 
 class _RealOps:
-    """Representation-specific moves for the real-valued baseline."""
+    """Row moves of the real-valued baseline; a row is a float64 value table."""
+
+    dtype = np.float64
+    measure = RealFuzzyMeasure
 
     def __init__(self, source_count: int):
         self.source_count = source_count
-        self.n = 1 << source_count
+        self.bits = 1 << np.arange(source_count)
 
-    def seed_population(self, rng, size):
-        lo = np.zeros(self.n)
-        lo[-1] = 1.0
-        hi = np.ones(self.n)
-        hi[0] = 0.0
-        pop = [
-            RealFuzzyMeasure(self.source_count, lo),
-            RealFuzzyMeasure(self.source_count, hi),
-        ]
-        while len(pop) < size:
-            pop.append(sample_random_real(self.source_count, rng))
-        return pop[:size]
-
-    def small_mutation(self, measure, rng):
+    def small_mutation(self, row, rng):
         # redraw one element uniformly inside its monotonicity interval
-        idx = int(rng.integers(1, self.n - 1))
-        v = measure.values
-        lo, hi = 0.0, 1.0
-        for i in range(self.source_count):
-            bit = 1 << i
-            if idx & bit:
-                lo = max(lo, float(v[idx ^ bit]))
-            else:
-                hi = min(hi, float(v[idx | bit]))
-        values = v.copy()
-        values[idx] = rng.uniform(lo, hi)
-        return RealFuzzyMeasure(self.source_count, values)
+        idx = int(rng.integers(1, len(row) - 1))
+        inside = (idx & self.bits) != 0
+        lo = float(row[idx ^ self.bits[inside]].max(initial=0.0))
+        hi = float(row[idx | self.bits[~inside]].min(initial=1.0))
+        row = row.copy()
+        row[idx] = rng.uniform(lo, hi)
+        return row
 
     def large_mutation(self, rng):
-        return sample_random_real(self.source_count, rng)
+        return _random_real_table(self.source_count, rng)
 
-    def sort_key(self, measure, j):
-        return (j, measure.values.tobytes())
+    def tie_key(self, row):
+        return (row.tobytes(),)
 
 
 def _rank_picks(rng, size: int, count: int) -> np.ndarray:
@@ -196,16 +173,22 @@ def _rank_picks(rng, size: int, count: int) -> np.ndarray:
     return np.searchsorted(cum, u, side="right")
 
 
+def _ranked(pop: np.ndarray, js: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """Population rows and objectives, best first under the ops' tie key."""
+    order = sorted(range(len(pop)), key=lambda i: (js[i], *ops.tie_key(pop[i])))
+    return pop[order], js[order]
+
+
 def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
+    """Elitist search over a (P, 2**S) array of value tables, one row each."""
     t0 = time.perf_counter()
+    masks = np.arange(1 << prepared.source_count)
+    lowest = (masks == masks[-1]).astype(ops.dtype)  # only the full set wins: fusion is min
+    highest = (masks != 0).astype(ops.dtype)  # every non-empty set wins: fusion is max
     rng_init = substream(cfg.rng_seed, "init")
-    pop = ops.seed_population(rng_init, cfg.population_size)
-    if VALIDATE_POPULATION:
-        assert all(validate(m).ok for m in pop)
-    js = objective_batch(pop, prepared)
-    ranked = sorted(range(len(pop)), key=lambda i: ops.sort_key(pop[i], js[i]))
-    pop = [pop[i] for i in ranked]
-    js = js[ranked]
+    drawn = [ops.large_mutation(rng_init) for _ in range(cfg.population_size - 2)]
+    pop = np.stack([lowest, highest] + drawn)
+    pop, js = _ranked(pop, _evaluate(pop, prepared).total, ops)
 
     trace = [float(js[0])]
     stall = 0
@@ -231,21 +214,13 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
         n_children = cfg.population_size - cfg.elite_count
         parent_ranks = _rank_picks(rng, cfg.population_size, n_children)
         small = rng.random(n_children) < cfg.small_mutation_rate
-        children = []
-        for rank, is_small in zip(parent_ranks, small):
-            if is_small:
-                children.append(ops.small_mutation(pop[rank], rng))
-            else:
-                children.append(ops.large_mutation(rng))
-        if VALIDATE_POPULATION:
-            assert all(validate(m).ok for m in children)
-
-        child_js = objective_batch(children, prepared)
-        pop = pop[: cfg.elite_count] + children
-        js = np.concatenate([js[: cfg.elite_count], child_js])
-        ranked = sorted(range(len(pop)), key=lambda i: ops.sort_key(pop[i], js[i]))
-        pop = [pop[i] for i in ranked]
-        js = js[ranked]
+        children = np.stack([
+            ops.small_mutation(pop[rank], rng) if is_small else ops.large_mutation(rng)
+            for rank, is_small in zip(parent_ranks, small)
+        ])
+        pop = np.concatenate([pop[: cfg.elite_count], children])
+        js = np.concatenate([js[: cfg.elite_count], _evaluate(children, prepared).total])
+        pop, js = _ranked(pop, js, ops)
 
         improvement = trace[-1] - float(js[0])
         stall = 0 if improvement > cfg.fitness_tolerance else stall + 1
@@ -253,7 +228,7 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
         gen += 1
 
     return TrainResult(
-        best_measure=pop[0],
+        best_measure=ops.measure(prepared.source_count, pop[0]),
         best_objective=float(js[0]),
         generations_run=gen,
         wall_time_seconds=time.perf_counter() - t0,
@@ -287,35 +262,22 @@ def train_exhaustive(data: Dataset, cap: int = ENUMERATION_CAP) -> TrainResult:
     """
     t0 = time.perf_counter()
     prepared = prepare(data)
-    best_measure = None
-    best_key = None
+    measures = enumerate_all(data.source_count, cap=cap)
+    best = (np.inf, b"")  # (objective, value bytes)
     scanned = 0
-    chunk: list[BinaryFuzzyMeasure] = []
+    while chunk := [m.values for m in islice(measures, 512)]:
+        js = _evaluate(np.stack(chunk), prepared).total
+        best = min(best, *zip(js.tolist(), (v.tobytes() for v in chunk)))
+        scanned += len(chunk)
 
-    def flush():
-        nonlocal best_measure, best_key
-        if not chunk:
-            return
-        js = objective_batch(chunk, prepared)
-        for m, j in zip(chunk, js):
-            key = (float(j), m.values.tobytes())
-            if best_key is None or key < best_key:
-                best_key = key
-                best_measure = m
-        chunk.clear()
-
-    for m in enumerate_all(data.source_count, cap=cap):
-        chunk.append(m)
-        scanned += 1
-        if len(chunk) >= 512:
-            flush()
-    flush()
-
+    best_objective, best_bytes = best
     return TrainResult(
-        best_measure=best_measure,
-        best_objective=best_key[0],
+        best_measure=BinaryFuzzyMeasure(
+            data.source_count, np.frombuffer(best_bytes, dtype=np.uint8)
+        ),
+        best_objective=best_objective,
         generations_run=scanned,
         wall_time_seconds=time.perf_counter() - t0,
-        objective_trace=(best_key[0],),
+        objective_trace=(best_objective,),
         terminated_by="converged",
     )

@@ -63,6 +63,19 @@ def naive_objective(table, dataset) -> float:
     return total
 
 
+def naive_breakdown(table, dataset) -> list[tuple[float, int]]:
+    """Per bag: (contribution, first candidate set realizing it), by plain loops."""
+    out = []
+    for bag in dataset.bags:
+        per_set = []
+        for cset in bag.candidate_sets:
+            cis = [naive_choquet(inst, table) for inst in cset.instances]
+            per_set.append(min(cis) ** 2 if bag.label == 0 else (max(cis) - 1.0) ** 2)
+        best = max(per_set) if bag.label == 0 else min(per_set)
+        out.append((best, per_set.index(best)))
+    return out
+
+
 def pair_count_auc(scores, truth) -> float:
     """Mann-Whitney pair counting: ordered pairs + half credit for ties."""
     scores = list(map(float, scores))

@@ -57,13 +57,6 @@ class TestTopLevel:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_threads_must_be_positive(self, tmp_path, capsys):
-        spec = write_spec(tmp_path / "spec.json")
-        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d.json"),
-                     "--threads", "0"])
-        assert code == 1
-        assert "--threads" in capsys.readouterr().err
-
 
 class TestSynth:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
@@ -108,6 +101,24 @@ class TestSynth:
         code = main(["synth", "--spec", str(bad), "--out", str(tmp_path / "d.json")])
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, top_level",
+        [
+            ({"n_pos_bags": "3"}, None),
+            ({"sets_per_bag": [1, 2, 3]}, None),
+            ({}, [1]),
+        ],
+        ids=["string_count", "three_element_range", "top_level_list"],
+    )
+    def test_mistyped_spec_exits_1(self, tmp_path, capsys, overrides, top_level):
+        spec = write_spec(tmp_path / "spec.json", **overrides)
+        if top_level is not None:
+            spec.write_text(json.dumps(top_level))
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_spec_file(self, tmp_path, capsys):
         code = main(["synth", "--spec", str(tmp_path / "absent.json"),
@@ -248,6 +259,37 @@ class TestFuseEval:
         report = json.loads((out_m / "score.json").read_text())
         assert report["fusion"]["mode"] == "choquet"
         assert report["fusion"]["measure"]["source_count"] == 3
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 1, 1],  # shorter than 2**3
+            [0, 0, 0, 1, 0, 1, 0, 1, 1],  # longer than 2**3
+            [0, 1, 0, 0, 0, 0, 0, 1],  # {1} wins but {1, 2} loses
+        ],
+        ids=["short_table", "long_table", "non_monotone"],
+    )
+    def test_bad_measure_file_exits_1(self, tmp_path, capsys, values):
+        data = self.auc_dataset(tmp_path)
+        mpath = tmp_path / "measure.json"
+        mpath.write_text(json.dumps({"source_count": 3, "values": values}))
+        code = main(["fuse-eval", "--data", str(data), "--measure", str(mpath),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "eval" / "fusion.csv").exists()
+
+    def test_train_result_is_a_measure_file(self, dataset_path, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        assert main(["train", "--data", str(dataset_path), "--mode", "bfm",
+                     "--out", str(result)]) == 0
+        code = main(["fuse-eval", "--data", str(dataset_path), "--measure", str(result),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 0
+        report = json.loads((tmp_path / "eval" / "score.json").read_text())
+        learned = json.loads(result.read_text())["result"]["best_measure"]
+        assert report["fusion"]["measure"] == learned
 
     def test_no_truth_skips_scoring(self, tmp_path, capsys):
         b0 = Bag(0, [np.array([[0.1, 0.5, 0.9]])])

@@ -18,7 +18,7 @@ from bfmfusion import (
     sample_random,
     sample_random_real,
 )
-from oracles import naive_objective
+from oracles import naive_breakdown, naive_objective
 
 # CI reduces to the first coordinate under this measure, which makes the
 # bag arithmetic below checkable by hand
@@ -110,6 +110,18 @@ class TestOracleAgreement:
         assert objective(g, ds).total == pytest.approx(
             naive_objective(g.values, ds), abs=1e-12
         )
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 4), binary=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_naive_oracle_per_bag(self, seed, s, binary):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, s)
+        g = sample_random(s, 0.5, rng) if binary else sample_random_real(s, rng)
+        out = objective(g, ds)
+        expected = naive_breakdown(g.values, ds)
+        assert [c.selected_set for c in out.per_bag] == [sel for _, sel in expected]
+        for c, (contribution, _) in zip(out.per_bag, expected):
+            assert c.contribution == pytest.approx(contribution, abs=1e-12)
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 5))
     @settings(max_examples=150, deadline=None)

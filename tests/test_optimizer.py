@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-import bfmfusion.optimizer as optimizer_module
 from bfmfusion import (
     CapError,
     EAConfig,
     SynthSpec,
     Bag,
     Dataset,
+    RealFuzzyMeasure,
     ValidationError,
     from_minimal_coalitions,
     generate_synthetic,
@@ -192,21 +192,58 @@ class TestRealBaseline:
     def test_small_mutation_preserves_validity(self):
         ops = _RealOps(4)
         rng = np.random.default_rng(17)
-        m = sample_random_real(4, rng)
+        row = sample_random_real(4, rng).values
         for _ in range(300):
-            m = ops.small_mutation(m, rng)
-            report = validate(m)
+            row = ops.small_mutation(row, rng)
+            report = validate(RealFuzzyMeasure(4, row))
             assert report.ok, report.violations
 
     def test_real_approaches_zero_on_clean_data(self):
         res = train_real_fm(clean_dataset(), quick_cfg(max_generations=150, stall_generations=40))
         assert res.best_objective <= 0.05
 
-    def test_population_validation_hook(self, monkeypatch):
-        monkeypatch.setattr(optimizer_module, "VALIDATE_POPULATION", True)
+    def test_results_of_both_trainers_are_valid(self):
         for trainer in (train_bfm, train_real_fm):
-            res = trainer(clean_dataset(), quick_cfg(max_generations=5, stall_generations=3))
-            assert validate(res.best_measure).ok
+            for seed in range(3):
+                res = trainer(clean_dataset(seed), quick_cfg(rng_seed=seed, max_generations=5))
+                assert validate(res.best_measure).ok
+                assert res.best_measure.source_count == 3
+
+
+# Frozen runs: a change to the search's random draws, moves or ranking shows
+# here. Re-record them only in a change that means to alter trajectories.
+GOLDEN = [
+    ("bfm", 3, (1.843524706342592, 1.843524706342592, 1.843524706342592,
+                1.843524706342592, 1.6535396122819281, 1.6535396122819281)
+     + (0.8501317277436862,) * 11, 16, "stalled", [0, 0, 0, 0, 0, 1, 0, 1]),
+    ("bfm", 6, (1.967511649788977,) + (1.5108449157598254,) * 3
+     + (0.31499423117302394,) * 8 + (0.0,), 12, "converged", [0, 0, 0, 1, 0, 1, 0, 1]),
+    ("real", 1, (0.9547378583813295, 0.9547378583813295, 0.9547378583813295,
+                 0.8234270847284882) + (0.31840444728250994,) * 4
+     + (0.31414417541592893, 0.25362886155709524, 0.25362886155709524,
+        0.22076530540870626, 0.22076530540870626), 12, "max_generations",
+     [0.0, 0.1718090317202463, 0.04528404065805103, 0.872898448285572,
+      0.04256481939166859, 0.9183845448712431, 0.23507739939942984, 1.0]),
+    ("real", 4, (0.8922734968050626,) * 4 + (0.2727878486319182,) * 2
+     + (0.2274821444539522,) + (0.19705355133892843,) * 4
+     + (0.13683199270134955,) * 2, 12, "max_generations",
+     [0.0, 0.04261903590019345, 0.14593135485167702, 0.9712705516371245,
+      0.1398241580578954, 0.8880570372398328, 0.20228913949096436, 1.0]),
+]
+
+
+class TestGoldenTrajectory:
+    @pytest.mark.parametrize("kind, seed, trace, generations, stop, values", GOLDEN)
+    def test_trajectory_unchanged(self, kind, seed, trace, generations, stop, values):
+        if kind == "bfm":
+            res = train_bfm(clean_dataset(),
+                            quick_cfg(rng_seed=seed, population_size=4, elite_count=1))
+        else:
+            res = train_real_fm(clean_dataset(), quick_cfg(rng_seed=seed, max_generations=12))
+        assert res.objective_trace == trace
+        assert res.generations_run == generations
+        assert res.terminated_by == stop
+        assert res.best_measure.values.tolist() == values
 
 
 class TestTrainableChecks:
