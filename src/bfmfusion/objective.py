@@ -9,10 +9,19 @@ negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
 `prepare` factors out everything measure-independent (the sorted-difference
-decomposition and the set/bag segment boundaries) so that evaluating many
-value tables against one dataset, as the optimizer does, costs one gather
-per table. `objective`, `objective_batch` and the optimizer share one
-evaluator, `_evaluate`.
+decomposition, the sorted levels, the per-instance bag signs and the
+set/bag segment boundaries) so that evaluating many value tables against
+one dataset, as the optimizer does, costs one gather per table.
+`objective`, `objective_batch` and the optimizer share one evaluator,
+`_evaluate`.
+
+A binary (uint8) table is evaluated in max-min form. The prefixes
+masks[n, :] grow, so under a monotone table the winning prefixes of an
+instance form a suffix, and CI is the sorted confidence at the first of
+them, located by counting the winning prefixes in a uint8 (N, S, P)
+gather; no float (P, N, S) array is built. A real-valued table takes the
+level-difference sum. Both share one signed segment reduction per
+candidate set.
 """
 
 from __future__ import annotations
@@ -64,7 +73,9 @@ class PreparedData:
 
     source_count: int
     masks: np.ndarray        # (N, S) coalition bitmasks of the sorted decomposition
-    diffs: np.ndarray        # (N, S) level differences
+    diffs: np.ndarray        # (N, S) level differences, for real-valued tables
+    levels: np.ndarray       # (N * (S + 1),) each row sorted descending, then a 0
+    signs: np.ndarray        # (N,) -1.0 for an instance of a negative bag, else 1.0
     set_starts: np.ndarray   # start of each candidate set in instance order
     bag_set_starts: np.ndarray  # start of each bag in candidate-set order
     sets_per_bag: np.ndarray
@@ -78,18 +89,22 @@ class PreparedData:
 def prepare(data: Dataset) -> PreparedData:
     X = data.instance_matrix()
     masks, diffs = sort_decomposition(X)
+    levels = np.pad(np.sort(X, axis=1)[:, ::-1], ((0, 0), (0, 1))).ravel()
     set_sizes = [len(cs) for bag in data.bags for cs in bag.candidate_sets]
     sets_per_bag = np.array([len(bag.candidate_sets) for bag in data.bags])
     set_starts = np.concatenate([[0], np.cumsum(set_sizes)[:-1]]).astype(np.int64)
     bag_set_starts = np.concatenate([[0], np.cumsum(sets_per_bag)[:-1]]).astype(np.int64)
+    labels = data.labels()
     return PreparedData(
         source_count=data.source_count,
         masks=masks,
         diffs=diffs,
+        levels=levels,
+        signs=np.repeat(np.repeat(np.where(labels == 0, -1.0, 1.0), sets_per_bag), set_sizes),
         set_starts=set_starts,
         bag_set_starts=bag_set_starts,
         sets_per_bag=sets_per_bag,
-        labels=data.labels(),
+        labels=labels,
     )
 
 
@@ -122,21 +137,29 @@ class _Evaluation(NamedTuple):
 def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
     """Evaluate a (P, 2**S) array of value tables in one gather.
 
-    The table is widened to float64 before the gather, so the (P, N, S)
-    intermediates are the gathered values and their product with the level
-    differences. A negative bag contributes the square of its largest set
-    minimum; a positive bag contributes (its largest set maximum - 1)^2,
-    which is the smallest shortfall because (x - 1)^2 falls on [0, 1].
+    A uint8 table counts its winning prefixes in an (N, S, P) uint8 gather
+    of the transposed tables, one contiguous row of P bytes per lookup, and
+    reads CI as the sorted level at index S - count (the trailing 0 when no
+    prefix wins). Any other dtype takes the level-difference sum over a
+    (P, N, S) float64 gather. CI is then negated in negative bags, so one
+    maximum per candidate set gives the negated minimum of a negative set
+    and the maximum of a positive one; the set's sign flips it back. A
+    negative bag contributes the square of its largest set minimum; a
+    positive bag contributes (its largest set maximum - 1)^2, which is the
+    smallest shortfall because (x - 1)^2 falls on [0, 1].
     """
-    tables = tables.astype(np.float64)
-    ci = (prepared.diffs * tables[:, prepared.masks]).sum(axis=2)
-    neg = prepared.labels == 0
-    set_extreme = np.where(
-        np.repeat(neg, prepared.sets_per_bag),
-        np.minimum.reduceat(ci, prepared.set_starts, axis=1),
-        np.maximum.reduceat(ci, prepared.set_starts, axis=1),
-    )
+    n, s = prepared.masks.shape
+    if tables.dtype == np.uint8:
+        counts = np.ascontiguousarray(tables.T)[prepared.masks].sum(axis=1, dtype=np.uint8)
+        row_ends = np.arange(1, n + 1)[:, None] * (s + 1) - 1
+        ci = prepared.levels[(row_ends - counts).T]
+    else:
+        ci = (prepared.diffs * tables[:, prepared.masks]).sum(axis=2)
+    ci *= prepared.signs
+    set_extreme = np.maximum.reduceat(ci, prepared.set_starts, axis=1)
+    set_extreme *= prepared.signs[prepared.set_starts]
     bag_extreme = np.maximum.reduceat(set_extreme, prepared.bag_set_starts, axis=1)
+    neg = prepared.labels == 0
     contributions = np.where(neg, bag_extreme**2, (bag_extreme - 1.0) ** 2)
     terms = contributions[:, neg].sum(axis=1), contributions[:, ~neg].sum(axis=1)
     return _Evaluation(*terms, contributions, set_extreme, bag_extreme)

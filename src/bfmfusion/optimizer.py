@@ -238,6 +238,10 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
 
 
 def _check_trainable(data: Dataset) -> None:
+    if data.source_count < 2:
+        # one source leaves no coalition between the pinned empty and full sets
+        # for the small mutation to change
+        raise ValidationError("evolutionary training needs at least 2 sources")
     if not has_both_polarities(data):
         raise ValidationError("training needs at least one positive and one negative bag")
 

@@ -175,6 +175,17 @@ class TestTrain:
         assert code == 3
         assert "refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["bfm", "real"])
+    def test_single_source_exits_1(self, mode, tmp_path, capsys):
+        data_path = tmp_path / "one.json"
+        save_dataset(data_path, Dataset(1, (Bag(0, [[[0.5]]]), Bag(1, [[[0.2]]]))))
+        code = main(["train", "--data", str(data_path), "--mode", mode,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2 sources" in err
+        assert err.count("\n") == 1
+
     def test_real_mode(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "result.json"
         code = main(["train", "--data", str(dataset_path), "--mode", "real",

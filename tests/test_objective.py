@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bfmfusion import (
     sample_random,
     sample_random_real,
 )
+from bfmfusion.objective import _evaluate
 from oracles import naive_breakdown, naive_objective
 
 # CI reduces to the first coordinate under this measure, which makes the
@@ -42,6 +44,21 @@ def random_dataset(rng, s, n_bags=None):
         ]
         bags.append(Bag(int(b % 2), sets))
     return Dataset(source_count=s, bags=tuple(bags))
+
+
+def tied_dataset(rng, s):
+    """Confidences from a few levels, 0.0 and 1.0 among them, so instances
+    carry ties; the first two bags are one set of one instance each."""
+    pool = np.array([0.0, 1.0, 0.5, rng.random(), rng.random()])
+    shapes = [[1], [1]] + [
+        list(rng.integers(1, 4, size=int(rng.integers(1, 4))))
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    bags = tuple(
+        Bag(b % 2, [rng.choice(pool, size=(int(k), s)) for k in sizes])
+        for b, sizes in enumerate(shapes)
+    )
+    return Dataset(source_count=s, bags=bags)
 
 
 class TestHandCase:
@@ -111,11 +128,16 @@ class TestOracleAgreement:
             naive_objective(g.values, ds), abs=1e-12
         )
 
-    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 4), binary=st.booleans())
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        s=st.integers(1, 4),
+        binary=st.booleans(),
+        tied=st.booleans(),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_naive_oracle_per_bag(self, seed, s, binary):
+    def test_naive_oracle_per_bag(self, seed, s, binary, tied):
         rng = np.random.default_rng(seed)
-        ds = random_dataset(rng, s)
+        ds = tied_dataset(rng, s) if tied else random_dataset(rng, s)
         g = sample_random(s, 0.5, rng) if binary else sample_random_real(s, rng)
         out = objective(g, ds)
         expected = naive_breakdown(g.values, ds)
@@ -134,6 +156,43 @@ class TestOracleAgreement:
         assert out.total == out.negative_term + out.positive_term
         for c in out.per_bag:
             assert 0.0 <= c.contribution <= 1.0
+
+
+class TestBinaryMaxMin:
+    """The max-min form for uint8 tables against the sum form and the oracles."""
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 5), p=st.sampled_from([1, 6]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sum_form_and_oracle(self, seed, s, p):
+        rng = np.random.default_rng(seed)
+        ds = tied_dataset(rng, s)
+        pre = prepare(ds)
+        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)])
+        binary = _evaluate(tables, pre)
+        summed = _evaluate(tables.astype(np.float64), pre)
+        for field in ("total", "contributions", "set_extreme", "bag_extreme"):
+            np.testing.assert_allclose(
+                getattr(binary, field), getattr(summed, field), rtol=0, atol=1e-12
+            )
+        for table, total in zip(tables, binary.total):
+            assert total == pytest.approx(naive_objective(table, ds), abs=1e-12)
+
+    def test_peak_memory_below_half_a_float_gather(self):
+        # S=10, P=64, N=6000: a float64 (P, N, S) array would take P*N*S*8 bytes
+        rng = np.random.default_rng(31)
+        s, p = 10, 64
+        bags = tuple(
+            Bag(b % 2, [rng.random((3, s)), rng.random((3, s))]) for b in range(1000)
+        )
+        pre = prepare(Dataset(s, bags))
+        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)])
+        tracemalloc.start()
+        try:
+            _evaluate(tables, pre)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * p * 6000 * s * 8
 
 
 class TestBatchPaths:

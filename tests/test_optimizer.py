@@ -254,3 +254,14 @@ class TestTrainableChecks:
             train_bfm(neg_only)
         with pytest.raises(ValidationError, match="positive"):
             train_real_fm(neg_only)
+
+    def test_single_source_rejected(self):
+        # the objective starts above tolerance, so a search would have to
+        # mutate, and one source leaves no free coalition to mutate
+        one = Dataset(1, (Bag(0, [[[0.5]]]), Bag(1, [[[0.2]]])))
+        with pytest.raises(ValidationError, match="2 sources"):
+            train_bfm(one)
+        with pytest.raises(ValidationError, match="2 sources"):
+            train_real_fm(one)
+        res = train_exhaustive(one)
+        assert res.best_objective == pytest.approx(0.25 + 0.64)
