@@ -150,7 +150,7 @@ def cmd_synth(args) -> int:
     }
     _write_json(manifest_path, manifest, args.force)
     print(
-        f"wrote {data.n_instances} instances in {len(data.bags)} bags "
+        f"wrote {data.n_instances} instances in {len(data.labels())} bags "
         f"to {args.out} (manifest: {manifest_path})"
     )
     return 0
@@ -227,7 +227,7 @@ def cmd_fuse_eval(args) -> int:
         "measure": str(args.measure) if args.measure else None,
         "naive": args.naive,
     }
-    if data.instance_truth is None:
+    if data.flat_truth() is None:
         print(
             "warning: dataset has no instance truth; scoring skipped",
             file=sys.stderr,

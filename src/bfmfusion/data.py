@@ -8,6 +8,15 @@ least one instance per candidate set is assumed to be the correct
 matching; which one is unknown, which is exactly the uncertainty the
 training objective integrates over.
 
+A `Dataset` is columnar, in flatten order (bag, candidate set, instance):
+a read-only (N, S) float64 `instance_matrix()`; `set_offsets` (set k holds
+instances set_offsets[k]:set_offsets[k + 1]) and `bag_offsets` (bag b
+holds sets bag_offsets[b]:bag_offsets[b + 1]); int8 bag `labels()`; and
+optional int8 per-instance `flat_truth()`, shape (N,). The columns are
+validated once, by whole-array checks; a diagnostic finds the bag,
+candidate set and instance of a bad row from the offsets. `Bag` and
+`CandidateSet` build hand-made datasets and serve as read-only views.
+
 JSON schema (UTF-8, plain decimal numbers):
 
     {"source_count": S,
@@ -22,6 +31,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -77,83 +88,145 @@ class Bag:
             ),
         )
 
-    @property
-    def n_instances(self) -> int:
-        return sum(len(cs) for cs in self.candidate_sets)
 
-
-@dataclass(frozen=True)
 class Dataset:
-    """A source count plus labeled bags; optionally per-instance truth labels."""
+    """Labeled bags stored as columns. The constructor takes hand-made `Bag`s and
+    truth nested like them; the loader and the generator build the columns in bulk."""
 
-    source_count: int
-    bags: tuple[Bag, ...]
-    instance_truth: tuple | None = None
+    def __init__(self, source_count, bags, instance_truth=None):
+        bags = [
+            {
+                "label": int(bag.label),
+                "candidate_sets": [cs.instances.tolist() for cs in bag.candidate_sets],
+            }
+            for bag in bags
+        ]
+        self._set_columns(*_parse(source_count, bags, instance_truth))
 
-    def __post_init__(self):
-        if isinstance(self.source_count, (int, np.integer)) and not isinstance(
-            self.source_count, bool
-        ):
-            object.__setattr__(self, "source_count", int(self.source_count))
-        object.__setattr__(self, "bags", tuple(self.bags))
-        _check_dataset(self)
+    @classmethod
+    def _from_columns(cls, *columns) -> "Dataset":
+        ds = cls.__new__(cls)
+        ds._set_columns(*columns)
+        return ds
+
+    def _set_columns(self, source_count, X, set_offsets, bag_offsets, labels, truth) -> None:
+        for array in (X, set_offsets, bag_offsets, labels) + (() if truth is None else (truth,)):
+            array.flags.writeable = False
+        self.source_count = source_count
+        self.set_offsets, self.bag_offsets = set_offsets, bag_offsets
+        self._instances, self._labels, self._truth = X, labels, truth
 
     @property
     def n_instances(self) -> int:
-        return sum(bag.n_instances for bag in self.bags)
+        return len(self._instances)
 
     def labels(self) -> np.ndarray:
-        return np.array([bag.label for bag in self.bags], dtype=np.int8)
+        return self._labels
 
     def instance_matrix(self) -> np.ndarray:
         """All instances stacked in flatten order, shape (n_instances, S)."""
-        return np.concatenate(
-            [cs.instances for bag in self.bags for cs in bag.candidate_sets], axis=0
-        )
+        return self._instances
 
     def flat_truth(self) -> np.ndarray | None:
-        """instance_truth flattened in the same order, or None if absent."""
-        if self.instance_truth is None:
-            return None
-        return np.array(
-            [t for bag in self.instance_truth for cs in bag for t in cs], dtype=np.int8
+        """Per-instance truth in the same order, or None if absent."""
+        return self._truth
+
+    @cached_property
+    def bags(self) -> tuple[Bag, ...]:
+        """Read-only `Bag` views over the columns, for code that walks bags."""
+        sets = [CandidateSet(self._instances[a:b]) for a, b in pairwise(self.set_offsets.tolist())]
+        return tuple(
+            Bag(label, tuple(sets[a:b]))
+            for label, (a, b) in zip(self._labels.tolist(), pairwise(self.bag_offsets.tolist()))
         )
 
 
-def _check_dataset(ds: Dataset) -> None:
-    if not isinstance(ds.source_count, int) or ds.source_count < 1:
-        raise ValidationError(f"source_count must be a positive integer, got {ds.source_count!r}")
-    if not ds.bags:
-        raise ValidationError("dataset has no bags")
-    for b, bag in enumerate(ds.bags):
-        for c, cs in enumerate(bag.candidate_sets):
-            if cs.instances.shape[1] != ds.source_count:
-                raise ValidationError(
-                    f"bag {b}, candidate set {c}: instances have "
-                    f"{cs.instances.shape[1]} sources, dataset declares {ds.source_count}"
-                )
-            bad = np.argwhere((cs.instances < 0.0) | (cs.instances > 1.0) | ~np.isfinite(cs.instances))
-            if len(bad):
-                k, s = bad[0]
-                raise ValidationError(
-                    f"bag {b}, candidate set {c}, instance {k}: confidence for "
-                    f"source {s} is {cs.instances[k, s]}, outside [0, 1]"
-                )
-    if ds.instance_truth is not None:
-        truth = ds.instance_truth
-        if len(truth) != len(ds.bags):
-            raise ValidationError("instance_truth does not parallel the bag list")
-        for b, (bag, tbag) in enumerate(zip(ds.bags, truth)):
-            if len(tbag) != len(bag.candidate_sets):
-                raise ValidationError(f"instance_truth bag {b} does not parallel its candidate sets")
-            for c, (cs, tset) in enumerate(zip(bag.candidate_sets, tbag)):
-                if len(tset) != len(cs):
-                    raise ValidationError(
-                        f"instance_truth bag {b}, set {c} has {len(tset)} labels "
-                        f"for {len(cs)} instances"
-                    )
-                if any(t not in (0, 1) for t in tset):
-                    raise ValidationError(f"instance_truth bag {b}, set {c}: labels must be 0 or 1")
+def _offsets(sizes) -> np.ndarray:
+    """Segment boundaries: 0, then the running total of sizes."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _locate(k: int, set_offsets: np.ndarray, bag_offsets: np.ndarray) -> str:
+    """'bag b, candidate set c, instance i' of instance k."""
+    s = int(np.searchsorted(set_offsets, k, side="right")) - 1
+    b = int(np.searchsorted(bag_offsets, s, side="right")) - 1
+    return f"bag {b}, candidate set {s - bag_offsets[b]}, instance {k - set_offsets[s]}"
+
+
+def _parse(source_count, bags, truth) -> tuple:
+    """Check JSON-shaped bags one by one, then all instance rows as one array.
+
+    Returns the columns: source count, matrix, offsets, labels and truth."""
+    if (
+        isinstance(source_count, bool)
+        or not isinstance(source_count, (int, np.integer))
+        or source_count < 1
+    ):
+        raise ValidationError(f"source_count must be a positive integer, got {source_count!r}")
+    if not isinstance(bags, list) or not bags:
+        raise ValidationError("bags must be a non-empty list")
+    rows, labels, set_sizes, sets_per_bag = [], [], [], []
+    for b, bag in enumerate(bags):
+        if not isinstance(bag, dict) or not {"label", "candidate_sets"} <= bag.keys():
+            raise ValidationError(f"bag {b}: expected label and candidate_sets fields")
+        label, sets = bag["label"], bag["candidate_sets"]
+        if type(label) is not int or label not in (0, 1):
+            raise ValidationError(f"bag {b}: label must be the integer 0 or 1, got {label!r}")
+        if not isinstance(sets, list) or not sets:
+            raise ValidationError(f"bag {b}: candidate_sets must be a non-empty list")
+        for c, set_rows in enumerate(sets):
+            if not isinstance(set_rows, list) or not set_rows:
+                raise ValidationError(f"bag {b}, candidate set {c}: must be a non-empty list")
+            rows.extend(set_rows)
+            set_sizes.append(len(set_rows))
+        labels.append(label)
+        sets_per_bag.append(len(sets))
+    set_offsets, bag_offsets = _offsets(set_sizes), _offsets(sets_per_bag)
+
+    try:
+        X = np.array(rows, dtype=np.float64)
+        # the float64 cast would also take strings, booleans and nulls;
+        # NaN fails both range comparisons
+        ok = (
+            X.ndim == 2
+            and X.shape[1] == source_count
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}
+            and bool(((X >= 0.0) & (X <= 1.0)).all())
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        k = next(k for k, row in enumerate(rows) if not (
+            isinstance(row, list) and len(row) == source_count
+            and all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in row)
+        ))
+        raise ValidationError(
+            f"{_locate(k, set_offsets, bag_offsets)}: expected a list of "
+            f"{source_count} numbers in [0, 1], got {rows[k]!r:.80}"
+        )
+    if truth is not None:
+        truth = _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets)
+    return int(source_count), X, set_offsets, bag_offsets, np.array(labels, dtype=np.int8), truth
+
+
+def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> np.ndarray:
+    """Per-instance truth nested like the bags, as one (N,) int8 array."""
+    try:
+        tsets = [tset for tbag in truth for tset in tbag]
+        nested = [len(tbag) for tbag in truth] == sets_per_bag
+        flat = list(chain.from_iterable(tsets)) if nested else []
+    except TypeError:
+        nested = False
+    if not nested or [len(tset) for tset in tsets] != set_sizes:
+        raise ValidationError("instance_truth does not nest like the bags, sets and instances")
+    bad = next((k for k, t in enumerate(flat) if t not in (0, 1)), None)
+    if bad is not None:
+        raise ValidationError(
+            f"instance_truth at {_locate(bad, set_offsets, bag_offsets)}: labels must be 0 or 1"
+        )
+    return np.array(flat, dtype=np.int8)
 
 
 def has_both_polarities(ds: Dataset) -> bool:
@@ -166,20 +239,19 @@ def has_both_polarities(ds: Dataset) -> bool:
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
+    def nest(flat: list) -> list:
+        sets = [flat[a:b] for a, b in pairwise(ds.set_offsets.tolist())]
+        return [sets[a:b] for a, b in pairwise(ds.bag_offsets.tolist())]
+
     obj = {
         "source_count": ds.source_count,
         "bags": [
-            {
-                "label": int(bag.label),
-                "candidate_sets": [cs.instances.tolist() for cs in bag.candidate_sets],
-            }
-            for bag in ds.bags
+            {"label": label, "candidate_sets": sets}
+            for label, sets in zip(ds.labels().tolist(), nest(ds.instance_matrix().tolist()))
         ],
     }
-    if ds.instance_truth is not None:
-        obj["instance_truth"] = [
-            [[int(t) for t in tset] for tset in tbag] for tbag in ds.instance_truth
-        ]
+    if ds.flat_truth() is not None:
+        obj["instance_truth"] = nest(ds.flat_truth().tolist())
     return obj
 
 
@@ -189,39 +261,16 @@ def dataset_from_dict(obj: dict) -> Dataset:
     for field in ("source_count", "bags"):
         if field not in obj:
             raise ValidationError(f"dataset JSON is missing the {field} field")
-    bags = []
-    for b, bag_obj in enumerate(obj["bags"]):
-        try:
-            label = bag_obj["label"]
-            sets_raw = bag_obj["candidate_sets"]
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"bag {b}: expected label and candidate_sets fields") from exc
-        sets = []
-        for c, rows in enumerate(sets_raw):
-            try:
-                arr = np.asarray(rows, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"bag {b}, candidate set {c}: malformed instance rows: {exc}"
-                ) from exc
-            if arr.size == 0:
-                raise ValidationError(f"bag {b}, candidate set {c}: is empty")
-            if arr.ndim != 2:
-                raise ValidationError(f"bag {b}, candidate set {c}: ragged instance rows")
-            sets.append(CandidateSet(arr))
-        try:
-            bags.append(Bag(label=label, candidate_sets=tuple(sets)))
-        except ValidationError as exc:
-            raise ValidationError(f"bag {b}: {exc}") from exc
-    truth = obj.get("instance_truth")
-    if truth is not None:
-        truth = tuple(tuple(tuple(tset) for tset in tbag) for tbag in truth)
-    return Dataset(source_count=obj["source_count"], bags=tuple(bags), instance_truth=truth)
+    return Dataset._from_columns(
+        *_parse(obj["source_count"], obj["bags"], obj.get("instance_truth"))
+    )
 
 
 def save_dataset(path, ds: Dataset) -> None:
+    # json.dumps runs the C encoder, which json.dump never does; same bytes
+    text = json.dumps(dataset_to_dict(ds))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_dict(ds), fh)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -364,57 +413,37 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         lo, hi = rng_range
         return int(rng.integers(lo, hi + 1))
 
-    bags = []
-    for _ in range(spec.n_neg_bags):
-        sets = []
-        for _ in range(n_in(spec.sets_per_bag)):
-            blockers = sorted({int(rng.choice(c)) for c in coalitions})
-            n_inst = n_in(spec.instances_per_set)
-            lo, hi = _NEG_OFF_RANGE
-            inst = rng.uniform(lo, hi, size=(n_inst, S))
-            inst[:, blockers] = 0.0
-            sets.append(CandidateSet(inst))
-        bags.append(Bag(label=0, candidate_sets=tuple(sets)))
-
-    for _ in range(spec.n_pos_bags):
+    # one pass draws every set in the established stream order; the columns
+    # are assembled once at the end
+    labels = [0] * spec.n_neg_bags + [1] * spec.n_pos_bags
+    blocks, sets_per_bag = [], []
+    for label in labels:
         n_sets = n_in(spec.sets_per_bag)
-        target_set = int(rng.integers(n_sets))
-        sets = []
+        target_set = int(rng.integers(n_sets)) if label else -1
         for c in range(n_sets):
-            n_inst = n_in(spec.instances_per_set)
-            inst = rng.uniform(0.0, 1.0, size=(n_inst, S))
-            if c == target_set:
-                # CI-extremal: fuses to exactly 1 under the truth measure
-                coalition = coalitions[int(rng.integers(len(coalitions)))]
-                target = np.zeros(S)
-                target[list(coalition)] = 1.0
-                inst[int(rng.integers(n_inst))] = target
-            sets.append(CandidateSet(inst))
-        bags.append(Bag(label=1, candidate_sets=tuple(sets)))
+            if label:
+                n_inst = n_in(spec.instances_per_set)
+                inst = rng.uniform(0.0, 1.0, size=(n_inst, S))
+                if c == target_set:
+                    # CI-extremal: fuses to exactly 1 under the truth measure
+                    coalition = coalitions[int(rng.integers(len(coalitions)))]
+                    target = np.zeros(S)
+                    target[list(coalition)] = 1.0
+                    inst[int(rng.integers(n_inst))] = target
+            else:
+                blockers = sorted({int(rng.choice(coalition)) for coalition in coalitions})
+                inst = rng.uniform(*_NEG_OFF_RANGE, size=(n_in(spec.instances_per_set), S))
+                inst[:, blockers] = 0.0
+            blocks.append(inst)
+        sets_per_bag.append(n_sets)
 
+    X = np.concatenate(blocks)
     # evaluation-only labels from the pre-noise fused confidences
-    truth_labels = tuple(
-        tuple(
-            tuple(int(v >= 0.5) for v in choquet_batch(cs.instances, truth))
-            for cs in bag.candidate_sets
-        )
-        for bag in bags
-    )
-
+    truth_labels = (choquet_batch(X, truth) >= 0.5).astype(np.int8)
     if spec.noise_sigma > 0:
-        noisy = []
-        for bag in bags:
-            sets = tuple(
-                CandidateSet(
-                    np.clip(
-                        cs.instances + rng.normal(0.0, spec.noise_sigma, cs.instances.shape),
-                        0.0,
-                        1.0,
-                    )
-                )
-                for cs in bag.candidate_sets
-            )
-            noisy.append(Bag(label=bag.label, candidate_sets=sets))
-        bags = noisy
+        # one draw for the whole matrix takes the same stream as one per set
+        X = np.clip(X + rng.normal(0.0, spec.noise_sigma, X.shape), 0.0, 1.0)
 
-    return Dataset(source_count=S, bags=tuple(bags), instance_truth=truth_labels)
+    set_offsets = _offsets([len(block) for block in blocks])
+    labels = np.array(labels, dtype=np.int8)
+    return Dataset._from_columns(S, X, set_offsets, _offsets(sets_per_bag), labels, truth_labels)

@@ -540,8 +540,11 @@ def measure_from_dict(obj) -> Measure:
     if "values" not in obj:
         raise ValidationError("measure JSON needs either values or minimal_winning")
     values = obj["values"]
-    if not isinstance(values, list) or not all(type(x) in (int, float) for x in values):
-        raise ValidationError("measure values must be a list of numbers")
+    # range first: an integer too large for a float would overflow in np.array
+    if not isinstance(values, list) or not all(
+        type(x) in (int, float) and 0 <= x <= 1 for x in values
+    ):
+        raise ValidationError("measure values must be a list of numbers in [0, 1]")
     kind = BinaryFuzzyMeasure if all(type(x) is int for x in values) else RealFuzzyMeasure
     measure = kind(source_count, np.array(values))
     report = validate(measure)

@@ -164,23 +164,24 @@ def fusion_rows(data: Dataset, fmap: FusionMap) -> Iterator[tuple]:
         raise ValidationError(
             f"map has {len(fmap)} scores, dataset has {data.n_instances} instances"
         )
-    truth = data.flat_truth() if data.instance_truth is not None else None
-    k = 0
-    for b, bag in enumerate(data.bags):
-        for c, cset in enumerate(bag.candidate_sets):
-            for i in range(cset.instances.shape[0]):
-                row = (b, c, i, float(fmap.scores[k]))
-                if truth is not None:
-                    row = row + (int(truth[k]),)
-                yield row
-                k += 1
+    set_sizes, sets_per_bag = np.diff(data.set_offsets), np.diff(data.bag_offsets)
+    set_index = np.arange(len(set_sizes)) - np.repeat(data.bag_offsets[:-1], sets_per_bag)
+    columns = [
+        np.repeat(np.repeat(np.arange(len(sets_per_bag)), sets_per_bag), set_sizes),
+        np.repeat(set_index, set_sizes),
+        np.arange(data.n_instances) - np.repeat(data.set_offsets[:-1], set_sizes),
+        fmap.scores,
+    ]
+    if data.flat_truth() is not None:
+        columns.append(data.flat_truth())
+    return zip(*(column.tolist() for column in columns))
 
 
 def write_fusion_csv(path, data: Dataset, fmap: FusionMap) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         header = ["bag", "candidate_set", "instance", "score"]
-        if data.instance_truth is not None:
+        if data.flat_truth() is not None:
             header.append("truth")
         w.writerow(header)
         w.writerows(fusion_rows(data, fmap))

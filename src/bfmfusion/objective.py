@@ -34,7 +34,7 @@ import numpy as np
 from .choquet import sort_decomposition
 from .data import Dataset
 from .errors import ValidationError
-from .measures import Measure
+from .measures import Measure, validate
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,8 @@ def prepare(data: Dataset) -> PreparedData:
     X = data.instance_matrix()
     masks, diffs = sort_decomposition(X)
     levels = np.pad(np.sort(X, axis=1)[:, ::-1], ((0, 0), (0, 1))).ravel()
-    set_sizes = [len(cs) for bag in data.bags for cs in bag.candidate_sets]
-    sets_per_bag = np.array([len(bag.candidate_sets) for bag in data.bags])
-    set_starts = np.concatenate([[0], np.cumsum(set_sizes)[:-1]]).astype(np.int64)
-    bag_set_starts = np.concatenate([[0], np.cumsum(sets_per_bag)[:-1]]).astype(np.int64)
+    set_sizes = np.diff(data.set_offsets)
+    sets_per_bag = np.diff(data.bag_offsets)
     labels = data.labels()
     return PreparedData(
         source_count=data.source_count,
@@ -101,8 +99,8 @@ def prepare(data: Dataset) -> PreparedData:
         diffs=diffs,
         levels=levels,
         signs=np.repeat(np.repeat(np.where(labels == 0, -1.0, 1.0), sets_per_bag), set_sizes),
-        set_starts=set_starts,
-        bag_set_starts=bag_set_starts,
+        set_starts=data.set_offsets[:-1],
+        bag_set_starts=data.bag_offsets[:-1],
         sets_per_bag=sets_per_bag,
         labels=labels,
     )
@@ -112,12 +110,16 @@ def _as_prepared(data: Union[Dataset, PreparedData]) -> PreparedData:
     return data if isinstance(data, PreparedData) else prepare(data)
 
 
-def _check_compatible(measure: Measure, prepared: PreparedData) -> None:
+def _check_measure(measure: Measure, prepared: PreparedData) -> None:
+    # the max-min form needs a valid table; training's own rows skip this check
     if measure.source_count != prepared.source_count:
         raise ValidationError(
             f"measure covers {measure.source_count} sources, "
             f"dataset has {prepared.source_count}"
         )
+    report = validate(measure)
+    if not report.ok:
+        raise ValidationError(f"measure is invalid: {report.violations[0]}")
 
 
 class _Evaluation(NamedTuple):
@@ -168,7 +170,7 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:
     """Evaluate the objective with a per-bag breakdown for diagnostics."""
     prepared = _as_prepared(data)
-    _check_compatible(measure, prepared)
+    _check_measure(measure, prepared)
     ev = _evaluate(measure.values[None, :], prepared)
     # the selected set is the first in its bag to reach the bag's extreme
     set_index = np.arange(len(prepared.set_starts))
@@ -199,7 +201,7 @@ def objective_batch(
     if len(measures) == 0:
         return np.empty(0)
     for m in measures:
-        _check_compatible(m, prepared)
+        _check_measure(m, prepared)
     return _evaluate(np.stack([m.values for m in measures]), prepared).total
 
 

@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfmfusion import (
     Bag,
@@ -86,6 +93,29 @@ class TestSynth:
         assert (tmp_path / "a.manifest.json").read_bytes() == (
             tmp_path / "b.manifest.json"
         ).read_bytes()
+
+    # SHA-256 of the outputs for one noisy spec and a fixed measure, recorded
+    # when each candidate set was still generated and written on its own: a
+    # generator that shifts the random stream, or a writer that formats a
+    # number differently, changes these bytes
+    GOLDEN = {
+        "data.json": "1884bb5526bf24c5b5960622871ea1ac4a1d4256ef2857c3b8c0c3356ffbe8eb",
+        "data.manifest.json": "cdfc8d8f16999b23a6edeb676d51b8b1a36c3cb4a8aa2d5e036c8a3fde9cff0c",
+        "eval/fusion.csv": "40ad6cb8ef89ce30383b55dfdab871616028f7d6b4804dde8b94e9b530f12789",
+        "eval/score.json": "e6eb8969b091ae22c007df53b21c1d6584d803d03f4db2e23f53c585b3c6a260",
+        "eval/roc.csv": "9b06ffa0327c6d623b15ae1db732a0d9f82f9aab4a5fd17e1f7705bc0fa7dd65",
+    }
+
+    def test_golden_bytes(self, tmp_path, monkeypatch):
+        # relative paths: score.json hashes the run configuration, paths included
+        monkeypatch.chdir(tmp_path)
+        write_spec(Path("spec.json"), noise_sigma=0.1)
+        save_measure("measure.json", TRUTH)
+        assert main(["synth", "--spec", "spec.json", "--out", "data.json"]) == 0
+        assert main(["fuse-eval", "--data", "data.json", "--measure", "measure.json",
+                     "--out", "eval"]) == 0
+        for name, digest in self.GOLDEN.items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest, name
 
     def test_overwrite_refused_without_force(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
@@ -291,6 +321,30 @@ class TestFuseEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "eval" / "fusion.csv").exists()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: d.update(bags=5),
+            lambda d: d["bags"][0].update(candidate_sets=5),
+            lambda d: d.update(instance_truth=3),
+            lambda d: d.update(instance_truth=[[5]]),
+            lambda d: d["bags"][0]["candidate_sets"][0].__setitem__(0, ["0.1", 0.2, 0.3]),
+            lambda d: d["bags"][0].update(label=0.0),
+        ],
+        ids=["bags_number", "candidate_sets_number", "truth_number", "truth_too_shallow",
+             "string_confidence", "float_label"],
+    )
+    def test_malformed_dataset_exits_1(self, tmp_path, capsys, change):
+        obj = json.loads(self.auc_dataset(tmp_path).read_text())
+        change(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main(["fuse-eval", "--data", str(path), "--naive", "min",
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_train_result_is_a_measure_file(self, dataset_path, tmp_path, capsys):
         result = tmp_path / "result.json"
         assert main(["train", "--data", str(dataset_path), "--mode", "bfm",
@@ -331,6 +385,92 @@ class TestFuseEval:
         assert main(args) == 1
         assert "--force" in capsys.readouterr().err
         assert main(args + ["--force"]) == 0
+
+
+# Field names of the dataset, spec and measure formats, so that fuzzed
+# objects reach past the first missing-field check.
+FIELDS = ("source_count", "bags", "label", "candidate_sets", "instance_truth", "n_pos_bags",
+          "n_neg_bags", "sets_per_bag", "instances_per_set", "noise_sigma", "truth_measure",
+          "rng_seed", "values", "minimal_winning")
+
+
+def json_values(ints):
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=5),
+        max_leaves=12,
+    )
+
+
+def _subtree_paths(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _subtree_paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """A valid document with one subtree replaced by a small JSON value.
+
+    Integers stay small: a valid spec asking for 10**18 bags would run for ever."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_subtree_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(json_values(st.integers(-2, 12)))
+    return doc
+
+
+DATASET_DOC = {
+    "source_count": 3,
+    "bags": [
+        {"label": 0, "candidate_sets": [[[0.1, 0.5, 0.9], [0.4, 0.6, 0.7]]]},
+        {"label": 1, "candidate_sets": [[[0.35, 0.9, 0.9]], [[0.8, 0.9, 0.85]]]},
+    ],
+    "instance_truth": [[[0, 0]], [[1], [1]]],
+}
+SPEC_DOC = {
+    "source_count": 3, "n_pos_bags": 2, "n_neg_bags": 2, "sets_per_bag": [1, 2],
+    "instances_per_set": [1, 3], "noise_sigma": 0.1,
+    "truth_measure": {"source_count": 3, "minimal_winning": [[1, 2], [1, 3]]}, "rng_seed": 5,
+}
+
+
+class TestFuzzedInput:
+    """Any JSON value as an input file ends in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, valid",
+        [
+            (["fuse-eval", "--data", "{in}", "--naive", "min", "--out", "{out}"], DATASET_DOC),
+            (["train", "--data", "{in}", "--mode", "bfm", "--max-generations", "1",
+              "--out", "{out}"], DATASET_DOC),
+            (["synth", "--spec", "{in}", "--out", "{out}"], SPEC_DOC),
+        ],
+        ids=["fuse-eval", "train", "synth"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_exit_code_and_one_error_line(self, argv, valid, data):
+        value = data.draw(json_values(st.integers()) | mutated(valid))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(value))
+            args = [a.format(**{"in": path, "out": Path(tmp) / "out"}) for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(args)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestBenchRecipe:

@@ -97,6 +97,68 @@ class TestModelValidation:
         assert m[3].tolist() == [0.5, 0.6]
 
 
+def ragged_dataset():
+    """Bags of 2, 3 and 1 candidate sets holding 1 to 3 instances each."""
+    rng = np.random.default_rng(3)
+    shapes = [[2, 1], [1, 3, 2], [3]]
+    bags = tuple(Bag(b % 2, [rng.random((n, 2)) for n in sizes]) for b, sizes in enumerate(shapes))
+    truth = tuple(tuple(tuple(int(k % 2) for k in range(n)) for n in sizes) for sizes in shapes)
+    return Dataset(2, bags, truth)
+
+
+class TestColumns:
+    def test_offsets_and_labels(self):
+        ds = ragged_dataset()
+        assert ds.set_offsets.tolist() == [0, 2, 3, 4, 7, 9, 12]
+        assert ds.bag_offsets.tolist() == [0, 2, 5, 6]
+        assert ds.labels().tolist() == [0, 1, 0]
+        assert ds.flat_truth().tolist() == [0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0]
+        assert ds.n_instances == 12
+
+    def test_columns_are_read_only(self):
+        ds = ragged_dataset()
+        for array in (ds.instance_matrix(), ds.set_offsets, ds.bag_offsets, ds.labels(),
+                      ds.flat_truth()):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_views_loader_and_adapter_agree(self):
+        ds = generate_synthetic(spec3(sigma=0.05))
+        nested = dataset_to_dict(ds)["instance_truth"]
+        for other in (Dataset(ds.source_count, ds.bags, nested),
+                      dataset_from_dict(dataset_to_dict(ds))):
+            assert np.array_equal(other.instance_matrix(), ds.instance_matrix())
+            assert np.array_equal(other.set_offsets, ds.set_offsets)
+            assert np.array_equal(other.bag_offsets, ds.bag_offsets)
+            assert np.array_equal(other.labels(), ds.labels())
+            assert np.array_equal(other.flat_truth(), ds.flat_truth())
+
+    @pytest.mark.parametrize("where", [(0, 1, 0), (1, 1, 2), (1, 2, 1), (2, 0, 2)])
+    @pytest.mark.parametrize("value", [1.3, "0.5", None, float("nan")])
+    def test_loader_names_bad_instance(self, where, value):
+        b, c, i = where
+        obj = dataset_to_dict(ragged_dataset())
+        obj["bags"][b]["candidate_sets"][c][i][1] = value
+        with pytest.raises(ValidationError) as exc:
+            dataset_from_dict(obj)
+        assert f"bag {b}, candidate set {c}, instance {i}:" in str(exc.value)
+
+    def test_adapter_names_bad_instance(self):
+        bags = list(ragged_dataset().bags)
+        inst = bags[1].candidate_sets[2].instances.copy()
+        inst[1, 0] = -0.1
+        bags[1] = Bag(1, bags[1].candidate_sets[:2] + (CandidateSet(inst),))
+        with pytest.raises(ValidationError) as exc:
+            Dataset(2, bags)
+        assert "bag 1, candidate set 2, instance 1:" in str(exc.value)
+
+    def test_truth_labels_named_by_set(self):
+        obj = dataset_to_dict(ragged_dataset())
+        obj["instance_truth"][1][2][0] = 2
+        with pytest.raises(ValidationError, match="bag 1, candidate set 2, instance 0"):
+            dataset_from_dict(obj)
+
+
 class TestSerialization:
     def test_dict_round_trip(self):
         ds = small_dataset()
@@ -124,7 +186,7 @@ class TestSerialization:
         )
         ds = load_dataset(p)
         assert len(ds.bags) == 2
-        assert ds.instance_truth is None
+        assert ds.flat_truth() is None
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -228,28 +290,30 @@ class TestGenerator:
 
     def test_truth_labels_parallel_structure(self):
         ds = generate_synthetic(spec3(sigma=0.05))
-        assert ds.instance_truth is not None
-        assert len(ds.instance_truth) == len(ds.bags)
-        for bag, bag_truth in zip(ds.bags, ds.instance_truth):
+        assert ds.flat_truth().shape == (ds.n_instances,)
+        assert set(ds.flat_truth().tolist()) <= {0, 1}
+        obj = dataset_to_dict(ds)
+        assert len(obj["instance_truth"]) == len(ds.bags)
+        for bag, bag_truth in zip(ds.bags, obj["instance_truth"]):
             assert len(bag_truth) == len(bag.candidate_sets)
             for cs, cs_truth in zip(bag.candidate_sets, bag_truth):
                 assert len(cs_truth) == cs.instances.shape[0]
-                assert set(cs_truth) <= {0, 1}
 
     def test_flat_truth_matches_flatten_order(self):
         ds = generate_synthetic(spec3(sigma=0.05))
         flat = ds.flat_truth()
         assert flat.shape == (ds.n_instances,)
         k = 0
-        for bag_truth in ds.instance_truth:
+        for bag_truth in dataset_to_dict(ds)["instance_truth"]:
             for cs_truth in bag_truth:
                 for v in cs_truth:
                     assert flat[k] == v
                     k += 1
+        assert k == ds.n_instances
 
     def test_noise_moves_values(self):
         clean = generate_synthetic(spec3(seed=9))
         noisy = generate_synthetic(spec3(sigma=0.05, seed=9))
         assert not np.allclose(clean.instance_matrix(), noisy.instance_matrix())
         # labels computed pre-noise: identical across the two
-        assert clean.instance_truth == noisy.instance_truth
+        assert np.array_equal(clean.flat_truth(), noisy.flat_truth())

@@ -289,6 +289,10 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             measure_from_dict({"source_count": 1, "values": [0, "x"]})
 
+    def test_integer_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            measure_from_dict({"source_count": 1, "values": [0.0, 10**400]})
+
 
 class TestMeasureSemantics:
     def test_getitem_accepts_masks_and_sets(self):

@@ -271,3 +271,17 @@ class TestWriters:
         short = FusionMap(np.array([0.1]), {"mode": "min"})
         with pytest.raises(ValidationError, match="scores"):
             list(fusion_rows(ds, short))
+
+    def test_fusion_rows_follow_the_bags(self):
+        rng = np.random.default_rng(4)
+        shapes = [[2, 1], [1, 3, 2], [3]]
+        bags = [Bag(b % 2, [rng.random((n, 2)) for n in sizes]) for b, sizes in enumerate(shapes)]
+        ds = Dataset(2, bags)
+        fmap = fuse_naive(ds, "max")
+        expected = [
+            (b, c, i, float(h.max()))
+            for b, bag in enumerate(ds.bags)
+            for c, cs in enumerate(bag.candidate_sets)
+            for i, h in enumerate(cs.instances)
+        ]
+        assert list(fusion_rows(ds, fmap)) == expected

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bfmfusion import (
     Bag,
+    BinaryFuzzyMeasure,
     Dataset,
     ValidationError,
     enumerate_all,
@@ -278,6 +279,15 @@ class TestValidation:
             objective_batch([g3], ds)
         with pytest.raises(ValidationError, match="sources"):
             objective_total(g3, ds)
+
+    def test_axiom_violating_measure_refused(self):
+        # {0} wins but the full set loses: the max-min form would read 0.9
+        # here, the sum form 0.08, so neither number may come out
+        bad = BinaryFuzzyMeasure(2, [0, 1, 0, 0])
+        ds = Dataset(2, (Bag(0, [[[0.5, 0.3]]]), Bag(1, [[[0.9, 0.1]]])))
+        for call in (objective, objective_total, lambda m, d: objective_batch([m], d)):
+            with pytest.raises(ValidationError, match="measure is invalid"):
+                call(bad, ds)
 
 
 class TestSerialization:
