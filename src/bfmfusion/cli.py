@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -84,19 +84,10 @@ def _write_json(path, payload: dict, force: bool) -> None:
 
 def _ea_config(args, seed: int) -> EAConfig:
     kwargs = {"rng_seed": seed}
-    for name in (
-        "population_size",
-        "elite_count",
-        "small_mutation_rate",
-        "large_mutation_rate",
-        "max_generations",
-        "stall_generations",
-        "fitness_tolerance",
-        "time_cap_seconds",
-    ):
-        value = getattr(args, name, None)
+    for field in fields(EAConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            kwargs[name] = value
+            kwargs[field.name] = value
     return EAConfig(**kwargs)
 
 
@@ -105,7 +96,6 @@ def _add_ea_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--population-size", type=int)
     g.add_argument("--elite-count", type=int)
     g.add_argument("--small-mutation-rate", type=float)
-    g.add_argument("--large-mutation-rate", type=float)
     g.add_argument("--max-generations", type=int)
     g.add_argument("--stall-generations", type=int)
     g.add_argument("--fitness-tolerance", type=float)

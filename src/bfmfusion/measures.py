@@ -270,6 +270,18 @@ def validate(measure: Measure) -> ValidityReport:
     return ValidityReport(not violations, tuple(violations))
 
 
+def _check_measure(measure: Measure, source_count: int) -> None:
+    """Refuse a measure over other than `source_count` sources, with a wrong
+    table length, or breaking an axiom: evaluation and fusion assume none."""
+    if measure.source_count != source_count:
+        raise ValidationError(
+            f"measure covers {measure.source_count} sources, dataset has {source_count}"
+        )
+    report = validate(measure)
+    if not report.ok:
+        raise ValidationError(f"measure is invalid: {report.violations[0]}")
+
+
 # ---------------------------------------------------------------------------
 # Construction helpers
 
@@ -407,46 +419,40 @@ def _random_real_table(source_count: int, rng: np.random.Generator) -> np.ndarra
     return values
 
 
-def enumerate_all(source_count: int, cap: int = ENUMERATION_CAP) -> Iterator[BinaryFuzzyMeasure]:
+def enumerate_all(source_count: int) -> Iterator[BinaryFuzzyMeasure]:
     """Yield every valid binary measure on S sources exactly once.
 
-    Subsets are assigned in increasing-cardinality order; a subset whose
-    immediate subsets are all 0 branches over {0, 1}, anything else is
-    forced to 1 by monotonicity. Refuses S above `cap` with a count
-    estimate, because the count grows roughly like 2**C(S, S//2).
+    Measures come in serialization order (value tables compared as bytes).
+    Refuses S above ENUMERATION_CAP at call time with a count estimate,
+    because the count grows roughly like 2**C(S, S//2).
     """
     source_count = _check_source_count(source_count)
-    if source_count > cap:
+    return (BinaryFuzzyMeasure(source_count, row) for row in _all_tables(source_count))
+
+
+def _all_tables(source_count: int) -> np.ndarray:
+    """Every valid binary table on S sources as the rows of one uint8 array,
+    sorted as bytes.
+
+    Subsets are assigned in increasing-cardinality order: a row where some
+    immediate subset already wins is forced to 1 by monotonicity, and every
+    other row splits into a losing and a winning copy.
+    """
+    if source_count > ENUMERATION_CAP:
         raise CapError(
-            f"enumeration of S={source_count} refused (cap {cap}): "
+            f"enumeration of S={source_count} refused (cap {ENUMERATION_CAP}): "
             f"there are {_estimate_count(source_count)} valid measures"
         )
-    n = 1 << source_count
-    order = [int(m) for m in _by_cardinality(source_count)]
-    positions = order[1:-1]  # empty and full set are pinned
-    values = np.zeros(n, dtype=np.uint8)
-    values[-1] = 1
-    immediate_subsets = [
-        [mask ^ (1 << i) for i in range(source_count) if mask >> i & 1]
-        for mask in range(n)
-    ]
-
-    def rec(pos: int) -> Iterator[BinaryFuzzyMeasure]:
-        if pos == len(positions):
-            yield BinaryFuzzyMeasure(source_count, values.copy())
-            return
-        mask = positions[pos]
-        if any(values[sub] for sub in immediate_subsets[mask]):
-            values[mask] = 1
-            yield from rec(pos + 1)
-        else:
-            values[mask] = 0
-            yield from rec(pos + 1)
-            values[mask] = 1
-            yield from rec(pos + 1)
-        values[mask] = 0
-
-    return rec(0)
+    tables = np.zeros((1, 1 << source_count), dtype=np.uint8)
+    tables[:, -1] = 1
+    for mask in _by_cardinality(source_count)[1:-1].tolist():
+        subsets = [mask ^ (1 << i) for i in range(source_count) if mask >> i & 1]
+        forced = tables[:, subsets].any(axis=1)
+        tables[forced, mask] = 1
+        winning = tables[~forced]
+        winning[:, mask] = 1
+        tables = np.concatenate([tables, winning])
+    return tables[np.lexsort(tables.T[::-1])]
 
 
 def count_all(source_count: int) -> int:

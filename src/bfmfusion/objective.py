@@ -33,8 +33,7 @@ import numpy as np
 
 from .choquet import sort_decomposition
 from .data import Dataset
-from .errors import ValidationError
-from .measures import Measure, validate
+from .measures import Measure, _check_measure
 
 
 @dataclass(frozen=True)
@@ -110,18 +109,6 @@ def _as_prepared(data: Union[Dataset, PreparedData]) -> PreparedData:
     return data if isinstance(data, PreparedData) else prepare(data)
 
 
-def _check_measure(measure: Measure, prepared: PreparedData) -> None:
-    # the max-min form needs a valid table; training's own rows skip this check
-    if measure.source_count != prepared.source_count:
-        raise ValidationError(
-            f"measure covers {measure.source_count} sources, "
-            f"dataset has {prepared.source_count}"
-        )
-    report = validate(measure)
-    if not report.ok:
-        raise ValidationError(f"measure is invalid: {report.violations[0]}")
-
-
 class _Evaluation(NamedTuple):
     """Objective parts for a stack of P value tables."""
 
@@ -170,7 +157,7 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:
     """Evaluate the objective with a per-bag breakdown for diagnostics."""
     prepared = _as_prepared(data)
-    _check_measure(measure, prepared)
+    _check_measure(measure, prepared.source_count)
     ev = _evaluate(measure.values[None, :], prepared)
     # the selected set is the first in its bag to reach the bag's extreme
     set_index = np.arange(len(prepared.set_starts))
@@ -201,7 +188,7 @@ def objective_batch(
     if len(measures) == 0:
         return np.empty(0)
     for m in measures:
-        _check_measure(m, prepared)
+        _check_measure(m, prepared.source_count)
     return _evaluate(np.stack([m.values for m in measures]), prepared).total
 
 

@@ -13,24 +13,23 @@ exact convergence where the real-valued baseline keeps inching forward.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, has_both_polarities
 from .errors import ValidationError
 from .measures import (
-    ENUMERATION_CAP,
     BinaryFuzzyMeasure,
     Measure,
     RealFuzzyMeasure,
+    _all_tables,
     _masks,
     _random_real_table,
     _random_table,
     _set_closed,
-    enumerate_all,
     measure_to_antichain_dict,
     measure_to_dict,
 )
@@ -45,13 +44,12 @@ class EAConfig:
     Each non-elite slot is filled by rank-selecting a parent and applying a
     small mutation (one element flipped or redrawn, with monotonicity
     repair) with probability small_mutation_rate, else a large mutation (a
-    fresh random measure). The two rates must sum to 1.
+    fresh random measure).
     """
 
     population_size: int = 64
     elite_count: int = 4
     small_mutation_rate: float = 0.8
-    large_mutation_rate: float = 0.2
     max_generations: int = 500
     stall_generations: int = 30
     fitness_tolerance: float = 1e-6
@@ -63,29 +61,19 @@ class EAConfig:
             raise ValidationError("population_size must be at least 2")
         if not 0 <= self.elite_count < self.population_size:
             raise ValidationError("elite_count must be in [0, population_size)")
-        if min(self.small_mutation_rate, self.large_mutation_rate) < 0 or abs(
-            self.small_mutation_rate + self.large_mutation_rate - 1.0
-        ) > 1e-9:
-            raise ValidationError("mutation rates must be non-negative and sum to 1")
+        if not (math.isfinite(self.small_mutation_rate) and 0 <= self.small_mutation_rate <= 1):
+            raise ValidationError("small_mutation_rate must lie in [0, 1]")
         if self.max_generations < 1 or self.stall_generations < 1:
             raise ValidationError("generation limits must be positive")
-        if self.fitness_tolerance < 0:
-            raise ValidationError("fitness_tolerance must be >= 0")
-        if self.time_cap_seconds is not None and self.time_cap_seconds <= 0:
-            raise ValidationError("time_cap_seconds must be positive when set")
+        if not (math.isfinite(self.fitness_tolerance) and self.fitness_tolerance >= 0):
+            raise ValidationError("fitness_tolerance must be finite and >= 0")
+        if self.time_cap_seconds is not None and not (
+            math.isfinite(self.time_cap_seconds) and self.time_cap_seconds > 0
+        ):
+            raise ValidationError("time_cap_seconds must be finite and positive when set")
 
     def to_json_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "elite_count": self.elite_count,
-            "small_mutation_rate": self.small_mutation_rate,
-            "large_mutation_rate": self.large_mutation_rate,
-            "max_generations": self.max_generations,
-            "stall_generations": self.stall_generations,
-            "fitness_tolerance": self.fitness_tolerance,
-            "rng_seed": self.rng_seed,
-            "time_cap_seconds": self.time_cap_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -258,29 +246,24 @@ def train_real_fm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
     return _evolve(prepare(data), cfg, _RealOps(data.source_count))
 
 
-def train_exhaustive(data: Dataset, cap: int = ENUMERATION_CAP) -> TrainResult:
+def train_exhaustive(data: Dataset) -> TrainResult:
     """Global optimum by scanning every valid binary measure.
 
     Ties resolve to the lowest serialization order (the value table read in
-    bitmask index order). Refuses source counts above the enumeration cap.
+    bitmask index order). Refuses source counts above ENUMERATION_CAP.
     """
     t0 = time.perf_counter()
+    tables = _all_tables(data.source_count)
     prepared = prepare(data)
-    measures = enumerate_all(data.source_count, cap=cap)
-    best = (np.inf, b"")  # (objective, value bytes)
-    scanned = 0
-    while chunk := [m.values for m in islice(measures, 512)]:
-        js = _evaluate(np.stack(chunk), prepared).total
-        best = min(best, *zip(js.tolist(), (v.tobytes() for v in chunk)))
-        scanned += len(chunk)
-
-    best_objective, best_bytes = best
+    js = np.concatenate([
+        _evaluate(tables[i : i + 512], prepared).total for i in range(0, len(tables), 512)
+    ])
+    best = int(np.argmin(js))  # the rows are sorted as bytes: the first minimum wins ties
+    best_objective = float(js[best])
     return TrainResult(
-        best_measure=BinaryFuzzyMeasure(
-            data.source_count, np.frombuffer(best_bytes, dtype=np.uint8)
-        ),
+        best_measure=BinaryFuzzyMeasure(data.source_count, tables[best]),
         best_objective=best_objective,
-        generations_run=scanned,
+        generations_run=len(tables),
         wall_time_seconds=time.perf_counter() - t0,
         objective_trace=(best_objective,),
         terminated_by="converged",

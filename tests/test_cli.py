@@ -242,6 +242,15 @@ class TestTrain:
         assert code == 1
         assert "population_size" in capsys.readouterr().err
 
+    def test_nan_search_setting_exits_1(self, dataset_path, tmp_path, capsys):
+        code = main(["train", "--data", str(dataset_path), "--mode", "bfm",
+                     "--fitness-tolerance", "nan", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fitness_tolerance" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.json"),
                      "--mode", "bfm", "--out", str(tmp_path / "r.json")])

@@ -203,6 +203,11 @@ class TestEnumeration:
             seen.add(g.values.tobytes())
         assert len(seen) == 166
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_serialization_order(self, s):
+        tables = [g.values.tobytes() for g in enumerate_all(s)]
+        assert all(a < b for a, b in zip(tables, tables[1:]))
+
     def test_cap_refusal(self):
         with pytest.raises(CapError) as exc:
             next(enumerate_all(6))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bfmfusion import (
     Bag,
+    BinaryFuzzyMeasure,
     Dataset,
     ValidationError,
     from_minimal_coalitions,
@@ -80,6 +81,16 @@ class TestFuse:
     def test_source_count_mismatch(self):
         with pytest.raises(ValidationError, match="sources"):
             fuse(toy_dataset(), minimum_measure(4))
+
+    def test_non_monotone_measure_refused(self):
+        # {0} wins but {0, 1} loses
+        bad = BinaryFuzzyMeasure(3, [0, 1, 0, 0, 0, 0, 0, 1])
+        with pytest.raises(ValidationError, match="measure is invalid"):
+            fuse(toy_dataset(), bad)
+
+    def test_short_table_refused(self):
+        with pytest.raises(ValidationError, match="values length"):
+            fuse(toy_dataset(), BinaryFuzzyMeasure(3, [0, 1]))
 
 
 class TestFuseNaive:

@@ -9,6 +9,7 @@ from bfmfusion import (
     Dataset,
     RealFuzzyMeasure,
     ValidationError,
+    enumerate_all,
     from_minimal_coalitions,
     generate_synthetic,
     minimal_winning_coalitions,
@@ -61,13 +62,19 @@ class TestConfigValidation:
             {"population_size": 1},
             {"elite_count": -1},
             {"elite_count": 64},
-            {"small_mutation_rate": 0.5, "large_mutation_rate": 0.6},
-            {"small_mutation_rate": -0.2, "large_mutation_rate": 1.2},
+            {"small_mutation_rate": -0.2},
+            {"small_mutation_rate": 1.2},
             {"max_generations": 0},
             {"stall_generations": 0},
             {"fitness_tolerance": -1e-9},
             {"time_cap_seconds": 0.0},
             {"time_cap_seconds": -5.0},
+            {"small_mutation_rate": float("nan")},
+            {"small_mutation_rate": float("inf")},
+            {"fitness_tolerance": float("nan")},
+            {"fitness_tolerance": float("inf")},
+            {"time_cap_seconds": float("nan")},
+            {"time_cap_seconds": float("inf")},
         ],
     )
     def test_rejects(self, kwargs):
@@ -169,6 +176,26 @@ class TestExhaustive:
         floor = train_exhaustive(data).best_objective
         ea = train_bfm(data, quick_cfg())
         assert ea.best_objective >= floor - 1e-12
+
+    def test_matches_brute_force_minimum(self):
+        spec = SynthSpec(
+            source_count=4,
+            n_pos_bags=6,
+            n_neg_bags=6,
+            sets_per_bag=(2, 3),
+            instances_per_set=(2, 4),
+            noise_sigma=0.2,
+            truth_measure=from_minimal_coalitions(4, [{0, 1}, {2, 3}]),
+            rng_seed=11,
+        )
+        data = generate_synthetic(spec)
+        scored = [(objective_total(m, data), m.values.tobytes()) for m in enumerate_all(4)]
+        best_objective, best_bytes = min(scored)
+        res = train_exhaustive(data)
+        assert res.best_measure.values.tobytes() == best_bytes
+        assert res.best_objective == best_objective
+        assert best_objective > 0  # noisy data: the planted measure does not reach 0
+        assert res.generations_run == len(scored)
 
     def test_ea_attains_optimum_on_clean_data(self):
         data = clean_dataset(seed=2)
