@@ -19,6 +19,7 @@ from .choquet import (
 from .data import (
     Bag,
     CandidateSet,
+    MAX_SYNTH_INSTANCES,
     Dataset,
     SynthSpec,
     dataset_from_dict,
@@ -96,6 +97,7 @@ __all__ = [
     "ENUMERATION_CAP",
     "FusionMap",
     "MAX_SOURCES",
+    "MAX_SYNTH_INSTANCES",
     "Measure",
     "ObjectiveBreakdown",
     "PinnedElementError",

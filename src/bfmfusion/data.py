@@ -37,7 +37,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from .choquet import choquet_batch
-from .errors import ValidationError
+from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
     measure_from_dict,
@@ -288,13 +288,20 @@ def load_dataset(path) -> Dataset:
 # Synthetic generation
 
 
+# Largest instance count a synthesis spec may allow: its bag count times the
+# upper ends of its set and instance ranges. The (N, S) float64 instance
+# matrix alone takes 8 * S bytes per instance, 80 * S MB at the cap.
+MAX_SYNTH_INSTANCES = 10**7
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a synthetic multi-resolution dataset with a known truth measure.
 
     sets_per_bag and instances_per_set are inclusive (lo, hi) ranges.
     noise_sigma is the per-value Gaussian noise applied after construction
-    (clipped back to [0, 1]).
+    (clipped back to [0, 1]). A spec whose upper bounds allow more than
+    MAX_SYNTH_INSTANCES instances is refused with CapError.
     """
 
     source_count: int
@@ -315,6 +322,12 @@ class SynthSpec:
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ValidationError(f"{name} range ({lo}, {hi}) is empty or non-positive")
+        bags = self.n_pos_bags + self.n_neg_bags
+        most = bags * self.sets_per_bag[1] * self.instances_per_set[1]
+        if most > MAX_SYNTH_INSTANCES:
+            raise CapError(
+                f"synthesis of up to {most} instances refused (cap {MAX_SYNTH_INSTANCES})"
+            )
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
         if not isinstance(self.truth_measure, BinaryFuzzyMeasure):

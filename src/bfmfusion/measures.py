@@ -309,15 +309,14 @@ def from_minimal_coalitions(source_count: int, coalitions: Iterable) -> BinaryFu
     a valid measure; the inputs need not form an antichain.
     """
     source_count = _check_source_count(source_count)
-    n = 1 << source_count
-    values = np.zeros(n, dtype=np.uint8)
-    masks = _masks(source_count)
+    values = np.zeros(1 << source_count, dtype=np.uint8)
     for subset in coalitions:
         mask = _as_mask(subset, source_count)
         if mask == 0:
             raise ValidationError("the empty set cannot be a winning coalition")
-        values[(masks & mask) == mask] = 1
+        values[mask] = 1
     values[-1] = 1
+    _close_up(values[:, None])
     return BinaryFuzzyMeasure(source_count, values)
 
 
@@ -337,19 +336,13 @@ def set_with_repair(
         )
     if bit not in (0, 1):
         raise ValidationError(f"bit must be 0 or 1, got {bit!r}")
-    values = _set_closed(measure.values, mask, bit, _masks(measure.source_count))
-    return BinaryFuzzyMeasure(measure.source_count, values)
-
-
-def _set_closed(values: np.ndarray, mask: int, bit: int, masks: np.ndarray) -> np.ndarray:
-    """Copy of a binary table with coalition `mask` set to `bit`, closed so
-    that it stays monotone: a 1 raises every superset, a 0 lowers every subset."""
-    values = values.copy()
+    masks = _masks(measure.source_count)
+    values = measure.values.copy()
     if bit == 1:
         values[(masks & mask) == mask] = 1
     else:
         values[(masks | mask) == mask] = 0
-    return values
+    return BinaryFuzzyMeasure(measure.source_count, values)
 
 
 def _by_cardinality(source_count: int) -> np.ndarray:
@@ -378,15 +371,33 @@ def sample_random(
 
 def _random_table(source_count: int, density: float, rng: np.random.Generator) -> np.ndarray:
     """The value table behind `sample_random`, drawn from `rng` with one call."""
-    n = 1 << source_count
-    values = (rng.random(n) < density).astype(np.uint8)
-    values[0] = 0
-    for i in range(source_count):  # subset-OR sweep: closes upward one bit at a time
+    values = (rng.random(1 << source_count) < density).astype(np.uint8)
+    values[[0, -1]] = 0, 1
+    return _close_up(values[:, None])[:, 0]
+
+
+def _close_up(tables: np.ndarray) -> np.ndarray:
+    """Upward closure, in place, of every column of a (2**S, C) uint8 stack:
+    a coalition wins when any subset of it did. C may be 0. A stack whose
+    rows cannot be regrouped without a copy, such as a transposed one,
+    raises ValueError rather than closing a copy."""
+    n, cols = tables.shape
+    for i in range(n.bit_length() - 1):  # subset-OR sweep: closes upward one bit at a time
         # axis 1 of this view is bit i: [:, 1] holds each [:, 0] set plus source i
-        pairs = values.reshape(-1, 2, 1 << i)
+        pairs = np.reshape(tables, (n >> i + 1, 2, cols << i), copy=False)
         pairs[:, 1] |= pairs[:, 0]
-    values[-1] = 1
-    return values
+    return tables
+
+
+def _minimal(tables: np.ndarray) -> np.ndarray:
+    """Minimal winning coalitions of every column of a (2**S, C) uint8 stack
+    of monotone tables: the winning rows with no winning immediate subset."""
+    n, cols = tables.shape
+    dominated = np.zeros_like(tables)
+    for i in range(n.bit_length() - 1):
+        shape = (n >> i + 1, 2, cols << i)
+        dominated.reshape(shape)[:, 1] |= tables.reshape(shape)[:, 0]
+    return tables & ~dominated
 
 
 def sample_random_real(source_count: int, seed=None) -> RealFuzzyMeasure:
@@ -427,12 +438,12 @@ def enumerate_all(source_count: int) -> Iterator[BinaryFuzzyMeasure]:
     because the count grows roughly like 2**C(S, S//2).
     """
     source_count = _check_source_count(source_count)
-    return (BinaryFuzzyMeasure(source_count, row) for row in _all_tables(source_count))
+    return (BinaryFuzzyMeasure(source_count, table) for table in _all_tables(source_count).T)
 
 
 def _all_tables(source_count: int) -> np.ndarray:
-    """Every valid binary table on S sources as the rows of one uint8 array,
-    sorted as bytes.
+    """Every valid binary table on S sources as the columns of one uint8
+    (2**S, count) stack, sorted as bytes.
 
     Subsets are assigned in increasing-cardinality order: a row where some
     immediate subset already wins is forced to 1 by monotonicity, and every
@@ -452,7 +463,7 @@ def _all_tables(source_count: int) -> np.ndarray:
         winning = tables[~forced]
         winning[:, mask] = 1
         tables = np.concatenate([tables, winning])
-    return tables[np.lexsort(tables.T[::-1])]
+    return np.ascontiguousarray(tables[np.lexsort(tables.T[::-1])].T)
 
 
 def count_all(source_count: int) -> int:
@@ -478,16 +489,7 @@ def minimal_winning_coalitions(measure: BinaryFuzzyMeasure) -> list[SourceSet]:
     measure exactly, so this is a complete, human-readable summary of which
     source combinations the measure trusts.
     """
-    v = measure.values
-    masks = _masks(measure.source_count)
-    winning = v == 1
-    dominated = np.zeros_like(winning)
-    for i in range(measure.source_count):
-        bit = 1 << i
-        has = (masks & bit) != 0
-        dominated |= has & (v[masks ^ bit] == 1)
-    minimal = winning & ~dominated & (masks != 0)
-    found = masks[minimal]
+    found = np.flatnonzero(_minimal(measure.values[:, None])[1:, 0]) + 1
     found = found[np.lexsort((found, np.bitwise_count(found)))]
     return [SourceSet(int(m), measure.source_count) for m in found]
 

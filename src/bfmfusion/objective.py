@@ -11,17 +11,18 @@ every positive bag has a matching fused to exactly 1.
 `prepare` factors out everything measure-independent (the sorted-difference
 decomposition, the sorted levels, the per-instance bag signs and the
 set/bag segment boundaries) so that evaluating many value tables against
-one dataset, as the optimizer does, costs one gather per table.
+one dataset, as the optimizer does, costs one gather for all of them.
 `objective`, `objective_batch` and the optimizer share one evaluator,
-`_evaluate`.
+`_evaluate`, which takes the tables as a (2**S, P) column stack, the
+optimizer's population layout, and makes no transposed copy of it.
 
 A binary (uint8) table is evaluated in max-min form. The prefixes
 masks[n, :] grow, so under a monotone table the winning prefixes of an
 instance form a suffix, and CI is the sorted confidence at the first of
 them, located by counting the winning prefixes in a uint8 (N, S, P)
-gather; no float (P, N, S) array is built. A real-valued table takes the
-level-difference sum. Both share one signed segment reduction per
-candidate set.
+gather of rows of the stack; no float (P, N, S) array is built. A
+real-valued table takes the level-difference sum. Both share one signed
+segment reduction per candidate set.
 """
 
 from __future__ import annotations
@@ -124,26 +125,27 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
-    """Evaluate a (P, 2**S) array of value tables in one gather.
+    """Evaluate a (2**S, P) column stack of value tables in one gather.
 
-    A uint8 table counts its winning prefixes in an (N, S, P) uint8 gather
-    of the transposed tables, one contiguous row of P bytes per lookup, and
-    reads CI as the sorted level at index S - count (the trailing 0 when no
-    prefix wins). Any other dtype takes the level-difference sum over a
-    (P, N, S) float64 gather. CI is then negated in negative bags, so one
-    maximum per candidate set gives the negated minimum of a negative set
-    and the maximum of a positive one; the set's sign flips it back. A
-    negative bag contributes the square of its largest set minimum; a
-    positive bag contributes (its largest set maximum - 1)^2, which is the
-    smallest shortfall because (x - 1)^2 falls on [0, 1].
+    A uint8 stack counts its winning prefixes in an (N, S, P) uint8 gather
+    of its rows, one row of P bytes per lookup, with no transposed copy,
+    and reads CI as the sorted level at index S - count (the trailing 0
+    when no prefix wins). Any other dtype takes the level-difference sum
+    over a (P, N, S) float64 gather through the transposed view. CI is
+    then negated in negative bags, so one maximum per candidate set gives
+    the negated minimum of a negative set and the maximum of a positive
+    one; the set's sign flips it back. A negative bag contributes the
+    square of its largest set minimum; a positive bag contributes (its
+    largest set maximum - 1)^2, which is the smallest shortfall because
+    (x - 1)^2 falls on [0, 1].
     """
     n, s = prepared.masks.shape
     if tables.dtype == np.uint8:
-        counts = np.ascontiguousarray(tables.T)[prepared.masks].sum(axis=1, dtype=np.uint8)
+        counts = tables[prepared.masks].sum(axis=1, dtype=np.uint8)
         row_ends = np.arange(1, n + 1)[:, None] * (s + 1) - 1
         ci = prepared.levels[(row_ends - counts).T]
     else:
-        ci = (prepared.diffs * tables[:, prepared.masks]).sum(axis=2)
+        ci = (prepared.diffs * tables.T[:, prepared.masks]).sum(axis=2)
     ci *= prepared.signs
     set_extreme = np.maximum.reduceat(ci, prepared.set_starts, axis=1)
     set_extreme *= prepared.signs[prepared.set_starts]
@@ -158,7 +160,7 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     """Evaluate the objective with a per-bag breakdown for diagnostics."""
     prepared = _as_prepared(data)
     _check_measure(measure, prepared.source_count)
-    ev = _evaluate(measure.values[None, :], prepared)
+    ev = _evaluate(measure.values[:, None], prepared)
     # the selected set is the first in its bag to reach the bag's extreme
     set_index = np.arange(len(prepared.set_starts))
     reaches = ev.set_extreme[0] == np.repeat(ev.bag_extreme[0], prepared.sets_per_bag)
@@ -189,7 +191,7 @@ def objective_batch(
         return np.empty(0)
     for m in measures:
         _check_measure(m, prepared.source_count)
-    return _evaluate(np.stack([m.values for m in measures]), prepared).total
+    return _evaluate(np.stack([m.values for m in measures], axis=1), prepared).total
 
 
 def objective_total(measure: Measure, data: Union[Dataset, PreparedData]) -> float:

@@ -9,6 +9,11 @@ counts, serving as the global-optimum oracle.
 The binary candidate space is finite (every measure has at most 2**S - 2
 single-flip neighbours), which is what lets the binary search terminate by
 exact convergence where the real-valued baseline keeps inching forward.
+
+A population is a (2**S, P) column stack: one value table per column, one
+coalition per row. Each generation draws its moves child by child, builds
+all binary children with one upward closure, evaluates them in one gather
+and ranks the columns with one sort; the stack is never transposed.
 """
 
 from __future__ import annotations
@@ -26,10 +31,8 @@ from .measures import (
     Measure,
     RealFuzzyMeasure,
     _all_tables,
-    _masks,
+    _close_up,
     _random_real_table,
-    _random_table,
-    _set_closed,
     measure_to_antichain_dict,
     measure_to_dict,
 )
@@ -41,10 +44,13 @@ from .rng import substream
 class EAConfig:
     """Evolutionary search settings.
 
-    Each non-elite slot is filled by rank-selecting a parent and applying a
-    small mutation (one element flipped or redrawn, with monotonicity
-    repair) with probability small_mutation_rate, else a large mutation (a
-    fresh random measure).
+    The elite_count best columns of the population carry over; every other
+    column is a child of a rank-selected parent. With probability
+    small_mutation_rate the child is a small mutation: one coalition
+    flipped, raised with its supersets or lowered with its subsets (the
+    real baseline redraws one value inside its monotonicity interval).
+    Otherwise it is a fresh random measure. The counts and rng_seed must be
+    integers (not bool), and rng_seed must be non-negative.
     """
 
     population_size: int = 64
@@ -57,6 +63,13 @@ class EAConfig:
     time_cap_seconds: float | None = None
 
     def __post_init__(self):
+        for name in ("population_size", "elite_count", "max_generations", "stall_generations",
+                     "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be >= 0")
         if self.population_size < 2:
             raise ValidationError("population_size must be at least 2")
         if not 0 <= self.elite_count < self.population_size:
@@ -102,32 +115,52 @@ class TrainResult:
 
 
 class _BinaryOps:
-    """Row moves of the binary search; a row is a uint8 value table."""
+    """Moves and ranking of the binary search over a (2**S, P) uint8 stack."""
 
     dtype = np.uint8
     measure = BinaryFuzzyMeasure
 
-    def __init__(self, source_count: int, density: float = 0.5):
-        self.source_count = source_count
-        self.density = density
-        self.masks = _masks(source_count)
+    @staticmethod
+    def breed(pop, parents, small, rng):
+        """Children of the columns `parents` of pop as a (2**S, C) stack: a
+        small mutation where `small` holds, else a fresh table, in blocks
+        raised, lowered, fresh. Only the draws are made child by child, in
+        child order; one upward closure of a seed stack builds every child.
+        A flipped coalition idx is raised, parent | up(idx), or lowered,
+        parent & ~down(idx), where down(idx) is up(full ^ idx) with its rows
+        reversed; a fresh table is up(Bernoulli(0.5) field)."""
+        n = len(pop)
+        draws = [rng.integers(1, n - 1) if is_small else rng.random(n) < 0.5 for is_small in small]
+        idx = np.array([d for d, is_small in zip(draws, small) if is_small], dtype=int)
+        fields = [d for d, is_small in zip(draws, small) if not is_small]
+        # a coalition that loses in its parent is raised, one that wins is lowered
+        kin = parents[small]
+        lit = pop[idx, kin]
+        by_kind = np.argsort(lit, kind="stable")
+        idx, kin = idx[by_kind], kin[by_kind]
+        raised, flips = np.count_nonzero(lit == 0), len(idx)
+        seeds = np.zeros((n, len(small)), dtype=np.uint8)
+        seeds[np.r_[idx[:raised], (n - 1) ^ idx[raised:]], np.arange(flips)] = 1
+        seeds[:, flips:] = np.reshape(fields, (-1, n)).T
+        seeds[0, flips:], seeds[-1, flips:] = 0, 1  # a fresh table pins both ends
+        up = _close_up(seeds)
+        kin = pop[:, kin]
+        up[:, :raised] |= kin[:, :raised]
+        up[:, raised:flips] = kin[:, raised:] & ~up[::-1, raised:flips]
+        return up
 
-    def small_mutation(self, row, rng):
-        # flip one non-pinned element; closure repair keeps the result valid
-        idx = int(rng.integers(1, len(row) - 1))
-        return _set_closed(row, idx, 0 if row[idx] else 1, self.masks)
-
-    def large_mutation(self, rng):
-        return _random_table(self.source_count, self.density, rng)
-
-    def tie_key(self, row):
-        # equal objectives prefer sparser coalition structure, then a fixed
-        # serialization order, so ranking is a total deterministic order
-        return (int(np.count_nonzero(row)), row.tobytes())
+    @staticmethod
+    def order(pop, js):
+        """Column order by objective, then fewer winning coalitions, then
+        the table's bytes: equal objectives rank the sparser structure first."""
+        packed = pop[0::8] << 7  # 8 rows a byte, the first highest: bytes compare as rows do
+        for r in range(1, min(8, len(pop))):
+            packed |= pop[r::8] << (7 - r)
+        return _column_order(packed, np.bitwise_count(packed).sum(axis=0), js)
 
 
 class _RealOps:
-    """Row moves of the real-valued baseline; a row is a float64 value table."""
+    """Moves and ranking of the real-valued baseline over a (2**S, P) float64 stack."""
 
     dtype = np.float64
     measure = RealFuzzyMeasure
@@ -146,11 +179,29 @@ class _RealOps:
         row[idx] = rng.uniform(lo, hi)
         return row
 
-    def large_mutation(self, rng):
-        return _random_real_table(self.source_count, rng)
+    def breed(self, pop, parents, small, rng):
+        """Children in child order: a parent column with one value redrawn,
+        or a fresh table."""
+        children = [
+            self.small_mutation(pop[:, p], rng) if is_small
+            else _random_real_table(self.source_count, rng)
+            for p, is_small in zip(parents, small)
+        ]
+        return np.reshape(children, (-1, len(pop))).T
 
-    def tie_key(self, row):
-        return (row.tobytes(),)
+    @staticmethod
+    def order(pop, js):
+        """Column order by objective, then the table's bytes."""
+        return _column_order(pop, js)
+
+
+def _column_order(keys: np.ndarray, *ranks: np.ndarray) -> np.ndarray:
+    """Column order by `ranks`, the last most significant, then by each
+    column of `keys` compared as bytes: a total order, so the ranking does
+    not depend on the order of the columns."""
+    rows = np.ascontiguousarray(keys.T)
+    by_bytes = np.argsort(rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0], kind="stable")
+    return by_bytes[np.lexsort([rank[by_bytes] for rank in ranks])]
 
 
 def _rank_picks(rng, size: int, count: int) -> np.ndarray:
@@ -161,28 +212,24 @@ def _rank_picks(rng, size: int, count: int) -> np.ndarray:
     return np.searchsorted(cum, u, side="right")
 
 
-def _ranked(pop: np.ndarray, js: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
-    """Population rows and objectives, best first under the ops' tie key."""
-    order = sorted(range(len(pop)), key=lambda i: (js[i], *ops.tie_key(pop[i])))
-    return pop[order], js[order]
-
-
 def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
-    """Elitist search over a (P, 2**S) array of value tables, one row each."""
+    """Elitist search over a (2**S, P) stack of value tables, one column
+    each; the stack stays unpermuted and `order` ranks its columns."""
     t0 = time.perf_counter()
-    masks = np.arange(1 << prepared.source_count)
-    lowest = (masks == masks[-1]).astype(ops.dtype)  # only the full set wins: fusion is min
-    highest = (masks != 0).astype(ops.dtype)  # every non-empty set wins: fusion is max
-    rng_init = substream(cfg.rng_seed, "init")
-    drawn = [ops.large_mutation(rng_init) for _ in range(cfg.population_size - 2)]
-    pop = np.stack([lowest, highest] + drawn)
-    pop, js = _ranked(pop, _evaluate(pop, prepared).total, ops)
+    ends = np.zeros((1 << prepared.source_count, 2), dtype=ops.dtype)
+    ends[-1, 0] = 1  # only the full set wins: fusion is min
+    ends[1:, 1] = 1  # every non-empty set wins: fusion is max
+    fresh = np.zeros(cfg.population_size - 2, dtype=bool)  # no small mutations
+    drawn = ops.breed(ends, fresh.astype(int), fresh, substream(cfg.rng_seed, "init"))
+    pop = np.concatenate([ends, drawn], axis=1)
+    js = _evaluate(pop, prepared).total
+    order = ops.order(pop, js)
 
-    trace = [float(js[0])]
+    trace = [float(js[order[0]])]
     stall = 0
     gen = 0
     while True:
-        if js[0] <= cfg.fitness_tolerance:
+        if trace[-1] <= cfg.fitness_tolerance:
             terminated_by = "converged"
             break
         if gen >= cfg.max_generations:
@@ -200,24 +247,22 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
 
         rng = substream(cfg.rng_seed, "mutation", gen)
         n_children = cfg.population_size - cfg.elite_count
-        parent_ranks = _rank_picks(rng, cfg.population_size, n_children)
+        parents = order[_rank_picks(rng, cfg.population_size, n_children)]
         small = rng.random(n_children) < cfg.small_mutation_rate
-        children = np.stack([
-            ops.small_mutation(pop[rank], rng) if is_small else ops.large_mutation(rng)
-            for rank, is_small in zip(parent_ranks, small)
-        ])
-        pop = np.concatenate([pop[: cfg.elite_count], children])
-        js = np.concatenate([js[: cfg.elite_count], _evaluate(children, prepared).total])
-        pop, js = _ranked(pop, js, ops)
+        children = ops.breed(pop, parents, small, rng)
+        elites = order[: cfg.elite_count]
+        pop = np.concatenate([pop[:, elites], children], axis=1)
+        js = np.concatenate([js[elites], _evaluate(children, prepared).total])
+        order = ops.order(pop, js)
 
-        improvement = trace[-1] - float(js[0])
+        improvement = trace[-1] - float(js[order[0]])
         stall = 0 if improvement > cfg.fitness_tolerance else stall + 1
-        trace.append(float(js[0]))
+        trace.append(float(js[order[0]]))
         gen += 1
 
     return TrainResult(
-        best_measure=ops.measure(prepared.source_count, pop[0]),
-        best_objective=float(js[0]),
+        best_measure=ops.measure(prepared.source_count, pop[:, order[0]]),
+        best_objective=trace[-1],
         generations_run=gen,
         wall_time_seconds=time.perf_counter() - t0,
         objective_trace=tuple(trace),
@@ -237,7 +282,7 @@ def _check_trainable(data: Dataset) -> None:
 def train_bfm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
     """Evolutionary search for the binary measure minimizing the objective."""
     _check_trainable(data)
-    return _evolve(prepare(data), cfg, _BinaryOps(data.source_count))
+    return _evolve(prepare(data), cfg, _BinaryOps())
 
 
 def train_real_fm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
@@ -256,14 +301,15 @@ def train_exhaustive(data: Dataset) -> TrainResult:
     tables = _all_tables(data.source_count)
     prepared = prepare(data)
     js = np.concatenate([
-        _evaluate(tables[i : i + 512], prepared).total for i in range(0, len(tables), 512)
+        _evaluate(tables[:, i : i + 512], prepared).total
+        for i in range(0, tables.shape[1], 512)
     ])
-    best = int(np.argmin(js))  # the rows are sorted as bytes: the first minimum wins ties
+    best = int(np.argmin(js))  # the columns are sorted as bytes: the first minimum wins ties
     best_objective = float(js[best])
     return TrainResult(
-        best_measure=BinaryFuzzyMeasure(data.source_count, tables[best]),
+        best_measure=BinaryFuzzyMeasure(data.source_count, tables[:, best]),
         best_objective=best_objective,
-        generations_run=len(tables),
+        generations_run=tables.shape[1],
         wall_time_seconds=time.perf_counter() - t0,
         objective_trace=(best_objective,),
         terminated_by="converged",

@@ -8,6 +8,7 @@ agreement between oracle and production is meaningful.
 from __future__ import annotations
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -90,3 +91,38 @@ def pair_count_auc(scores, truth) -> float:
             elif p == q:
                 good += 0.5
     return good / (len(pos) * len(neg))
+
+
+def naive_upward_closure(table) -> list[int]:
+    """Upward closure of a {0,1} table by scanning all pairs a ⊆ b: coalition
+    b wins when any subset a of it wins."""
+    n = len(table)
+    out = [0] * n
+    for b in range(n):
+        for a in range(n):
+            if a & b == a and table[a]:
+                out[b] = 1
+                break
+    return out
+
+
+def naive_minimal_winning(table) -> list[int]:
+    """Bitmasks of the winning coalitions of which no proper subset wins,
+    by scanning all pairs."""
+    n = len(table)
+    return [
+        b for b in range(n)
+        if table[b] and not any(a != b and a & b == a and table[a] for a in range(n))
+    ]
+
+
+def naive_ranking(tables, objectives, binary: bool) -> list[int]:
+    """Population order by a Python sort: objective, then (binary tables
+    only) the number of winning coalitions, then the table's bytes."""
+    def key(i):
+        table = [float(v) for v in tables[i]]
+        if binary:
+            return (objectives[i], sum(1 for v in table if v), bytes(int(v) for v in table))
+        return (objectives[i], struct.pack(f"<{len(table)}d", *table))
+
+    return sorted(range(len(tables)), key=key)

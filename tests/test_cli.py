@@ -150,6 +150,15 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_oversized_spec_exits_3_at_once(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", n_pos_bags=10**18)
+        out = tmp_path / "d.json"
+        code = main(["synth", "--spec", str(spec), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code = main(["synth", "--spec", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "d.json")])
@@ -248,6 +257,15 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fitness_tolerance" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_negative_seed_exits_1(self, dataset_path, tmp_path, capsys):
+        code = main(["train", "--data", str(dataset_path), "--mode", "bfm",
+                     "--seed", "-1", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rng_seed" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
@@ -447,6 +465,8 @@ SPEC_DOC = {
     "truth_measure": {"source_count": 3, "minimal_winning": [[1, 2], [1, 3]]}, "rng_seed": 5,
 }
 
+MEASURE_DOC = {"source_count": 3, "values": [0, 0, 0, 1, 0, 1, 0, 1]}
+
 
 class TestFuzzedInput:
     """Any JSON value as an input file ends in a documented exit code, never a traceback."""
@@ -458,8 +478,10 @@ class TestFuzzedInput:
             (["train", "--data", "{in}", "--mode", "bfm", "--max-generations", "1",
               "--out", "{out}"], DATASET_DOC),
             (["synth", "--spec", "{in}", "--out", "{out}"], SPEC_DOC),
+            (["fuse-eval", "--data", "{data}", "--measure", "{in}", "--out", "{out}"],
+             MEASURE_DOC),
         ],
-        ids=["fuse-eval", "train", "synth"],
+        ids=["fuse-eval", "train", "synth", "fuse-eval-measure"],
     )
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -468,7 +490,10 @@ class TestFuzzedInput:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input.json"
             path.write_text(json.dumps(value))
-            args = [a.format(**{"in": path, "out": Path(tmp) / "out"}) for a in argv]
+            data_path = Path(tmp) / "data.json"  # a valid dataset beside a fuzzed measure
+            data_path.write_text(json.dumps(DATASET_DOC))
+            args = [a.format(**{"in": path, "data": data_path, "out": Path(tmp) / "out"})
+                    for a in argv]
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 try:

@@ -246,6 +246,17 @@ class TestSynthSpecValidation:
         with pytest.raises(ValidationError):
             SynthSpec(2, 5, 5, (2, 3), (2, 4), 0.0, bad, 1)
 
+    def test_instance_cap(self):
+        from bfmfusion import MAX_SYNTH_INSTANCES, CapError
+
+        # the cap counts the upper ends of both ranges: 10 * 2 instances a bag
+        bags = MAX_SYNTH_INSTANCES // 20
+        SynthSpec(3, bags // 2, bags - bags // 2, (1, 10), (1, 2), 0.0, TRUTH3, 1)
+        with pytest.raises(CapError):
+            SynthSpec(3, bags // 2, bags - bags // 2 + 1, (1, 10), (1, 2), 0.0, TRUTH3, 1)
+        with pytest.raises(CapError):
+            SynthSpec(3, 10**18, 1, (1, 1), (1, 1), 0.0, TRUTH3, 1)
+
 
 class TestGenerator:
     def test_sigma_zero_truth_objective_is_exactly_zero(self):

@@ -28,7 +28,8 @@ from bfmfusion import (
     set_with_repair,
     validate,
 )
-from oracles import brute_force_tables
+from bfmfusion.measures import _close_up, _minimal
+from oracles import brute_force_tables, naive_minimal_winning, naive_upward_closure
 
 # the measure learned in the S=3 worked example: coalitions {0,1} and {0,2}
 # win, nothing smaller does
@@ -245,6 +246,38 @@ class TestMinimalWinningCoalitions:
             for b in coalitions:
                 if a is not b:
                     assert not a.issubset(b)
+
+
+class TestLatticeSweeps:
+    """The column-stack sweeps against pair-scanning oracles."""
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 6), cols=st.sampled_from([0, 1, 5]),
+           density=st.sampled_from([0.02, 0.2, 0.5]))
+    @settings(max_examples=120, deadline=None)
+    def test_close_up_matches_oracle(self, seed, s, cols, density):
+        stack = (np.random.default_rng(seed).random((1 << s, cols)) < density).astype(np.uint8)
+        expected = [naive_upward_closure(column) for column in stack.T.tolist()]
+        closed = _close_up(stack)
+        assert closed is stack  # in place
+        assert closed.shape == (1 << s, cols)
+        assert closed.T.tolist() == expected
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 6), cols=st.sampled_from([0, 1, 5]))
+    @settings(max_examples=120, deadline=None)
+    def test_minimal_matches_oracle(self, seed, s, cols):
+        rng = np.random.default_rng(seed)
+        stack = (rng.random((1 << s, cols)) < rng.uniform(0.01, 0.5)).astype(np.uint8)
+        stack[0] = 0
+        _close_up(stack)
+        minimal = _minimal(stack)
+        assert minimal.dtype == np.uint8 and minimal.shape == stack.shape
+        for column, table in zip(minimal.T, stack.T):
+            assert np.flatnonzero(column).tolist() == naive_minimal_winning(table.tolist())
+
+    def test_close_up_refuses_a_strided_stack(self):
+        # closing a copy would silently leave the caller's stack open
+        with pytest.raises(ValueError):
+            _close_up(np.zeros((4, 8), dtype=np.uint8).T)
 
 
 class TestSerialization:

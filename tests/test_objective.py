@@ -168,14 +168,14 @@ class TestBinaryMaxMin:
         rng = np.random.default_rng(seed)
         ds = tied_dataset(rng, s)
         pre = prepare(ds)
-        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)])
+        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
         binary = _evaluate(tables, pre)
         summed = _evaluate(tables.astype(np.float64), pre)
         for field in ("total", "contributions", "set_extreme", "bag_extreme"):
             np.testing.assert_allclose(
                 getattr(binary, field), getattr(summed, field), rtol=0, atol=1e-12
             )
-        for table, total in zip(tables, binary.total):
+        for table, total in zip(tables.T, binary.total):
             assert total == pytest.approx(naive_objective(table, ds), abs=1e-12)
 
     def test_peak_memory_below_half_a_float_gather(self):
@@ -186,7 +186,7 @@ class TestBinaryMaxMin:
             Bag(b % 2, [rng.random((3, s)), rng.random((3, s))]) for b in range(1000)
         )
         pre = prepare(Dataset(s, bags))
-        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)])
+        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
         tracemalloc.start()
         try:
             _evaluate(tables, pre)

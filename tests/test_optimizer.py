@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfmfusion import (
+    BinaryFuzzyMeasure,
     CapError,
     EAConfig,
     SynthSpec,
@@ -16,12 +21,15 @@ from bfmfusion import (
     minimum_measure,
     objective_total,
     sample_random_real,
+    set_with_repair,
     train_bfm,
     train_exhaustive,
     train_real_fm,
     validate,
 )
-from bfmfusion.optimizer import _RealOps
+from bfmfusion.measures import _close_up, _random_real_table, _random_table
+from bfmfusion.optimizer import _BinaryOps, _RealOps
+from oracles import naive_ranking
 
 TRUTH = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
 
@@ -75,6 +83,14 @@ class TestConfigValidation:
             {"fitness_tolerance": float("inf")},
             {"time_cap_seconds": float("nan")},
             {"time_cap_seconds": float("inf")},
+            {"population_size": 10.5},
+            {"population_size": True},
+            {"elite_count": 1.5},
+            {"max_generations": 2.0},
+            {"stall_generations": "3"},
+            {"rng_seed": -1},
+            {"rng_seed": 0.5},
+            {"rng_seed": False},
         ],
     )
     def test_rejects(self, kwargs):
@@ -292,3 +308,123 @@ class TestTrainableChecks:
             train_real_fm(one)
         res = train_exhaustive(one)
         assert res.best_objective == pytest.approx(0.25 + 0.64)
+
+
+def random_population(rng, s, p, duplicates=0):
+    """(2**S, P) stack of valid binary tables, the last `duplicates` columns
+    copies of earlier ones."""
+    pop = (rng.random((1 << s, p)) < rng.uniform(0.02, 0.4)).astype(np.uint8)
+    pop[0], pop[-1] = 0, 1
+    _close_up(pop)
+    for c in range(p - duplicates, p):
+        pop[:, c] = pop[:, rng.integers(0, p - duplicates)]
+    return pop
+
+
+class TestBatchedMoves:
+    """One generation's children built at once against the per-child moves."""
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(2, 6), p=st.integers(1, 6),
+           children=st.integers(0, 8), small_rate=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_binary_children_match_per_child_moves(self, seed, s, p, children, small_rate):
+        rng = np.random.default_rng(seed)
+        pop = random_population(rng, s, p)
+        parents = rng.integers(0, p, children)
+        small = rng.random(children) < small_rate
+        breed_rng = np.random.default_rng(seed + 1)
+        got = _BinaryOps.breed(pop, parents, small, breed_rng)
+
+        # the same draws, one child at a time, with the single-table moves
+        draws = np.random.default_rng(seed + 1)
+        blocks = {"raised": [], "lowered": [], "fresh": []}
+        for parent, is_small in zip(parents, small):
+            if is_small:
+                idx = int(draws.integers(1, (1 << s) - 1))
+                lit = pop[idx, parent]
+                parent_measure = BinaryFuzzyMeasure(s, pop[:, parent])
+                child = set_with_repair(parent_measure, idx, 0 if lit else 1).values
+                blocks["lowered" if lit else "raised"].append(child)
+            else:
+                blocks["fresh"].append(_random_table(s, 0.5, draws))
+        expected = blocks["raised"] + blocks["lowered"] + blocks["fresh"]
+        assert got.dtype == np.uint8 and got.shape == (1 << s, children)
+        assert [column.tolist() for column in got.T] == [child.tolist() for child in expected]
+        assert breed_rng.random() == draws.random()  # and the same draws were made
+
+    @given(seed=st.integers(0, 2**31 - 1), children=st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_real_children_match_per_child_moves(self, seed, children):
+        rng = np.random.default_rng(seed)
+        pop = np.stack([sample_random_real(4, rng).values for _ in range(3)], axis=1)
+        parents = rng.integers(0, 3, children)
+        small = rng.random(children) < 0.5
+        ops = _RealOps(4)
+        got = ops.breed(pop, parents, small, np.random.default_rng(seed + 1))
+        draws = np.random.default_rng(seed + 1)
+        for column, parent, is_small in zip(got.T, parents, small):
+            child = (ops.small_mutation(pop[:, parent], draws) if is_small
+                     else _random_real_table(4, draws))
+            assert np.array_equal(column, child)
+
+
+class TestRanking:
+    """The vectorised column order against a Python sort with the tie keys."""
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(2, 6), p=st.integers(1, 12),
+           duplicates=st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_binary_order_matches_naive(self, seed, s, p, duplicates):
+        rng = np.random.default_rng(seed)
+        pop = random_population(rng, s, p, min(duplicates, p - 1))
+        # few distinct objectives: ties at different popcounts are common
+        js = rng.choice([0.0, 0.25, 1.0], size=p)
+        got = _BinaryOps.order(pop, js).tolist()
+        assert got == naive_ranking(pop.T.tolist(), js.tolist(), binary=True)
+
+    def test_binary_order_breaks_ties_by_popcount_then_bytes(self):
+        full = from_minimal_coalitions(3, [{0, 1, 2}]).values  # 1 winning coalition
+        wins0, wins1, wins2 = (from_minimal_coalitions(3, [{i}]).values for i in range(3))  # 4
+        pop = np.stack([wins0, wins1, full, wins2, wins0], axis=1)
+        js = np.array([0.5, 0.5, 0.5, 0.5, 0.25])
+        # 0.25 first; then the sparser table; then 00001111 < 00110011 < 01010101
+        assert _BinaryOps.order(pop, js).tolist() == [4, 2, 3, 1, 0]
+
+    @given(seed=st.integers(0, 2**31 - 1), p=st.integers(1, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_real_order_matches_naive(self, seed, p):
+        rng = np.random.default_rng(seed)
+        pop = np.stack([sample_random_real(3, rng).values for _ in range(p)], axis=1)
+        pop[:, p // 2] = pop[:, 0]  # a duplicate column
+        js = rng.choice([0.0, 0.5], size=p)
+        got = _RealOps.order(pop, js).tolist()
+        assert got == naive_ranking(pop.T.tolist(), js.tolist(), binary=False)
+
+
+# Default EAConfig on planted noise-free datasets at S=8 and S=10: per run the
+# generation count, stop reason, best objective and SHA-256 prefixes of the
+# objective trace (float64 bytes) and of the best table. Recorded before the
+# population became a column stack; a change to draws, moves or ranking shows here.
+PLANTED = {
+    8: [{0, 1, 2, 3}, {2, 4, 5, 6}, {1, 3, 5, 7}],
+    10: [{0, 1, 2, 3, 4}, {3, 5, 6, 7, 8}, {1, 4, 6, 8, 9}],
+}
+GOLDEN_DEFAULT = [
+    (8, 0, 50, "converged", 0.0, "b075edc2340e34ae", "84ac3f504064aac5"),
+    (8, 2, 65, "stalled", 0.4649537847401779, "f6f7a52740853f5a", "52e32a050d940b23"),
+    (10, 0, 163, "stalled", 1.577279445000654, "74e821036d77ef6d", "5e61f6d18ed106f0"),
+]
+
+
+class TestGoldenDefaultConfig:
+    @pytest.mark.parametrize("s, seed, generations, stop, best, trace_sha, table_sha",
+                             GOLDEN_DEFAULT)
+    def test_trajectory_unchanged(self, s, seed, generations, stop, best, trace_sha, table_sha):
+        truth = from_minimal_coalitions(s, PLANTED[s])
+        data = generate_synthetic(SynthSpec(s, 2 * s, 2 * s, (2, 3), (3, 4), 0.0, truth, s))
+        res = train_bfm(data, EAConfig(rng_seed=seed))
+        assert res.generations_run == generations
+        assert (res.terminated_by, res.best_objective) == (stop, best)
+        trace = np.array(res.objective_trace).tobytes()
+        assert hashlib.sha256(trace).hexdigest()[:16] == trace_sha
+        assert hashlib.sha256(res.best_measure.values.tobytes()).hexdigest()[:16] == table_sha
