@@ -40,10 +40,10 @@ from .choquet import choquet_batch
 from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
+    _check_measure,
     measure_from_dict,
     measure_to_dict,
     minimal_winning_coalitions,
-    validate,
 )
 from .rng import substream
 
@@ -332,14 +332,7 @@ class SynthSpec:
             raise ValidationError("noise_sigma must be >= 0")
         if not isinstance(self.truth_measure, BinaryFuzzyMeasure):
             raise ValidationError("truth_measure must be a BinaryFuzzyMeasure")
-        if self.truth_measure.source_count != self.source_count:
-            raise ValidationError(
-                f"truth_measure covers {self.truth_measure.source_count} sources, "
-                f"spec declares {self.source_count}"
-            )
-        report = validate(self.truth_measure)
-        if not report.ok:
-            raise ValidationError(f"truth_measure is invalid: {report.violations[0]}")
+        _check_measure(self.truth_measure, self.source_count)
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:

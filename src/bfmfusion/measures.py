@@ -275,7 +275,7 @@ def _check_measure(measure: Measure, source_count: int) -> None:
     table length, or breaking an axiom: evaluation and fusion assume none."""
     if measure.source_count != source_count:
         raise ValidationError(
-            f"measure covers {measure.source_count} sources, dataset has {source_count}"
+            f"measure covers {measure.source_count} sources, expected {source_count}"
         )
     report = validate(measure)
     if not report.ok:
@@ -345,12 +345,6 @@ def set_with_repair(
     return BinaryFuzzyMeasure(measure.source_count, values)
 
 
-def _by_cardinality(source_count: int) -> np.ndarray:
-    """All bitmasks ordered by popcount, then numerically."""
-    masks = _masks(source_count)
-    return masks[np.lexsort((masks, np.bitwise_count(masks)))]
-
-
 def sample_random(
     source_count: int, density: float = 0.5, seed=None
 ) -> BinaryFuzzyMeasure:
@@ -407,24 +401,22 @@ def sample_random_real(source_count: int, seed=None) -> RealFuzzyMeasure:
     so monotonicity holds by construction; endpoints are pinned exactly.
     """
     source_count = _check_source_count(source_count)
-    values = _random_real_table(source_count, np.random.default_rng(seed))
-    return RealFuzzyMeasure(source_count, values)
+    values = _random_real_table(np.random.default_rng(seed).random((1 << source_count, 1)))
+    return RealFuzzyMeasure(source_count, values[:, 0])
 
 
-def _random_real_table(source_count: int, rng: np.random.Generator) -> np.ndarray:
-    """The value table behind `sample_random_real`, drawn from `rng` with one call."""
-    n = 1 << source_count
-    u = rng.random(n)
-    values = np.zeros(n, dtype=np.float64)
-    order = _by_cardinality(source_count)
-    card = np.bitwise_count(order)
+def _random_real_table(u: np.ndarray) -> np.ndarray:
+    """The tables behind `sample_random_real` for a (2**S, C) stack of
+    uniforms, one column per table, built one cardinality layer at a time."""
+    source_count = len(u).bit_length() - 1
+    masks = _masks(source_count)
+    bits = 1 << np.arange(source_count)
+    card = np.bitwise_count(masks)
+    values = np.zeros_like(u)
     for k in range(1, source_count):
-        layer = order[card == k]
-        lo = np.zeros(len(layer))
-        for i in range(source_count):
-            bit = 1 << i
-            inside = (layer & bit) != 0
-            np.maximum(lo, np.where(inside, values[layer ^ bit], 0.0), out=lo)
+        layer = masks[card == k]
+        # layer ^ bit is an immediate subset or a superset; supersets are still 0
+        lo = values[layer[:, None] ^ bits].max(axis=1)
         values[layer] = lo + u[layer] * (1.0 - lo)
     values[-1] = 1.0
     return values
@@ -445,25 +437,21 @@ def _all_tables(source_count: int) -> np.ndarray:
     """Every valid binary table on S sources as the columns of one uint8
     (2**S, count) stack, sorted as bytes.
 
-    Subsets are assigned in increasing-cardinality order: a row where some
-    immediate subset already wins is forced to 1 by monotonicity, and every
-    other row splits into a losing and a winning copy.
+    Built by doubling: a monotone table on one more source is a pair
+    (f0, f1) of monotone tables with f0 <= f1 everywhere, f1 read where the
+    new source is in. Pairs come out in row-major order, so byte order
+    holds at every step; last, the endpoints are pinned.
     """
     if source_count > ENUMERATION_CAP:
         raise CapError(
             f"enumeration of S={source_count} refused (cap {ENUMERATION_CAP}): "
             f"there are {_estimate_count(source_count)} valid measures"
         )
-    tables = np.zeros((1, 1 << source_count), dtype=np.uint8)
-    tables[:, -1] = 1
-    for mask in _by_cardinality(source_count)[1:-1].tolist():
-        subsets = [mask ^ (1 << i) for i in range(source_count) if mask >> i & 1]
-        forced = tables[:, subsets].any(axis=1)
-        tables[forced, mask] = 1
-        winning = tables[~forced]
-        winning[:, mask] = 1
-        tables = np.concatenate([tables, winning])
-    return np.ascontiguousarray(tables[np.lexsort(tables.T[::-1])].T)
+    tables = np.array([[0], [1]], dtype=np.uint8)
+    for _ in range(source_count):
+        low, high = np.nonzero(~(tables[:, None] > tables[None]).any(axis=2))
+        tables = np.concatenate([tables[low], tables[high]], axis=1)
+    return np.ascontiguousarray(tables[(tables[:, 0] == 0) & (tables[:, -1] == 1)].T)
 
 
 def count_all(source_count: int) -> int:
@@ -555,9 +543,7 @@ def measure_from_dict(obj) -> Measure:
         raise ValidationError("measure values must be a list of numbers in [0, 1]")
     kind = BinaryFuzzyMeasure if all(type(x) is int for x in values) else RealFuzzyMeasure
     measure = kind(source_count, np.array(values))
-    report = validate(measure)
-    if not report.ok:
-        raise ValidationError(f"measure is invalid: {report.violations[0]}")
+    _check_measure(measure, source_count)
     return measure
 
 

@@ -81,10 +81,6 @@ class PreparedData:
     sets_per_bag: np.ndarray
     labels: np.ndarray       # per bag, 0 or 1
 
-    @property
-    def n_bags(self) -> int:
-        return len(self.labels)
-
 
 def prepare(data: Dataset) -> PreparedData:
     X = data.instance_matrix()

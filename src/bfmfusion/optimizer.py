@@ -11,9 +11,11 @@ single-flip neighbours), which is what lets the binary search terminate by
 exact convergence where the real-valued baseline keeps inching forward.
 
 A population is a (2**S, P) column stack: one value table per column, one
-coalition per row. Each generation draws its moves child by child, builds
-all binary children with one upward closure, evaluates them in one gather
-and ranks the columns with one sort; the stack is never transposed.
+coalition per row. Each generation draws its moves child by child and then
+builds all children at once: binary ones with one upward closure, real ones
+with one gather of redraw intervals and one cardinality sweep for fresh
+tables. It evaluates them in one gather and ranks the columns with one
+sort; the stack is never transposed.
 """
 
 from __future__ import annotations
@@ -160,34 +162,39 @@ class _BinaryOps:
 
 
 class _RealOps:
-    """Moves and ranking of the real-valued baseline over a (2**S, P) float64 stack."""
+    """Moves and ranking of the real-valued baseline over a (2**S, P) float64
+    stack; like `_BinaryOps`, it draws child by child and builds in one batch."""
 
     dtype = np.float64
     measure = RealFuzzyMeasure
 
-    def __init__(self, source_count: int):
-        self.source_count = source_count
-        self.bits = 1 << np.arange(source_count)
-
-    def small_mutation(self, row, rng):
-        # redraw one element uniformly inside its monotonicity interval
-        idx = int(rng.integers(1, len(row) - 1))
-        inside = (idx & self.bits) != 0
-        lo = float(row[idx ^ self.bits[inside]].max(initial=0.0))
-        hi = float(row[idx | self.bits[~inside]].min(initial=1.0))
-        row = row.copy()
-        row[idx] = rng.uniform(lo, hi)
-        return row
-
-    def breed(self, pop, parents, small, rng):
-        """Children in child order: a parent column with one value redrawn,
-        or a fresh table."""
-        children = [
-            self.small_mutation(pop[:, p], rng) if is_small
-            else _random_real_table(self.source_count, rng)
-            for p, is_small in zip(parents, small)
-        ]
-        return np.reshape(children, (-1, len(pop))).T
+    @staticmethod
+    def breed(pop, parents, small, rng):
+        """Children of the columns `parents` of pop as a (2**S, C) stack, in
+        child order: the parent with one coalition idx redrawn uniformly
+        inside its monotonicity interval where `small` holds, else a fresh
+        table. Only the draws are made child by child; one gather bounds
+        every redraw and one cardinality sweep builds every fresh table."""
+        n = len(pop)
+        idx, u, fields = [], [], []
+        for is_small in small:
+            if is_small:
+                idx.append(rng.integers(1, n - 1))
+                u.append(rng.random())
+            else:
+                fields.append(rng.random(n))
+        idx, kin = np.array(idx, dtype=int), parents[small]
+        bits = 1 << np.arange(n.bit_length() - 1)
+        # idx ^ bit is the subset without bit where idx holds it, else the superset with it
+        near = pop[idx[:, None] ^ bits, kin[:, None]]
+        inside = (idx[:, None] & bits) != 0
+        lo = np.where(inside, near, 0.0).max(axis=1)
+        hi = np.where(inside, 1.0, near).min(axis=1)
+        children = np.empty((n, len(small)))
+        children[:, small] = pop[:, kin]
+        children[idx, np.flatnonzero(small)] = lo + (hi - lo) * np.array(u)
+        children[:, ~small] = _random_real_table(np.reshape(fields, (-1, n)).T)
+        return children
 
     @staticmethod
     def order(pop, js):
@@ -288,7 +295,7 @@ def train_bfm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
 def train_real_fm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
     """Same search skeleton over real-valued measures; the timing baseline."""
     _check_trainable(data)
-    return _evolve(prepare(data), cfg, _RealOps(data.source_count))
+    return _evolve(prepare(data), cfg, _RealOps())
 
 
 def train_exhaustive(data: Dataset) -> TrainResult:

@@ -126,3 +126,28 @@ def naive_ranking(tables, objectives, binary: bool) -> list[int]:
         return (objectives[i], struct.pack(f"<{len(table)}d", *table))
 
     return sorted(range(len(tables)), key=key)
+
+
+def naive_real_redraw(table, idx: int, u: float) -> list[float]:
+    """Coalition idx of a monotone real table redrawn at fraction u of its
+    monotonicity interval: from the largest value of a proper subset to the
+    smallest value of a proper superset, by scanning all coalitions."""
+    n = len(table)
+    lo = max([float(table[a]) for a in range(n) if a != idx and a & idx == a], default=0.0)
+    hi = min([float(table[b]) for b in range(n) if b != idx and b & idx == idx], default=1.0)
+    out = [float(v) for v in table]
+    out[idx] = lo + (hi - lo) * u
+    return out
+
+
+def naive_random_real_table(u) -> list[float]:
+    """Random monotone real table from one uniform per coalition: coalitions
+    in order of size, each at fraction u of the way from the largest value
+    of its proper subsets to 1; the empty set is 0 and the full set 1."""
+    n = len(u)
+    out = [0.0] * n
+    for b in sorted(range(1, n - 1), key=lambda m: (bin(m).count("1"), m)):
+        lo = max(out[a] for a in range(n) if a != b and a & b == a)
+        out[b] = lo + float(u[b]) * (1.0 - lo)
+    out[n - 1] = 1.0
+    return out

@@ -27,9 +27,9 @@ from bfmfusion import (
     train_real_fm,
     validate,
 )
-from bfmfusion.measures import _close_up, _random_real_table, _random_table
+from bfmfusion.measures import _close_up, _random_table
 from bfmfusion.optimizer import _BinaryOps, _RealOps
-from oracles import naive_ranking
+from oracles import naive_random_real_table, naive_ranking, naive_real_redraw
 
 TRUTH = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
 
@@ -233,12 +233,11 @@ class TestRecovery:
 
 class TestRealBaseline:
     def test_small_mutation_preserves_validity(self):
-        ops = _RealOps(4)
         rng = np.random.default_rng(17)
-        row = sample_random_real(4, rng).values
+        column = sample_random_real(4, rng).values[:, None]
         for _ in range(300):
-            row = ops.small_mutation(row, rng)
-            report = validate(RealFuzzyMeasure(4, row))
+            column = _RealOps.breed(column, np.zeros(1, dtype=int), np.ones(1, dtype=bool), rng)
+            report = validate(RealFuzzyMeasure(4, column[:, 0]))
             assert report.ok, report.violations
 
     def test_real_approaches_zero_on_clean_data(self):
@@ -352,20 +351,29 @@ class TestBatchedMoves:
         assert [column.tolist() for column in got.T] == [child.tolist() for child in expected]
         assert breed_rng.random() == draws.random()  # and the same draws were made
 
-    @given(seed=st.integers(0, 2**31 - 1), children=st.integers(0, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_real_children_match_per_child_moves(self, seed, children):
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(2, 6), p=st.integers(1, 4),
+           children=st.integers(0, 8), small_rate=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_real_children_match_per_child_moves(self, seed, s, p, children, small_rate):
         rng = np.random.default_rng(seed)
-        pop = np.stack([sample_random_real(4, rng).values for _ in range(3)], axis=1)
-        parents = rng.integers(0, 3, children)
-        small = rng.random(children) < 0.5
-        ops = _RealOps(4)
-        got = ops.breed(pop, parents, small, np.random.default_rng(seed + 1))
+        pop = np.stack([sample_random_real(s, rng).values for _ in range(p)], axis=1)
+        parents = rng.integers(0, p, children)
+        small = rng.random(children) < small_rate
+        breed_rng = np.random.default_rng(seed + 1)
+        got = _RealOps.breed(pop, parents, small, breed_rng)
+
+        # the same draws, one child at a time, with the naive loop moves
         draws = np.random.default_rng(seed + 1)
-        for column, parent, is_small in zip(got.T, parents, small):
-            child = (ops.small_mutation(pop[:, parent], draws) if is_small
-                     else _random_real_table(4, draws))
-            assert np.array_equal(column, child)
+        expected = []
+        for parent, is_small in zip(parents, small):
+            if is_small:
+                idx = int(draws.integers(1, (1 << s) - 1))
+                expected.append(naive_real_redraw(pop[:, parent], idx, draws.random()))
+            else:
+                expected.append(naive_random_real_table(draws.random(1 << s)))
+        assert got.dtype == np.float64 and got.shape == (1 << s, children)
+        assert [column.tolist() for column in got.T] == expected
+        assert breed_rng.random() == draws.random()  # and the same draws were made
 
 
 class TestRanking:
@@ -414,15 +422,35 @@ GOLDEN_DEFAULT = [
     (8, 2, 65, "stalled", 0.4649537847401779, "f6f7a52740853f5a", "52e32a050d940b23"),
     (10, 0, 163, "stalled", 1.577279445000654, "74e821036d77ef6d", "5e61f6d18ed106f0"),
 ]
+# train_real_fm with max_generations=150, the real-baseline benchmark's budget;
+# recorded while real children were still built one at a time
+GOLDEN_DEFAULT_REAL = [
+    (8, 0, 150, "max_generations", 5.201943742214404, "c39eaea124cb2190", "d5a590b129a78b3c"),
+    (8, 1, 150, "max_generations", 4.717822490222354, "02a5d6a35410565e", "d4edd793f948b8b1"),
+]
+
+
+def planted_dataset(s):
+    truth = from_minimal_coalitions(s, PLANTED[s])
+    return generate_synthetic(SynthSpec(s, 2 * s, 2 * s, (2, 3), (3, 4), 0.0, truth, s))
 
 
 class TestGoldenDefaultConfig:
     @pytest.mark.parametrize("s, seed, generations, stop, best, trace_sha, table_sha",
                              GOLDEN_DEFAULT)
     def test_trajectory_unchanged(self, s, seed, generations, stop, best, trace_sha, table_sha):
-        truth = from_minimal_coalitions(s, PLANTED[s])
-        data = generate_synthetic(SynthSpec(s, 2 * s, 2 * s, (2, 3), (3, 4), 0.0, truth, s))
-        res = train_bfm(data, EAConfig(rng_seed=seed))
+        res = train_bfm(planted_dataset(s), EAConfig(rng_seed=seed))
+        self.check(res, generations, stop, best, trace_sha, table_sha)
+
+    @pytest.mark.parametrize("s, seed, generations, stop, best, trace_sha, table_sha",
+                             GOLDEN_DEFAULT_REAL)
+    def test_real_trajectory_unchanged(self, s, seed, generations, stop, best, trace_sha,
+                                       table_sha):
+        res = train_real_fm(planted_dataset(s), EAConfig(rng_seed=seed, max_generations=150))
+        self.check(res, generations, stop, best, trace_sha, table_sha)
+
+    @staticmethod
+    def check(res, generations, stop, best, trace_sha, table_sha):
         assert res.generations_run == generations
         assert (res.terminated_by, res.best_objective) == (stop, best)
         trace = np.array(res.objective_trace).tobytes()
