@@ -9,8 +9,8 @@ negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
 `prepare` factors out everything measure-independent (the sorted-difference
-decomposition, the sorted levels, the per-instance bag signs and the
-set/bag segment boundaries) so that evaluating many value tables against
+decomposition, the sorted levels, the bag signs, and the candidate sets
+and bags grouped by size) so that evaluating many value tables against
 one dataset, as the optimizer does, costs one gather for all of them.
 `objective`, `objective_batch` and the optimizer share one evaluator,
 `_evaluate`, which takes the tables as a (2**S, P) column stack, the
@@ -21,8 +21,9 @@ masks[n, :] grow, so under a monotone table the winning prefixes of an
 instance form a suffix, and CI is the sorted confidence at the first of
 them, located by counting the winning prefixes in a uint8 (N, S, P)
 gather of rows of the stack; no float (P, N, S) array is built. A
-real-valued table takes the level-difference sum. Both share one signed
-segment reduction per candidate set.
+real-valued table takes the level-difference sum. Both then reduce
+candidate sets and bags by size group: one gather and one max over all
+segments of each size.
 """
 
 from __future__ import annotations
@@ -75,29 +76,49 @@ class PreparedData:
     masks: np.ndarray        # (N, S) coalition bitmasks of the sorted decomposition
     diffs: np.ndarray        # (N, S) level differences, for real-valued tables
     levels: np.ndarray       # (N * (S + 1),) each row sorted descending, then a 0
-    signs: np.ndarray        # (N,) -1.0 for an instance of a negative bag, else 1.0
-    set_starts: np.ndarray   # start of each candidate set in instance order
-    bag_set_starts: np.ndarray  # start of each bag in candidate-set order
-    sets_per_bag: np.ndarray
+    signs: np.ndarray        # (N, 1) -1.0 for an instance of a negative bag, else 1.0
+    set_groups: tuple        # candidate sets by instance count, see _size_groups
+    bag_groups: tuple        # bags by candidate-set count
+    bag_offsets: np.ndarray  # (n_bags + 1,) bag boundaries in candidate-set order
+    set_signs: np.ndarray    # (n_sets, 1) the sign of each candidate set's bag
     labels: np.ndarray       # per bag, 0 or 1
+
+
+def _size_groups(offsets: np.ndarray) -> tuple:
+    """Segments grouped by size: for each size g present, the segment
+    indices and a (n_g, g) array of the rows each of them covers."""
+    sizes = np.diff(offsets)
+    return tuple(
+        (segs, offsets[segs][:, None] + np.arange(g))
+        for g in np.flatnonzero(np.bincount(sizes))
+        for segs in [np.flatnonzero(sizes == g)]
+    )
+
+
+def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray:
+    """`ufunc` over each segment of the rows of x, one gather per size group."""
+    out = np.empty((sum(len(segs) for segs, _ in groups),) + x.shape[1:], x.dtype)
+    for segs, rows in groups:
+        out[segs] = ufunc.reduce(x[rows], axis=1)
+    return out
 
 
 def prepare(data: Dataset) -> PreparedData:
     X = data.instance_matrix()
     masks, diffs = sort_decomposition(X)
     levels = np.pad(np.sort(X, axis=1)[:, ::-1], ((0, 0), (0, 1))).ravel()
-    set_sizes = np.diff(data.set_offsets)
-    sets_per_bag = np.diff(data.bag_offsets)
     labels = data.labels()
+    set_signs = np.repeat(np.where(labels == 0, -1.0, 1.0), np.diff(data.bag_offsets))
     return PreparedData(
         source_count=data.source_count,
         masks=masks,
         diffs=diffs,
         levels=levels,
-        signs=np.repeat(np.repeat(np.where(labels == 0, -1.0, 1.0), sets_per_bag), set_sizes),
-        set_starts=data.set_offsets[:-1],
-        bag_set_starts=data.bag_offsets[:-1],
-        sets_per_bag=sets_per_bag,
+        signs=np.repeat(set_signs, np.diff(data.set_offsets))[:, None],
+        set_groups=_size_groups(data.set_offsets),
+        bag_groups=_size_groups(data.bag_offsets),
+        bag_offsets=data.bag_offsets,
+        set_signs=set_signs[:, None],
         labels=labels,
     )
 
@@ -125,12 +146,14 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
 
     A uint8 stack counts its winning prefixes in an (N, S, P) uint8 gather
     of its rows, one row of P bytes per lookup, with no transposed copy,
-    and reads CI as the sorted level at index S - count (the trailing 0
-    when no prefix wins). Any other dtype takes the level-difference sum
-    over a (P, N, S) float64 gather through the transposed view. CI is
-    then negated in negative bags, so one maximum per candidate set gives
-    the negated minimum of a negative set and the maximum of a positive
-    one; the set's sign flips it back. A negative bag contributes the
+    and reads CI into an (N, P) array as the sorted level at index
+    S - count (the trailing 0 when no prefix wins). Any other dtype takes
+    the level-difference sum over a (P, N, S) float64 gather through the
+    transposed view, then views the sums as (N, P). CI is negated in
+    negative bags, so the maximum over a candidate set, taken for all sets
+    of one size by one gather, is the negated minimum of a negative set and
+    the maximum of a positive one; the set's sign flips it back. Bags are
+    reduced the same way over the set extremes. A negative bag contributes the
     square of its largest set minimum; a positive bag contributes (its
     largest set maximum - 1)^2, which is the smallest shortfall because
     (x - 1)^2 falls on [0, 1].
@@ -139,17 +162,18 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
     if tables.dtype == np.uint8:
         counts = tables[prepared.masks].sum(axis=1, dtype=np.uint8)
         row_ends = np.arange(1, n + 1)[:, None] * (s + 1) - 1
-        ci = prepared.levels[(row_ends - counts).T]
+        ci = prepared.levels[row_ends - counts]
     else:
-        ci = (prepared.diffs * tables.T[:, prepared.masks]).sum(axis=2)
+        ci = (prepared.diffs * tables.T[:, prepared.masks]).sum(axis=2).T
     ci *= prepared.signs
-    set_extreme = np.maximum.reduceat(ci, prepared.set_starts, axis=1)
-    set_extreme *= prepared.signs[prepared.set_starts]
-    bag_extreme = np.maximum.reduceat(set_extreme, prepared.bag_set_starts, axis=1)
+    set_extreme = _segment_reduce(np.maximum, ci, prepared.set_groups)
+    set_extreme *= prepared.set_signs
+    # C-contiguous (P, n_bags) as before, so the term sums keep their order
+    bag_extreme = _segment_reduce(np.maximum, set_extreme, prepared.bag_groups).T.copy()
     neg = prepared.labels == 0
     contributions = np.where(neg, bag_extreme**2, (bag_extreme - 1.0) ** 2)
     terms = contributions[:, neg].sum(axis=1), contributions[:, ~neg].sum(axis=1)
-    return _Evaluation(*terms, contributions, set_extreme, bag_extreme)
+    return _Evaluation(*terms, contributions, set_extreme.T, bag_extreme)
 
 
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:
@@ -158,12 +182,12 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     _check_measure(measure, prepared.source_count)
     ev = _evaluate(measure.values[:, None], prepared)
     # the selected set is the first in its bag to reach the bag's extreme
-    set_index = np.arange(len(prepared.set_starts))
-    reaches = ev.set_extreme[0] == np.repeat(ev.bag_extreme[0], prepared.sets_per_bag)
-    first = np.minimum.reduceat(
-        np.where(reaches, set_index, len(set_index)), prepared.bag_set_starts
+    set_index = np.arange(len(prepared.set_signs))
+    reaches = ev.set_extreme[0] == np.repeat(ev.bag_extreme[0], np.diff(prepared.bag_offsets))
+    first = _segment_reduce(
+        np.minimum, np.where(reaches, set_index, len(set_index)), prepared.bag_groups
     )
-    selected = first - prepared.bag_set_starts
+    selected = first - prepared.bag_offsets[:-1]
     per_bag = tuple(
         BagContribution(b, float(c), int(sel))
         for b, (c, sel) in enumerate(zip(ev.contributions[0], selected))

@@ -468,6 +468,28 @@ SPEC_DOC = {
 MEASURE_DOC = {"source_count": 3, "values": [0, 0, 0, 1, 0, 1, 0, 1]}
 
 
+def assert_documented_exit(args):
+    """Run the CLI: the exit code is documented, no traceback is printed,
+    and exit 1 prints exactly one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Garbage command-line values with no decimal digit, so none parses as a
+# number, and small integers around the valid range
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+SMALL_INTS = st.integers(-3, 4).map(str)
+
+
 class TestFuzzedInput:
     """Any JSON value as an input file ends in a documented exit code, never a traceback."""
 
@@ -492,19 +514,29 @@ class TestFuzzedInput:
             path.write_text(json.dumps(value))
             data_path = Path(tmp) / "data.json"  # a valid dataset beside a fuzzed measure
             data_path.write_text(json.dumps(DATASET_DOC))
-            args = [a.format(**{"in": path, "data": data_path, "out": Path(tmp) / "out"})
-                    for a in argv]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                try:
-                    code = main(args)
-                except SystemExit as exc:
-                    code = exc.code
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
-        if code == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert_documented_exit(
+                [a.format(**{"in": path, "data": data_path, "out": Path(tmp) / "out"})
+                 for a in argv]
+            )
+
+    @given(
+        sources=st.lists(st.integers(2, 4).map(str), min_size=1, max_size=2).map(",".join)
+        | st.lists(SMALL_INTS | NO_DIGITS, max_size=3).map(",".join),
+        repeats=st.sampled_from(["1", "2"]) | st.integers(-2, 0).map(str) | NO_DIGITS,
+        cap=st.floats(0.001, 2).map(str)
+        | st.sampled_from(["1e-9", "0", "-1", "nan", "inf"])
+        | NO_DIGITS,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bench_arguments(self, sources, repeats, cap):
+        # source counts stay at 4 or below, so a valid draw runs in well under a second
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_documented_exit(
+                ["bench", f"--sources={sources}", f"--repeats={repeats}",
+                 f"--cap-seconds={cap}", "--out", str(Path(tmp) / "bench.csv"),
+                 "--population-size", "6", "--elite-count", "1",
+                 "--max-generations", "3", "--stall-generations", "2"]
+            )
 
 
 class TestBenchRecipe:

@@ -196,6 +196,83 @@ class TestBinaryMaxMin:
         assert peak <= 0.5 * p * 6000 * s * 8
 
 
+def skewed_dataset(s):
+    """A 2000-instance candidate set among 300 sets of 1-3 instances, in
+    bags of 1-8 sets."""
+    rng = np.random.default_rng(41)
+    sets = [rng.random((int(rng.integers(1, 4)), s)) for _ in range(300)]
+    sets.insert(150, rng.random((2000, s)))
+    bags, start = [], 0
+    while start < len(sets):
+        stop = start + int(rng.integers(1, 9))
+        bags.append(Bag(len(bags) % 2, sets[start:stop]))
+        start = stop
+    return Dataset(s, tuple(bags))
+
+
+class TestSkewedSizes:
+    """Candidate sets and bags of very different sizes in one dataset."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        s=st.integers(1, 4),
+        shapes=st.lists(
+            st.lists(st.integers(1, 40), min_size=1, max_size=8), min_size=1, max_size=5
+        ),
+        binary=st.booleans(),
+        tied=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_naive_oracle(self, seed, s, shapes, binary, tied):
+        rng = np.random.default_rng(seed)
+        # tied: confidences from a few levels, as in tied_dataset
+        pool = np.array([0.0, 1.0, 0.5, rng.random(), rng.random()])
+        bags = tuple(
+            Bag(b % 2, [rng.choice(pool, (k, s)) if tied else rng.random((k, s)) for k in sizes])
+            for b, sizes in enumerate(shapes)
+        )
+        ds = Dataset(s, bags)
+        measures = [
+            sample_random(s, 0.5, rng) if binary else sample_random_real(s, rng) for _ in range(3)
+        ]
+        for m, total in zip(measures, objective_batch(measures, ds)):
+            assert total == pytest.approx(naive_objective(m.values, ds), abs=1e-12)
+        out = objective(measures[0], ds)
+        expected = naive_breakdown(measures[0].values, ds)
+        assert [c.selected_set for c in out.per_bag] == [sel for _, sel in expected]
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+    def test_evaluate_matches_oracle(self, binary):
+        s = 6
+        ds = skewed_dataset(s)
+        rng = np.random.default_rng(42)
+        if binary:
+            tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(4)], axis=1)
+        else:
+            tables = np.stack([sample_random_real(s, rng).values for _ in range(2)], axis=1)
+        ev = _evaluate(tables, prepare(ds))
+        for table, total, contributions in zip(tables.T, ev.total, ev.contributions):
+            assert total == pytest.approx(naive_objective(table, ds), abs=1e-12)
+            expected = [c for c, _ in naive_breakdown(table, ds)]
+            np.testing.assert_allclose(contributions, expected, rtol=0, atol=1e-12)
+
+    def test_peak_memory_below_half_a_float_gather(self):
+        # padding every set to the widest one would take n_sets * 2000 * P * 8
+        # bytes, over 50 times this bound
+        s, p = 8, 64
+        ds = skewed_dataset(s)
+        pre = prepare(ds)
+        rng = np.random.default_rng(43)
+        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
+        tracemalloc.start()
+        try:
+            _evaluate(tables, pre)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * p * ds.n_instances * s * 8
+
+
 class TestBatchPaths:
     def test_batch_matches_scalar_bitwise(self):
         rng = np.random.default_rng(7)
