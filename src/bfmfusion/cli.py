@@ -39,6 +39,7 @@ from .data import (
 from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
+    _read_json,
     from_minimal_coalitions,
     load_measure,
     measure_to_antichain_dict,
@@ -51,7 +52,6 @@ from .metrics import (
     score,
     write_fusion_csv,
     write_roc_csv,
-    write_score_json,
 )
 from .objective import objective
 from .optimizer import EAConfig, train_bfm, train_exhaustive, train_real_fm
@@ -70,13 +70,14 @@ def _provenance(seed: Optional[int], config: dict) -> dict:
     return {"seed": seed, "config_hash": _config_hash(config), "version": __version__}
 
 
-def _refuse_overwrite(path, force: bool) -> None:
-    if not force and Path(path).exists():
-        raise ValidationError(f"{path} exists; pass --force to overwrite")
+def _claim(force: bool, *paths) -> None:
+    """Refuse, before any work starts, to overwrite an existing output unless forced."""
+    for path in paths:
+        if not force and Path(path).exists():
+            raise ValidationError(f"{path} exists; pass --force to overwrite")
 
 
-def _write_json(path, payload: dict, force: bool) -> None:
-    _refuse_overwrite(path, force)
+def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -114,18 +115,12 @@ def _antichain_text(measure: BinaryFuzzyMeasure) -> str:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            spec_obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{args.spec}: not valid JSON: {e}") from e
-    spec = spec_from_dict(spec_obj)
+    spec = spec_from_dict(_read_json(args.spec))
+    manifest_path = Path(args.out).with_suffix(".manifest.json")
+    _claim(args.force, args.out, manifest_path)
     data = generate_synthetic(spec)
-
-    _refuse_overwrite(args.out, args.force)
     save_dataset(args.out, data)
 
-    manifest_path = Path(args.out).with_suffix(".manifest.json")
     spec_dict = spec_to_dict(spec)
     manifest = {
         "command": "synth",
@@ -138,7 +133,7 @@ def cmd_synth(args) -> int:
         "n_instances": data.n_instances,
         "provenance": _provenance(spec.rng_seed, spec_dict),
     }
-    _write_json(manifest_path, manifest, args.force)
+    _write_json(manifest_path, manifest)
     print(
         f"wrote {data.n_instances} instances in {len(data.labels())} bags "
         f"to {args.out} (manifest: {manifest_path})"
@@ -152,6 +147,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     data = load_dataset(args.data)
     cfg = _ea_config(args, args.seed)
+    _claim(args.force, args.out)
 
     if args.mode == "bfm":
         result = train_bfm(data, cfg)
@@ -174,7 +170,7 @@ def cmd_train(args) -> int:
         breakdown = objective(result.best_measure, data)
         payload["explanation"] = breakdown.to_json_dict()
 
-    _write_json(args.out, payload, args.force)
+    _write_json(args.out, payload)
 
     print(
         f"best objective {result.best_objective:.6g} after "
@@ -198,51 +194,46 @@ def cmd_train(args) -> int:
 
 def cmd_fuse_eval(args) -> int:
     data = load_dataset(args.data)
-
-    if args.measure is not None:
-        measure = load_measure(args.measure)
-        fmap = fuse(data, measure)
-    else:
-        fmap = fuse_naive(data, args.naive)
+    measure = load_measure(args.measure) if args.measure is not None else None
+    truth = data.flat_truth()
 
     out_dir = Path(args.out)
+    fusion_path, score_path, roc_path = (
+        out_dir / name for name in ("fusion.csv", "score.json", "roc.csv")
+    )
+    written = [fusion_path] if truth is None else [fusion_path, score_path, roc_path]
+    _claim(args.force, *written)
+
+    fmap = fuse_naive(data, args.naive) if measure is None else fuse(data, measure)
     os.makedirs(out_dir, exist_ok=True)
-    fusion_path = out_dir / "fusion.csv"
-    _refuse_overwrite(fusion_path, args.force)
     write_fusion_csv(fusion_path, data, fmap)
-    written = [str(fusion_path)]
 
     run_config = {
         "data": str(args.data),
         "measure": str(args.measure) if args.measure else None,
         "naive": args.naive,
     }
-    if data.flat_truth() is None:
+    if truth is None:
         print(
             "warning: dataset has no instance truth; scoring skipped",
             file=sys.stderr,
         )
     else:
-        report = score(fmap, data.flat_truth())
-        score_path = out_dir / "score.json"
-        roc_path = out_dir / "roc.csv"
-        _refuse_overwrite(score_path, args.force)
-        _refuse_overwrite(roc_path, args.force)
-        write_score_json(
+        report = score(fmap, truth)
+        _write_json(
             score_path,
-            report,
-            extra={
+            {
+                **report.to_json_dict(),
                 "n_instances": data.n_instances,
                 "fusion": fmap.provenance,
                 "provenance": _provenance(None, run_config),
             },
         )
         write_roc_csv(roc_path, report)
-        written += [str(score_path), str(roc_path)]
         auc_text = "undefined" if report.auc is None else f"{report.auc:.4f}"
         print(f"auc {auc_text}  rmse {report.rmse:.4f}  psnr {report.psnr:.3f} dB")
 
-    print("wrote " + ", ".join(written))
+    print("wrote " + ", ".join(map(str, written)))
     return 0
 
 
@@ -380,6 +371,8 @@ def cmd_bench(args) -> int:
         raise ValidationError("--sources must name at least one source count")
 
     base = _ea_config(args, args.seed)
+    runs_path = Path(args.out).with_suffix(".runs.json")
+    _claim(args.force, args.out, runs_path)
     records = run_benchmark(
         source_counts,
         repeats=args.repeats,
@@ -406,12 +399,9 @@ def cmd_bench(args) -> int:
             )
 
     table = bench_table(records)
-    runs_path = Path(args.out).with_suffix(".runs.json")
-    _refuse_overwrite(args.out, args.force)
-    _refuse_overwrite(runs_path, args.force)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(table)
-    _write_json(runs_path, records, True)
+    _write_json(runs_path, records)
 
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     for row in table:

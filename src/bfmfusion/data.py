@@ -30,6 +30,7 @@ never reads it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise
@@ -41,6 +42,7 @@ from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
     _check_measure,
+    _read_json,
     measure_from_dict,
     measure_to_dict,
     minimal_winning_coalitions,
@@ -276,12 +278,7 @@ def save_dataset(path, ds: Dataset) -> None:
 
 def load_dataset(path) -> Dataset:
     """Parse and validate a dataset file; diagnostics carry bag/set/instance indices."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    return dataset_from_dict(obj)
+    return dataset_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +325,8 @@ class SynthSpec:
             raise CapError(
                 f"synthesis of up to {most} instances refused (cap {MAX_SYNTH_INSTANCES})"
             )
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not isinstance(self.truth_measure, BinaryFuzzyMeasure):
             raise ValidationError("truth_measure must be a BinaryFuzzyMeasure")
         _check_measure(self.truth_measure, self.source_count)

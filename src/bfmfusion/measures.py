@@ -554,10 +554,14 @@ def save_measure(path, measure: Measure, antichain: bool = False) -> None:
         fh.write("\n")
 
 
-def load_measure(path) -> Measure:
+def _read_json(path):
+    """Parse a JSON input file; malformed text is a ValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ValidationError(f"{path}: not valid JSON: {e}") from e
-    return measure_from_dict(obj)
+
+
+def load_measure(path) -> Measure:
+    return measure_from_dict(_read_json(path))

@@ -12,7 +12,6 @@ instance), so a fusion map lines up with `Dataset.flat_truth()`.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -48,7 +47,8 @@ class ScoreReport:
     """Detection metrics for one fusion map.
 
     auc is None when truth has a single class; auc_error then says why.
-    psnr is +inf when rmse is exactly 0.
+    psnr is +inf when rmse is exactly 0. The ROC curve is kept out of
+    to_json_dict; write_roc_csv is its one writer.
     """
 
     auc: Optional[float]
@@ -65,7 +65,6 @@ class ScoreReport:
             "psnr": self.psnr if math.isfinite(self.psnr) else None,
             "psnr_is_infinite": not math.isfinite(self.psnr),
             "auc_error": self.auc_error,
-            "roc_points": [list(p) for p in self.roc_points],
         }
 
 
@@ -188,12 +187,3 @@ def write_roc_csv(path, report: ScoreReport) -> None:
         w = csv.writer(fh)
         w.writerow(["false_positive_rate", "true_positive_rate"])
         w.writerows(report.roc_points)
-
-
-def write_score_json(path, report: ScoreReport, extra: Optional[dict] = None) -> None:
-    payload = report.to_json_dict()
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

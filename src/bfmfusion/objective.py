@@ -203,8 +203,10 @@ def objective_batch(
 ) -> np.ndarray:
     """Objective totals for many measures at once.
 
-    Produces exactly the numbers `objective(...).total` would, through the
-    same evaluator, in one gather over the stacked value tables.
+    Runs the evaluator `objective` uses, in one gather over the stacked
+    value tables. For one measure the total equals `objective(...).total`
+    bit for bit. With several, each measure's bag terms add one after another
+    rather than pairwise, so a total can differ from it in the last bits.
     """
     prepared = _as_prepared(data)
     if len(measures) == 0:

@@ -44,6 +44,10 @@ def write_spec(path, **overrides):
     return path
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("work started although an output exists")
+
+
 @pytest.fixture
 def dataset_path(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
@@ -102,7 +106,7 @@ class TestSynth:
         "data.json": "1884bb5526bf24c5b5960622871ea1ac4a1d4256ef2857c3b8c0c3356ffbe8eb",
         "data.manifest.json": "cdfc8d8f16999b23a6edeb676d51b8b1a36c3cb4a8aa2d5e036c8a3fde9cff0c",
         "eval/fusion.csv": "40ad6cb8ef89ce30383b55dfdab871616028f7d6b4804dde8b94e9b530f12789",
-        "eval/score.json": "e6eb8969b091ae22c007df53b21c1d6584d803d03f4db2e23f53c585b3c6a260",
+        "eval/score.json": "3fe6b0aa0143651e41c3cc15a4dcebd3ae8912e62ccd788ea42bc7b0322e0250",
         "eval/roc.csv": "9b06ffa0327c6d623b15ae1db732a0d9f82f9aab4a5fd17e1f7705bc0fa7dd65",
     }
 
@@ -124,6 +128,23 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         assert "--force" in capsys.readouterr().err
         assert main(["synth", "--spec", str(spec), "--out", str(out), "--force"]) == 0
+
+    def test_existing_manifest_refused_before_dataset(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        (tmp_path / "data.manifest.json").write_text("{}")
+        out = tmp_path / "data.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "--force" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_noise_exits_1(self, tmp_path, capsys, sigma):
+        spec = write_spec(tmp_path / "spec.json", noise_sigma=sigma)
+        out = tmp_path / "d.json"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [spec]
 
     def test_invalid_spec_json(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
@@ -269,6 +290,17 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    def test_existing_out_refused_before_training(self, dataset_path, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setattr("bfmfusion.cli.train_bfm", must_not_run)
+        out = tmp_path / "r.json"
+        out.write_text("{}")
+        code = main(["train", "--data", str(dataset_path), "--mode", "bfm",
+                     "--out", str(out)])
+        assert code == 1
+        assert "--force" in capsys.readouterr().err
+        assert out.read_text() == "{}"
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.json"),
                      "--mode", "bfm", "--out", str(tmp_path / "r.json")])
@@ -303,6 +335,8 @@ class TestFuseEval:
 
         report = json.loads((out / "score.json").read_text())
         assert report["auc"] == 0.75
+        # the curve is written once, to roc.csv
+        assert "roc_points" not in report
         assert report["n_instances"] == 4
         assert report["fusion"] == {"mode": "min"}
         assert report["provenance"]["seed"] is None
@@ -412,6 +446,17 @@ class TestFuseEval:
         assert main(args) == 1
         assert "--force" in capsys.readouterr().err
         assert main(args + ["--force"]) == 0
+
+    def test_existing_roc_refused_before_fusion(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("bfmfusion.cli.fuse_naive", must_not_run)
+        data = self.auc_dataset(tmp_path)
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / "roc.csv").write_text("")
+        code = main(["fuse-eval", "--data", str(data), "--naive", "min", "--out", str(out)])
+        assert code == 1
+        assert "--force" in capsys.readouterr().err
+        assert list(out.iterdir()) == [out / "roc.csv"]
 
 
 # Field names of the dataset, spec and measure formats, so that fuzzed
@@ -656,3 +701,12 @@ class TestBenchmark:
         # the refusal happens before either file is rewritten
         assert (tmp_path / "bench.runs.json").read_bytes() == runs_before
         assert main(args + ["--force"]) == 0
+
+    def test_existing_out_refused_before_running(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("bfmfusion.cli.run_benchmark", must_not_run)
+        out = tmp_path / "bench.csv"
+        out.write_text("")
+        code = main(["bench", "--sources", "2", "--repeats", "1", "--out", str(out)])
+        assert code == 1
+        assert "--force" in capsys.readouterr().err
+        assert not (tmp_path / "bench.runs.json").exists()

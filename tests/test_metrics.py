@@ -26,7 +26,6 @@ from bfmfusion.metrics import (
     fusion_rows,
     write_fusion_csv,
     write_roc_csv,
-    write_score_json,
 )
 from oracles import pair_count_auc
 
@@ -259,20 +258,17 @@ class TestWriters:
         assert len(rows) == len(report.roc_points) + 1
         assert [float(v) for v in rows[1]] == [0.0, 0.0]
 
-    def test_score_json_with_infinite_psnr(self, tmp_path):
+    def test_score_json_with_infinite_psnr(self):
         report = score(np.array([0.0, 1.0]), [0, 1])
-        path = tmp_path / "score.json"
-        write_score_json(path, report, extra={"n_instances": 2})
-        payload = json.loads(path.read_text())
+        # strict JSON: no inf literal, and the curve stays out of it
+        payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
         assert payload["psnr"] is None
         assert payload["psnr_is_infinite"] is True
-        assert payload["n_instances"] == 2
+        assert "roc_points" not in payload
 
-    def test_score_json_finite(self, tmp_path):
+    def test_score_json_finite(self):
         report = score(np.array([0.1, 0.9]), [0, 1])
-        path = tmp_path / "score.json"
-        write_score_json(path, report)
-        payload = json.loads(path.read_text())
+        payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
         assert payload["psnr"] == pytest.approx(report.psnr)
         assert payload["psnr_is_infinite"] is False
         assert payload["auc_error"] is None

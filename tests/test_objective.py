@@ -290,6 +290,15 @@ class TestBatchPaths:
         singles = np.array([objective(m, ds).total for m in measures])
         assert np.array_equal(batch, singles)
 
+    def test_batch_matches_scalar_to_rounding_on_many_bags(self):
+        # over 67 bags numpy may add one table's bag terms in another order
+        # inside a stack than alone, so totals can differ in the last bits
+        ds = skewed_dataset(4)
+        rng = np.random.default_rng(7)
+        measures = [sample_random(4, 0.5, rng) for _ in range(16)]
+        singles = np.array([objective(m, ds).total for m in measures])
+        np.testing.assert_allclose(objective_batch(measures, ds), singles, rtol=1e-12, atol=0)
+
     def test_empty_batch(self):
         ds = hand_dataset()
         assert objective_batch([], ds).shape == (0,)
