@@ -71,7 +71,6 @@ from .objective import (
     PreparedData,
     objective,
     objective_batch,
-    objective_total,
     prepare,
 )
 from .optimizer import (
@@ -131,7 +130,6 @@ __all__ = [
     "minimum_measure",
     "objective",
     "objective_batch",
-    "objective_total",
     "prepare",
     "roc_curve",
     "sample_random",

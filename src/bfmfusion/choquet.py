@@ -7,8 +7,8 @@ of top sources:
     CI(h) = sum_k (h_(k) - h_(k+1)) * g(top-k sources),  h_(S+1) = 0.
 
 For a binary measure this collapses to a max-min form over the winning
-coalitions, which `choquet_maxmin` computes directly as an independent
-cross-check.
+coalitions, which `_choquet` uses for binary table stacks in training and
+`choquet_maxmin` computes directly as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -33,29 +33,46 @@ def _check_instance(h, source_count: int) -> np.ndarray:
 
 
 def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sorted-difference decomposition of an (N, S) confidence matrix.
+    """Per-row sorted decomposition of an (N, S) confidence matrix.
 
-    Returns (masks, diffs), both (N, S): masks[n, k] is the bitmask of the
-    top-(k+1) sources of row n and diffs[n, k] the matching level
-    difference, so CI of row n under measure g is (diffs[n] * g[masks[n]]).sum().
-    Ties sort stably by ascending source index; the CI value is tie-order
-    invariant for valid measures because tied levels contribute zero-width
+    Returns masks (N, S), masks[n, k] the bitmask of the top-(k+1) sources
+    of row n, and levels (N, S + 1), row n sorted descending, then a 0: CI
+    under g is ((levels[:, :-1] - levels[:, 1:]) * g[masks]).sum(axis=1).
+    Ties sort stably by ascending source index; CI is tie-order invariant
+    for valid measures because tied levels contribute zero-width
     differences. Measure-independent, so it can be computed once per dataset.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     order = np.argsort(-X, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(X, order, axis=1)
+    levels = np.pad(np.take_along_axis(X, order, axis=1), ((0, 0), (0, 1)))
     # distinct power-of-two bits, so cumulative sum equals cumulative OR
     masks = np.cumsum(np.left_shift(1, order.astype(np.int64)), axis=1)
-    diffs = sorted_vals.copy()
-    diffs[:, :-1] -= sorted_vals[:, 1:]
-    return masks, diffs
+    return masks, levels
+
+
+def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """(N, P) CI of every decomposed row under a (2**S, P) column stack.
+
+    A uint8 stack takes the max-min form: the prefixes masks[n, :] grow, so
+    under a monotone table the winning ones form a suffix, counted in an
+    (N, S, P) uint8 gather of rows of the stack (no transposed copy, no
+    float (P, N, S) array), and CI is levels[n, S - count], the trailing 0
+    when none wins. Any other dtype takes the level-difference sum over a
+    (P, N, S) float64 gather through the transposed view.
+    """
+    if tables.dtype == np.uint8:
+        counts = tables[masks].sum(axis=1, dtype=np.uint8)
+        # a flat index into the levels is faster here than take_along_axis
+        row_ends = np.arange(1, len(levels) + 1)[:, None] * levels.shape[1] - 1
+        return levels.ravel()[row_ends - counts]
+    diffs = levels[:, :-1] - levels[:, 1:]
+    return (diffs * tables.T[:, masks]).sum(axis=2).T
 
 
 def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:
-    """Choquet integral of every row of an (N, S) confidence matrix."""
-    masks, diffs = sort_decomposition(X)
-    return (diffs * measure.values[masks].astype(np.float64)).sum(axis=1)
+    """Choquet integral of every row of an (N, S) confidence matrix, by the
+    level-difference sum for binary measures too."""
+    return _choquet(measure.values[:, None].astype(np.float64), *sort_decomposition(X))[:, 0]
 
 
 def choquet_integral(h, measure: Measure) -> float:

@@ -202,7 +202,7 @@ def cmd_fuse_eval(args) -> int:
         out_dir / name for name in ("fusion.csv", "score.json", "roc.csv")
     )
     written = [fusion_path] if truth is None else [fusion_path, score_path, roc_path]
-    _claim(args.force, *written)
+    _claim(args.force, fusion_path, score_path, roc_path)
 
     fmap = fuse_naive(data, args.naive) if measure is None else fuse(data, measure)
     os.makedirs(out_dir, exist_ok=True)
@@ -214,6 +214,9 @@ def cmd_fuse_eval(args) -> int:
         "naive": args.naive,
     }
     if truth is None:
+        # scores of an earlier run must not read as this run's
+        score_path.unlink(missing_ok=True)
+        roc_path.unlink(missing_ok=True)
         print(
             "warning: dataset has no instance truth; scoring skipped",
             file=sys.stderr,

@@ -42,6 +42,7 @@ from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
     _check_measure,
+    _check_source_count,
     _read_json,
     measure_from_dict,
     measure_to_dict,
@@ -161,12 +162,7 @@ def _parse(source_count, bags, truth) -> tuple:
     """Check JSON-shaped bags one by one, then all instance rows as one array.
 
     Returns the columns: source count, matrix, offsets, labels and truth."""
-    if (
-        isinstance(source_count, bool)
-        or not isinstance(source_count, (int, np.integer))
-        or source_count < 1
-    ):
-        raise ValidationError(f"source_count must be a positive integer, got {source_count!r}")
+    source_count = _check_source_count(source_count)
     if not isinstance(bags, list) or not bags:
         raise ValidationError("bags must be a non-empty list")
     rows, labels, set_sizes, sets_per_bag = [], [], [], []
@@ -210,7 +206,7 @@ def _parse(source_count, bags, truth) -> tuple:
         )
     if truth is not None:
         truth = _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets)
-    return int(source_count), X, set_offsets, bag_offsets, np.array(labels, dtype=np.int8), truth
+    return source_count, X, set_offsets, bag_offsets, np.array(labels, dtype=np.int8), truth
 
 
 def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> np.ndarray:

@@ -8,22 +8,14 @@ of CI - 1)^2. The total is the plain sum over bags. Zero total means every
 negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
-`prepare` factors out everything measure-independent (the sorted-difference
-decomposition, the sorted levels, the bag signs, and the candidate sets
-and bags grouped by size) so that evaluating many value tables against
-one dataset, as the optimizer does, costs one gather for all of them.
-`objective`, `objective_batch` and the optimizer share one evaluator,
-`_evaluate`, which takes the tables as a (2**S, P) column stack, the
-optimizer's population layout, and makes no transposed copy of it.
-
-A binary (uint8) table is evaluated in max-min form. The prefixes
-masks[n, :] grow, so under a monotone table the winning prefixes of an
-instance form a suffix, and CI is the sorted confidence at the first of
-them, located by counting the winning prefixes in a uint8 (N, S, P)
-gather of rows of the stack; no float (P, N, S) array is built. A
-real-valued table takes the level-difference sum. Both then reduce
-candidate sets and bags by size group: one gather and one max over all
-segments of each size.
+`prepare` factors out everything measure-independent (the sorted
+decomposition, the bag signs, and the candidate sets and bags grouped by
+size) so that evaluating many value tables against one dataset, as the
+optimizer does, costs one gather for all of them. `objective`,
+`objective_batch` and the optimizer share one evaluator, `_evaluate`: it
+takes the tables as a (2**S, P) column stack, the optimizer's population
+layout, gets CI from `choquet._choquet` and reduces candidate sets and
+bags by size group.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .choquet import sort_decomposition
+from .choquet import _choquet, sort_decomposition
 from .data import Dataset
 from .measures import Measure, _check_measure
 
@@ -74,8 +66,7 @@ class PreparedData:
 
     source_count: int
     masks: np.ndarray        # (N, S) coalition bitmasks of the sorted decomposition
-    diffs: np.ndarray        # (N, S) level differences, for real-valued tables
-    levels: np.ndarray       # (N * (S + 1),) each row sorted descending, then a 0
+    levels: np.ndarray       # (N, S + 1) each row sorted descending, then a 0
     signs: np.ndarray        # (N, 1) -1.0 for an instance of a negative bag, else 1.0
     set_groups: tuple        # candidate sets by instance count, see _size_groups
     bag_groups: tuple        # bags by candidate-set count
@@ -105,14 +96,12 @@ def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray
 
 def prepare(data: Dataset) -> PreparedData:
     X = data.instance_matrix()
-    masks, diffs = sort_decomposition(X)
-    levels = np.pad(np.sort(X, axis=1)[:, ::-1], ((0, 0), (0, 1))).ravel()
+    masks, levels = sort_decomposition(X)
     labels = data.labels()
     set_signs = np.repeat(np.where(labels == 0, -1.0, 1.0), np.diff(data.bag_offsets))
     return PreparedData(
         source_count=data.source_count,
         masks=masks,
-        diffs=diffs,
         levels=levels,
         signs=np.repeat(set_signs, np.diff(data.set_offsets))[:, None],
         set_groups=_size_groups(data.set_offsets),
@@ -144,27 +133,16 @@ class _Evaluation(NamedTuple):
 def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
     """Evaluate a (2**S, P) column stack of value tables in one gather.
 
-    A uint8 stack counts its winning prefixes in an (N, S, P) uint8 gather
-    of its rows, one row of P bytes per lookup, with no transposed copy,
-    and reads CI into an (N, P) array as the sorted level at index
-    S - count (the trailing 0 when no prefix wins). Any other dtype takes
-    the level-difference sum over a (P, N, S) float64 gather through the
-    transposed view, then views the sums as (N, P). CI is negated in
-    negative bags, so the maximum over a candidate set, taken for all sets
-    of one size by one gather, is the negated minimum of a negative set and
-    the maximum of a positive one; the set's sign flips it back. Bags are
-    reduced the same way over the set extremes. A negative bag contributes the
-    square of its largest set minimum; a positive bag contributes (its
-    largest set maximum - 1)^2, which is the smallest shortfall because
-    (x - 1)^2 falls on [0, 1].
+    `_choquet` reads CI into an (N, P) array, in max-min form for a uint8
+    stack. CI is negated in negative bags, so the maximum over a candidate
+    set, taken for all sets of one size by one gather, is the negated
+    minimum of a negative set and the maximum of a positive one; the set's
+    sign flips it back. Bags are reduced the same way over the set extremes.
+    A negative bag contributes the square of its largest set minimum; a
+    positive bag contributes (its largest set maximum - 1)^2, which is the
+    smallest shortfall because (x - 1)^2 falls on [0, 1].
     """
-    n, s = prepared.masks.shape
-    if tables.dtype == np.uint8:
-        counts = tables[prepared.masks].sum(axis=1, dtype=np.uint8)
-        row_ends = np.arange(1, n + 1)[:, None] * (s + 1) - 1
-        ci = prepared.levels[row_ends - counts]
-    else:
-        ci = (prepared.diffs * tables.T[:, prepared.masks]).sum(axis=2).T
+    ci = _choquet(tables, prepared.masks, prepared.levels)
     ci *= prepared.signs
     set_extreme = _segment_reduce(np.maximum, ci, prepared.set_groups)
     set_extreme *= prepared.set_signs
@@ -215,7 +193,3 @@ def objective_batch(
         _check_measure(m, prepared.source_count)
     return _evaluate(np.stack([m.values for m in measures], axis=1), prepared).total
 
-
-def objective_total(measure: Measure, data: Union[Dataset, PreparedData]) -> float:
-    """Objective total without the breakdown."""
-    return float(objective_batch([measure], data)[0])

@@ -17,6 +17,7 @@ from bfmfusion import (
     sample_random_real,
     sort_decomposition,
 )
+from bfmfusion.choquet import _choquet
 from oracles import naive_choquet
 
 PAPER_STYLE = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
@@ -145,10 +146,42 @@ class TestBatch:
     def test_sort_decomposition_structure(self):
         rng = np.random.default_rng(5)
         X = rng.random((20, 5))
-        masks, diffs = sort_decomposition(X)
+        masks, levels = sort_decomposition(X)
         # nested chains: popcount k+1 at column k, ending at the full set
         assert (np.bitwise_count(masks) == np.arange(1, 6)).all()
         assert (masks[:, -1] == 0b11111).all()
-        assert (diffs >= 0).all()
-        # differences telescope back to the largest confidence
-        assert np.allclose(diffs.sum(axis=1), X.max(axis=1))
+        assert levels.shape == (20, 6)
+        assert (levels[:, -1] == 0.0).all()
+        assert (np.diff(levels, axis=1) <= 0).all()
+        assert np.array_equal(levels[:, 0], X.max(axis=1))
+        # the level-difference sum is the Choquet integral
+        g = sample_random(5, 0.5, rng)
+        diffs = levels[:, :-1] - levels[:, 1:]
+        assert np.array_equal((diffs * g.values[masks]).sum(axis=1), choquet_batch(X, g))
+
+
+def tied_rows(rng, n, s):
+    """Rows drawn from a few levels, so most of them hold ties."""
+    return rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, s))
+
+
+class TestStackForms:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_maxmin_stack_equals_oracle(self, s):
+        rng = np.random.default_rng(s)
+        measures = list(enumerate_all(s))
+        tables = np.stack([g.values for g in measures], axis=1)
+        for X in (rng.random((15, s)), tied_rows(rng, 15, s)):
+            ci = _choquet(tables, *sort_decomposition(X))
+            assert ci.shape == (15, len(measures))
+            for p, g in enumerate(measures):
+                assert [float(v) for v in ci[:, p]] == [choquet_maxmin(h, g) for h in X]
+
+    def test_sum_stack_equals_batch_bitwise(self):
+        rng = np.random.default_rng(9)
+        measures = [sample_random_real(4, rng) for _ in range(6)]
+        tables = np.stack([g.values for g in measures], axis=1)
+        for X in (rng.random((25, 4)), tied_rows(rng, 25, 4)):
+            ci = _choquet(tables, *sort_decomposition(X))
+            for p, g in enumerate(measures):
+                assert np.array_equal(ci[:, p], choquet_batch(X, g))

@@ -235,6 +235,20 @@ class TestTrain:
         assert code == 3
         assert "refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train", "--mode", "bfm"],
+                                         ["fuse-eval", "--naive", "max"]])
+    def test_too_many_sources_exits_1_at_load(self, command, tmp_path, capsys):
+        # 2**25 table entries per measure would be allocated before any check
+        data_path = tmp_path / "wide.json"
+        data_path.write_text(json.dumps({"source_count": 25, "bags": [
+            {"label": label, "candidate_sets": [[[0.5] * 25]]} for label in (0, 1)]}))
+        code = main(command + ["--data", str(data_path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "source_count" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("mode", ["bfm", "real"])
     def test_single_source_exits_1(self, mode, tmp_path, capsys):
         data_path = tmp_path / "one.json"
@@ -341,10 +355,10 @@ class TestFuseEval:
         assert report["fusion"] == {"mode": "min"}
         assert report["provenance"]["seed"] is None
 
-        rows = list(csv.reader((out / "fusion.csv").open()))
+        rows = list(csv.reader((out / "fusion.csv").read_text().splitlines()))
         assert rows[0] == ["bag", "candidate_set", "instance", "score", "truth"]
         assert len(rows) == 5
-        roc = list(csv.reader((out / "roc.csv").open()))
+        roc = list(csv.reader((out / "roc.csv").read_text().splitlines()))
         assert roc[0] == ["false_positive_rate", "true_positive_rate"]
 
     def test_measure_matches_naive_min(self, tmp_path):
@@ -430,6 +444,33 @@ class TestFuseEval:
         assert "scoring skipped" in captured.err
         assert (out / "fusion.csv").exists()
         assert not (out / "score.json").exists()
+
+    def untruthed_dataset(self, tmp_path):
+        obj = json.loads(self.auc_dataset(tmp_path).read_text())
+        del obj["instance_truth"]
+        path = tmp_path / "untruthed.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_forced_run_without_truth_removes_stale_scores(self, tmp_path, capsys):
+        out = tmp_path / "eval"
+        assert main(["fuse-eval", "--data", str(self.auc_dataset(tmp_path)),
+                     "--naive", "min", "--out", str(out)]) == 0
+        assert main(["fuse-eval", "--data", str(self.untruthed_dataset(tmp_path)),
+                     "--naive", "max", "--out", str(out), "--force"]) == 0
+        assert sorted(out.iterdir()) == [out / "fusion.csv"]
+
+    def test_existing_score_refused_without_truth(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("bfmfusion.cli.fuse_naive", must_not_run)
+        data = self.untruthed_dataset(tmp_path)
+        out = tmp_path / "eval"
+        out.mkdir()
+        (out / "score.json").write_text("{}")
+        code = main(["fuse-eval", "--data", str(data), "--naive", "max", "--out", str(out)])
+        assert code == 1
+        assert "--force" in capsys.readouterr().err
+        assert list(out.iterdir()) == [out / "score.json"]
+        assert (out / "score.json").read_text() == "{}"
 
     def test_measure_and_naive_are_exclusive(self, tmp_path):
         data = self.auc_dataset(tmp_path)
@@ -663,7 +704,7 @@ class TestBenchmark:
         printed = capsys.readouterr().out
         assert "S=2" in printed and "wrote" in printed
 
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["algorithm", "metric", "S=2", "S=3"]
         assert len(rows) == 5
         records = json.loads((tmp_path / "bench.runs.json").read_text())

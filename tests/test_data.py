@@ -18,7 +18,7 @@ from bfmfusion import (
     generate_synthetic,
     has_both_polarities,
     load_dataset,
-    objective_total,
+    objective,
     sample_random,
     save_dataset,
     spec_from_dict,
@@ -262,14 +262,14 @@ class TestGenerator:
     def test_sigma_zero_truth_objective_is_exactly_zero(self):
         for seed in (0, 1, 2, 3, 17):
             ds = generate_synthetic(spec3(seed=seed))
-            assert objective_total(TRUTH3, ds) == 0.0
+            assert objective(TRUTH3, ds).total == 0.0
 
     @given(seed=st.integers(0, 10_000), s=st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
     def test_sigma_zero_exactness_random_truths(self, seed, s):
         truth = sample_random(s, 0.5, seed)
         spec = SynthSpec(s, 4, 4, (2, 3), (2, 3), 0.0, truth, rng_seed=seed)
-        assert objective_total(truth, generate_synthetic(spec)) == 0.0
+        assert objective(truth, generate_synthetic(spec)).total == 0.0
 
     def test_determinism(self):
         a = generate_synthetic(spec3(sigma=0.05))

@@ -234,7 +234,7 @@ class TestWriters:
         fused = fuse_naive(ds, "min")
         path = tmp_path / "fusion.csv"
         write_fusion_csv(path, ds, fused)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["bag", "candidate_set", "instance", "score", "truth"]
         assert len(rows) == ds.n_instances + 1
         assert rows[1][:3] == ["0", "0", "0"]
@@ -246,14 +246,14 @@ class TestWriters:
         fused = fuse_naive(ds, "max")
         path = tmp_path / "fusion.csv"
         write_fusion_csv(path, ds, fused)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["bag", "candidate_set", "instance", "score"]
 
     def test_roc_csv(self, tmp_path):
         report = score(np.array([0.1, 0.4, 0.35, 0.8]), [0, 0, 1, 1])
         path = tmp_path / "roc.csv"
         write_roc_csv(path, report)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["false_positive_rate", "true_positive_rate"]
         assert len(rows) == len(report.roc_points) + 1
         assert [float(v) for v in rows[1]] == [0.0, 0.0]

@@ -15,7 +15,6 @@ from bfmfusion import (
     from_minimal_coalitions,
     objective,
     objective_batch,
-    objective_total,
     prepare,
     sample_random,
     sample_random_real,
@@ -303,12 +302,6 @@ class TestBatchPaths:
         ds = hand_dataset()
         assert objective_batch([], ds).shape == (0,)
 
-    def test_objective_total_shortcut(self):
-        ds = hand_dataset()
-        assert objective_total(FIRST_SOURCE_ONLY, ds) == objective(
-            FIRST_SOURCE_ONLY, ds
-        ).total
-
 
 class TestPreparedReuse:
     def test_prepared_equals_fresh(self):
@@ -363,15 +356,13 @@ class TestValidation:
             objective(g3, ds)
         with pytest.raises(ValidationError, match="sources"):
             objective_batch([g3], ds)
-        with pytest.raises(ValidationError, match="sources"):
-            objective_total(g3, ds)
 
     def test_axiom_violating_measure_refused(self):
         # {0} wins but the full set loses: the max-min form would read 0.9
         # here, the sum form 0.08, so neither number may come out
         bad = BinaryFuzzyMeasure(2, [0, 1, 0, 0])
         ds = Dataset(2, (Bag(0, [[[0.5, 0.3]]]), Bag(1, [[[0.9, 0.1]]])))
-        for call in (objective, objective_total, lambda m, d: objective_batch([m], d)):
+        for call in (objective, lambda m, d: objective_batch([m], d)):
             with pytest.raises(ValidationError, match="measure is invalid"):
                 call(bad, ds)
 

@@ -19,7 +19,7 @@ from bfmfusion import (
     generate_synthetic,
     minimal_winning_coalitions,
     minimum_measure,
-    objective_total,
+    objective,
     sample_random_real,
     set_with_repair,
     train_bfm,
@@ -134,7 +134,7 @@ class TestTraceShape:
     def test_best_measure_scores_best_objective(self):
         data = clean_dataset(seed=5)
         res = train_bfm(data, quick_cfg(rng_seed=5))
-        assert objective_total(res.best_measure, data) == res.best_objective
+        assert objective(res.best_measure, data).total == res.best_objective
 
     def test_best_measure_is_valid(self):
         for trainer in (train_bfm, train_real_fm):
@@ -205,7 +205,7 @@ class TestExhaustive:
             rng_seed=11,
         )
         data = generate_synthetic(spec)
-        scored = [(objective_total(m, data), m.values.tobytes()) for m in enumerate_all(4)]
+        scored = [(objective(m, data).total, m.values.tobytes()) for m in enumerate_all(4)]
         best_objective, best_bytes = min(scored)
         res = train_exhaustive(data)
         assert res.best_measure.values.tobytes() == best_bytes
