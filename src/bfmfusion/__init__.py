@@ -70,7 +70,6 @@ from .objective import (
     ObjectiveBreakdown,
     PreparedData,
     objective,
-    objective_batch,
     prepare,
 )
 from .optimizer import (
@@ -80,7 +79,7 @@ from .optimizer import (
     train_exhaustive,
     train_real_fm,
 )
-from .rng import substream, substream_seed
+from .rng import substream
 
 __version__ = "0.1.0"
 
@@ -129,7 +128,6 @@ __all__ = [
     "minimal_winning_coalitions",
     "minimum_measure",
     "objective",
-    "objective_batch",
     "prepare",
     "roc_curve",
     "sample_random",
@@ -142,7 +140,6 @@ __all__ = [
     "spec_from_dict",
     "spec_to_dict",
     "substream",
-    "substream_seed",
     "train_bfm",
     "train_exhaustive",
     "train_real_fm",

@@ -7,8 +7,10 @@ of top sources:
     CI(h) = sum_k (h_(k) - h_(k+1)) * g(top-k sources),  h_(S+1) = 0.
 
 For a binary measure this collapses to a max-min form over the winning
-coalitions, which `_choquet` uses for binary table stacks in training and
-`choquet_maxmin` computes directly as an independent cross-check.
+coalitions, so every fused value is one of the row's own confidences.
+`_choquet` reads every binary table that way, in fusion and in training,
+and a real-valued table by the sum; `choquet_maxmin` computes the max-min
+form directly, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,20 +18,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .measures import BinaryFuzzyMeasure, Measure
+from .measures import BinaryFuzzyMeasure, Measure, _check_measure
 
 
-def _check_instance(h, source_count: int) -> np.ndarray:
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1 or len(h) != source_count:
+def _check_rows(X, source_count: int) -> np.ndarray:
+    """X as an (N, S) float64 matrix; refuse another width, or a confidence
+    outside [0, 1]."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != source_count:
         raise ValidationError(
-            f"instance has {h.shape} values, measure expects {source_count}"
+            f"confidences of shape {X.shape} do not fit a measure over {source_count} sources"
         )
-    if not ((h >= 0.0) & (h <= 1.0)).all():
-        raise ValidationError(
-            f"confidences must lie in [0, 1], got {h.tolist()}"
-        )
-    return h
+    inside = (X >= 0.0) & (X <= 1.0)
+    if not inside.all():
+        raise ValidationError(f"confidences must lie in [0, 1], got {X[~inside][0]}")
+    return X
 
 
 def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,19 +49,20 @@ def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-X, axis=1, kind="stable")
     levels = np.pad(np.take_along_axis(X, order, axis=1), ((0, 0), (0, 1)))
     # distinct power-of-two bits, so cumulative sum equals cumulative OR
-    masks = np.cumsum(np.left_shift(1, order.astype(np.int64)), axis=1)
+    masks = np.cumsum(np.left_shift(1, order), axis=1)
     return masks, levels
 
 
 def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """(N, P) CI of every decomposed row under a (2**S, P) column stack.
 
-    A uint8 stack takes the max-min form: the prefixes masks[n, :] grow, so
-    under a monotone table the winning ones form a suffix, counted in an
-    (N, S, P) uint8 gather of rows of the stack (no transposed copy, no
-    float (P, N, S) array), and CI is levels[n, S - count], the trailing 0
-    when none wins. Any other dtype takes the level-difference sum over a
-    (P, N, S) float64 gather through the transposed view.
+    A uint8 stack of binary tables takes the max-min form: the prefixes
+    masks[n, :] grow, so under a monotone table the winning ones form a
+    suffix, counted in an (N, S, P) uint8 gather of rows of the stack (no
+    transposed copy, no float (P, N, S) array), and CI is
+    levels[n, S - count], exactly one of the row's confidences. A float64
+    stack of real-valued tables takes the level-difference sum over a
+    (P, N, S) gather through the transposed view.
     """
     if tables.dtype == np.uint8:
         counts = tables[masks].sum(axis=1, dtype=np.uint8)
@@ -70,9 +74,14 @@ def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.nd
 
 
 def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:
-    """Choquet integral of every row of an (N, S) confidence matrix, by the
-    level-difference sum for binary measures too."""
-    return _choquet(measure.values[:, None].astype(np.float64), *sort_decomposition(X))[:, 0]
+    """Choquet integral of every row of an (N, S) confidence matrix.
+
+    Refuses an invalid measure, rows of another width and confidences
+    outside [0, 1], as `fuse` and `objective` do.
+    """
+    _check_measure(measure, measure.source_count)
+    X = _check_rows(X, measure.source_count)
+    return _choquet(measure.values[:, None], *sort_decomposition(X))[:, 0]
 
 
 def choquet_integral(h, measure: Measure) -> float:
@@ -81,8 +90,7 @@ def choquet_integral(h, measure: Measure) -> float:
     Out-of-range confidences are rejected rather than clamped: silent
     clamping would hide upstream normalization bugs.
     """
-    h = _check_instance(h, measure.source_count)
-    return float(choquet_batch(h[None, :], measure)[0])
+    return float(choquet_batch([h], measure)[0])
 
 
 def choquet_maxmin(h, measure: BinaryFuzzyMeasure) -> float:
@@ -93,7 +101,7 @@ def choquet_maxmin(h, measure: BinaryFuzzyMeasure) -> float:
     """
     if not isinstance(measure, BinaryFuzzyMeasure):
         raise ValidationError("the max-min form is defined for binary measures only")
-    h = _check_instance(h, measure.source_count)
+    h = _check_rows([h], measure.source_count)[0]
     winning = np.flatnonzero(measure.values == 1)
     winning = winning[winning != 0]
     if winning.size == 0:

@@ -387,11 +387,11 @@ _NEG_OFF_RANGE = (0.55, 1.0)
 def generate_synthetic(spec: SynthSpec) -> Dataset:
     """Build a dataset whose noise-free optimum is the planted truth measure.
 
-    Negative bags: every candidate set shares a blocking set of sources (one
-    member drawn from each minimal winning coalition of the truth measure);
-    those confidences are exactly 0, the rest are high, so the truth measure
-    fuses every instance to exactly 0 while any measure that wins a
-    coalition missing the blockers fuses above 0.
+    Negative bags: each candidate set draws its own blocking set of sources
+    (one member from each minimal winning coalition of the truth measure),
+    shared by its instances; those confidences are exactly 0, the rest are
+    high, so the truth measure fuses every instance to exactly 0 while any
+    measure that wins a coalition missing the set's blockers fuses above 0.
 
     Positive bags: one candidate set per bag contains a target instance
     with confidence exactly 1 on one minimal winning coalition and exactly

@@ -255,16 +255,15 @@ def validate(measure: Measure) -> ValidityReport:
     if v[n - 1] != 1:
         violations.append(AxiomViolation("normalization", n - 1))
 
-    masks = _masks(measure.source_count)
     best: tuple[int, int] | None = None  # first offending (A, A | bit) pair
     for i in range(measure.source_count):
-        bit = 1 << i
-        lower = masks[(masks & bit) == 0]
-        bad = np.flatnonzero(v[lower] > v[lower | bit])
-        if bad.size:
-            a = int(lower[bad[0]])
-            if best is None or (a, a | bit) < best:
-                best = (a, a | bit)
+        # the view of _close_up: [:, 1] holds each [:, 0] set plus source i
+        pairs = v.reshape(n >> i + 1, 2, 1 << i)
+        # the first offending A for this bit, or A = 0 when there is none
+        high, low = divmod(int((pairs[:, 0] > pairs[:, 1]).argmax()), 1 << i)
+        a = high << i + 1 | low
+        if v[a] > v[a | 1 << i] and (best is None or (a, a | 1 << i) < best):
+            best = (a, a | 1 << i)
     if best is not None:
         violations.append(AxiomViolation("monotonicity", best[0], best[1]))
     return ValidityReport(not violations, tuple(violations))

@@ -21,7 +21,7 @@ import numpy as np
 from .choquet import choquet_batch
 from .data import Dataset
 from .errors import ValidationError
-from .measures import Measure, _check_measure, measure_to_dict
+from .measures import Measure, measure_to_dict
 
 NAIVE_MODES = ("min", "max", "mean")
 
@@ -70,7 +70,6 @@ class ScoreReport:
 
 def fuse(data: Dataset, measure: Measure) -> FusionMap:
     """Fused confidence per instance using the measure's aggregation."""
-    _check_measure(measure, data.source_count)
     scores = choquet_batch(data.instance_matrix(), measure)
     return FusionMap(scores, {"mode": "choquet", "measure": measure_to_dict(measure)})
 

@@ -11,17 +11,16 @@ every positive bag has a matching fused to exactly 1.
 `prepare` factors out everything measure-independent (the sorted
 decomposition, the bag signs, and the candidate sets and bags grouped by
 size) so that evaluating many value tables against one dataset, as the
-optimizer does, costs one gather for all of them. `objective`,
-`objective_batch` and the optimizer share one evaluator, `_evaluate`: it
-takes the tables as a (2**S, P) column stack, the optimizer's population
-layout, gets CI from `choquet._choquet` and reduces candidate sets and
-bags by size group.
+optimizer does, costs one gather for all of them. `objective` and the
+optimizer share one evaluator, `_evaluate`: it takes the tables as a
+(2**S, P) column stack, the optimizer's population layout, gets CI from
+`choquet._choquet` and reduces candidate sets and bags by size group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -112,10 +111,6 @@ def prepare(data: Dataset) -> PreparedData:
     )
 
 
-def _as_prepared(data: Union[Dataset, PreparedData]) -> PreparedData:
-    return data if isinstance(data, PreparedData) else prepare(data)
-
-
 class _Evaluation(NamedTuple):
     """Objective parts for a stack of P value tables."""
 
@@ -156,7 +151,7 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
 
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:
     """Evaluate the objective with a per-bag breakdown for diagnostics."""
-    prepared = _as_prepared(data)
+    prepared = data if isinstance(data, PreparedData) else prepare(data)
     _check_measure(measure, prepared.source_count)
     ev = _evaluate(measure.values[:, None], prepared)
     # the selected set is the first in its bag to reach the bag's extreme
@@ -174,22 +169,3 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     return ObjectiveBreakdown(
         total=neg + pos, negative_term=neg, positive_term=pos, per_bag=per_bag
     )
-
-
-def objective_batch(
-    measures: Sequence[Measure], data: Union[Dataset, PreparedData]
-) -> np.ndarray:
-    """Objective totals for many measures at once.
-
-    Runs the evaluator `objective` uses, in one gather over the stacked
-    value tables. For one measure the total equals `objective(...).total`
-    bit for bit. With several, each measure's bag terms add one after another
-    rather than pairwise, so a total can differ from it in the last bits.
-    """
-    prepared = _as_prepared(data)
-    if len(measures) == 0:
-        return np.empty(0)
-    for m in measures:
-        _check_measure(m, prepared.source_count)
-    return _evaluate(np.stack([m.values for m in measures], axis=1), prepared).total
-

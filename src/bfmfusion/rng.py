@@ -20,15 +20,10 @@ _STREAM_CODES = {
 }
 
 
-def substream_seed(seed: int, name: str, *indices: int) -> np.random.SeedSequence:
-    """SeedSequence for the substream `name[indices]` under `seed`."""
+def substream(seed: int, name: str, *indices: int) -> np.random.Generator:
+    """Generator for the substream `name[indices]` under `seed`."""
     try:
         code = _STREAM_CODES[name]
     except KeyError:
         raise ValueError(f"unknown rng stream {name!r}; known: {sorted(_STREAM_CODES)}")
-    return np.random.SeedSequence(entropy=seed, spawn_key=(code, *indices))
-
-
-def substream(seed: int, name: str, *indices: int) -> np.random.Generator:
-    """Generator for the substream `name[indices]` under `seed`."""
-    return np.random.default_rng(substream_seed(seed, name, *indices))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(code, *indices)))

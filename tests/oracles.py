@@ -33,6 +33,18 @@ def _is_monotone(table, n: int) -> bool:
     return True
 
 
+def naive_first_covering_violation(table):
+    """The first covering pair (A, A | {i}) with table[A] > table[A | {i}],
+    scanning A upward and then i upward; None when there is none."""
+    n = len(table)
+    for a in range(n):
+        for i in range(n.bit_length() - 1):
+            b = a | 1 << i
+            if b != a and table[a] > table[b]:
+                return a, b
+    return None
+
+
 def naive_choquet(h, table) -> float:
     """Sorted-difference aggregation, written independently: explicit sort
     with (value desc, index asc) tie order and a scalar loop."""

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfmfusion import (
+    BinaryFuzzyMeasure,
     RealFuzzyMeasure,
     ValidationError,
     choquet_batch,
@@ -128,6 +131,31 @@ class TestValidation:
         with pytest.raises(ValidationError):
             choquet_maxmin([0.2, 0.9, 0.5, 0.1], PAPER_STYLE)
 
+    def test_batch_refuses_rows_of_another_width(self):
+        g = from_minimal_coalitions(3, [{0, 1}])
+        for X in ([[0.9, 0.4]], [[0.9, 0.4, 0.2, 0.1]], [0.9, 0.4, 0.2]):
+            with pytest.raises(ValidationError, match="sources"):
+                choquet_batch(X, g)
+
+    def test_batch_refuses_out_of_range(self):
+        g = from_minimal_coalitions(3, [{0, 1}])
+        for X in ([[1.5, -0.2, 0.3]], [[0.5, 0.2, 0.3], [0.1, np.nan, 0.3]]):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                choquet_batch(X, g)
+
+    def test_invalid_measure_refused(self):
+        # {0} wins but the full set loses: the sum form read 0.2 here, and
+        # the max-min form would read 0.3
+        bad = BinaryFuzzyMeasure(2, [0, 1, 0, 0])
+        for call in (choquet_integral, lambda h, g: choquet_batch([h], g)):
+            with pytest.raises(ValidationError, match="measure is invalid"):
+                call([0.5, 0.3], bad)
+
+    def test_short_table_refused(self):
+        for call in (choquet_integral, lambda h, g: choquet_batch([h], g)):
+            with pytest.raises(ValidationError, match="values length"):
+                call([0.5, 0.3], BinaryFuzzyMeasure(2, [0, 1]))
+
     def test_maxmin_requires_binary(self):
         g = RealFuzzyMeasure(2, np.array([0.0, 0.5, 0.5, 1.0]))
         with pytest.raises(ValidationError):
@@ -142,6 +170,32 @@ class TestBatch:
         batch = choquet_batch(X, g)
         for i in range(40):
             assert batch[i] == choquet_integral(X[i], g)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    def test_binary_batch_is_maxmin_exactly(self, s):
+        # every fused value is the oracle's and one of its row's own
+        # confidences; a sum over levels spread across several binades
+        # rounds off them
+        rng = np.random.default_rng(100 + s)
+        for density in (0.2, 0.5, 0.8):
+            g = sample_random(s, density, rng)
+            for X in (rng.random((30, s)), rng.random((30, s)) ** 4, tied_rows(rng, 30, s)):
+                batch = choquet_batch(X, g)
+                assert [float(v) for v in batch] == [choquet_maxmin(h, g) for h in X]
+                assert all(v in h for v, h in zip(batch, X))
+
+    def test_binary_batch_peak_below_table(self):
+        # the max-min form gathers N * S uint8 values and never casts the
+        # 2**S table; validating it may not allocate a 2**S mask array either
+        g = maximum_measure(20)
+        X = np.random.default_rng(4).random((10, 20))
+        tracemalloc.start()
+        try:
+            choquet_batch(X, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.values.nbytes
 
     def test_sort_decomposition_structure(self):
         rng = np.random.default_rng(5)

@@ -101,11 +101,13 @@ class TestSynth:
     # SHA-256 of the outputs for one noisy spec and a fixed measure, recorded
     # when each candidate set was still generated and written on its own: a
     # generator that shifts the random stream, or a writer that formats a
-    # number differently, changes these bytes
+    # number differently, changes these bytes. fusion.csv was re-recorded
+    # when binary fusion took the max-min form: each value is exactly one of
+    # its row's confidences
     GOLDEN = {
         "data.json": "1884bb5526bf24c5b5960622871ea1ac4a1d4256ef2857c3b8c0c3356ffbe8eb",
         "data.manifest.json": "cdfc8d8f16999b23a6edeb676d51b8b1a36c3cb4a8aa2d5e036c8a3fde9cff0c",
-        "eval/fusion.csv": "40ad6cb8ef89ce30383b55dfdab871616028f7d6b4804dde8b94e9b530f12789",
+        "eval/fusion.csv": "4697cba0960d3e2d2b473e4ce4ed85db95df187899d079868d5bedda9a0cb120",
         "eval/score.json": "3fe6b0aa0143651e41c3cc15a4dcebd3ae8912e62ccd788ea42bc7b0322e0250",
         "eval/roc.csv": "9b06ffa0327c6d623b15ae1db732a0d9f82f9aab4a5fd17e1f7705bc0fa7dd65",
     }

@@ -29,7 +29,12 @@ from bfmfusion import (
     validate,
 )
 from bfmfusion.measures import _close_up, _minimal
-from oracles import brute_force_tables, naive_minimal_winning, naive_upward_closure
+from oracles import (
+    brute_force_tables,
+    naive_first_covering_violation,
+    naive_minimal_winning,
+    naive_upward_closure,
+)
 
 # the measure learned in the S=3 worked example: coalitions {0,1} and {0,2}
 # win, nothing smaller does
@@ -124,6 +129,27 @@ class TestValidate:
         assert validate(bad).ok  # 0.6 on {0} vs 0.5 on {1}: incomparable, fine
         bad2 = RealFuzzyMeasure(2, np.array([0.0, 0.6, 0.5, 0.4]))
         assert not validate(bad2).ok
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 8), flips=st.integers(0, 3),
+           binary=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_scan(self, seed, s, flips, binary):
+        # a valid table with a few entries redrawn, so violations sit anywhere
+        rng = np.random.default_rng(seed)
+        if binary:
+            values = sample_random(s, float(rng.uniform(0.1, 0.9)), rng).values.copy()
+            values[rng.integers(1 << s, size=flips)] ^= 1
+            g = BinaryFuzzyMeasure(s, values)
+        else:
+            values = sample_random_real(s, rng).values.copy()
+            values[rng.integers(1 << s, size=flips)] = rng.random(flips)
+            g = RealFuzzyMeasure(s, values)
+        table = g.values.tolist()
+        pair = naive_first_covering_violation(table)
+        report = validate(g)
+        assert report.ok == (table[0] == 0 and table[-1] == 1 and pair is None)
+        found = [(v.subset_a, v.subset_b) for v in report.violations if v.axiom == "monotonicity"]
+        assert found == ([] if pair is None else [pair])
 
 
 class TestSetWithRepair:

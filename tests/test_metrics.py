@@ -12,6 +12,7 @@ from bfmfusion import (
     BinaryFuzzyMeasure,
     Dataset,
     ValidationError,
+    choquet_maxmin,
     from_minimal_coalitions,
     fuse,
     fuse_naive,
@@ -80,6 +81,14 @@ class TestFuse:
     def test_source_count_mismatch(self):
         with pytest.raises(ValidationError, match="sources"):
             fuse(toy_dataset(), minimum_measure(4))
+
+    def test_binary_fusion_is_maxmin_exactly(self):
+        # levels spread across several binades, where a sum would round
+        rng = np.random.default_rng(6)
+        ds = Dataset(3, (Bag(0, [rng.random((20, 3)) ** 4]), Bag(1, [rng.random((20, 3)) ** 4])))
+        g = from_minimal_coalitions(3, [{0, 1}, {2}])
+        expected = [choquet_maxmin(h, g) for h in ds.instance_matrix()]
+        assert [float(v) for v in fuse(ds, g).scores] == expected
 
     def test_non_monotone_measure_refused(self):
         # {0} wins but {0, 1} loses

@@ -14,7 +14,6 @@ from bfmfusion import (
     enumerate_all,
     from_minimal_coalitions,
     objective,
-    objective_batch,
     prepare,
     sample_random,
     sample_random_real,
@@ -31,6 +30,11 @@ def hand_dataset():
     neg = Bag(0, [np.array([[0.4, 0.5], [0.6, 0.1]]), np.array([[0.2, 0.7]])])
     pos = Bag(1, [np.array([[0.9, 0.3], [0.3, 0.8]]), np.array([[0.5, 0.2]])])
     return Dataset(source_count=2, bags=(neg, pos))
+
+
+def stack_totals(measures, prepared):
+    """Objective totals of the measures' tables evaluated as one (2**S, P) stack."""
+    return _evaluate(np.stack([m.values for m in measures], axis=1), prepared).total
 
 
 def random_dataset(rng, s, n_bags=None):
@@ -234,7 +238,7 @@ class TestSkewedSizes:
         measures = [
             sample_random(s, 0.5, rng) if binary else sample_random_real(s, rng) for _ in range(3)
         ]
-        for m, total in zip(measures, objective_batch(measures, ds)):
+        for m, total in zip(measures, stack_totals(measures, prepare(ds))):
             assert total == pytest.approx(naive_objective(m.values, ds), abs=1e-12)
         out = objective(measures[0], ds)
         expected = naive_breakdown(measures[0].values, ds)
@@ -277,7 +281,7 @@ class TestBatchPaths:
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, 3, n_bags=5)
         measures = [sample_random(3, 0.5, rng) for _ in range(16)]
-        batch = objective_batch(measures, ds)
+        batch = stack_totals(measures, prepare(ds))
         singles = np.array([objective(m, ds).total for m in measures])
         assert np.array_equal(batch, singles)
 
@@ -285,7 +289,7 @@ class TestBatchPaths:
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, 4, n_bags=4)
         measures = [sample_random_real(4, rng) for _ in range(12)]
-        batch = objective_batch(measures, ds)
+        batch = stack_totals(measures, prepare(ds))
         singles = np.array([objective(m, ds).total for m in measures])
         assert np.array_equal(batch, singles)
 
@@ -296,11 +300,9 @@ class TestBatchPaths:
         rng = np.random.default_rng(7)
         measures = [sample_random(4, 0.5, rng) for _ in range(16)]
         singles = np.array([objective(m, ds).total for m in measures])
-        np.testing.assert_allclose(objective_batch(measures, ds), singles, rtol=1e-12, atol=0)
-
-    def test_empty_batch(self):
-        ds = hand_dataset()
-        assert objective_batch([], ds).shape == (0,)
+        np.testing.assert_allclose(
+            stack_totals(measures, prepare(ds)), singles, rtol=1e-12, atol=0
+        )
 
 
 class TestPreparedReuse:
@@ -317,7 +319,7 @@ class TestPreparedReuse:
         ds = random_dataset(rng, 3)
         pre = prepare(ds)
         measures = [sample_random(3, 0.5, rng) for _ in range(6)]
-        assert np.array_equal(objective_batch(measures, pre), objective_batch(measures, ds))
+        assert np.array_equal(stack_totals(measures, pre), stack_totals(measures, prepare(ds)))
 
 
 class TestStructuralInvariances:
@@ -354,17 +356,14 @@ class TestValidation:
         g3 = from_minimal_coalitions(3, [{0, 1}])
         with pytest.raises(ValidationError, match="sources"):
             objective(g3, ds)
-        with pytest.raises(ValidationError, match="sources"):
-            objective_batch([g3], ds)
 
     def test_axiom_violating_measure_refused(self):
         # {0} wins but the full set loses: the max-min form would read 0.9
         # here, the sum form 0.08, so neither number may come out
         bad = BinaryFuzzyMeasure(2, [0, 1, 0, 0])
         ds = Dataset(2, (Bag(0, [[[0.5, 0.3]]]), Bag(1, [[[0.9, 0.1]]])))
-        for call in (objective, lambda m, d: objective_batch([m], d)):
-            with pytest.raises(ValidationError, match="measure is invalid"):
-                call(bad, ds)
+        with pytest.raises(ValidationError, match="measure is invalid"):
+            objective(bad, ds)
 
 
 class TestSerialization:
