@@ -40,7 +40,7 @@ def main():
     # tables only 18 are valid measures
     print(f"\nvalid measures on 3 sources: {count_all(3)}")
     for i, m in enumerate(enumerate_all(3)):
-        wins = [tuple(sorted(x + 1 for x in c.members)) for c in minimal_winning_coalitions(m)]
+        wins = [tuple(s + 1 for s in c) for c in minimal_winning_coalitions(m)]
         print(f"  #{i:2d}  table {m.values.tolist()}  wins {wins}")
 
     rng_seeded = sample_random(5, density=0.5, seed=7)

@@ -39,7 +39,6 @@ from .measures import (
     BinaryFuzzyMeasure,
     Measure,
     RealFuzzyMeasure,
-    SourceSet,
     ValidityReport,
     count_all,
     enumerate_all,
@@ -102,7 +101,6 @@ __all__ = [
     "PreparedData",
     "RealFuzzyMeasure",
     "ScoreReport",
-    "SourceSet",
     "SynthSpec",
     "TrainResult",
     "ValidationError",

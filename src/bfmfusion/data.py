@@ -30,8 +30,9 @@ never reads it.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, pairwise
 
@@ -41,6 +42,7 @@ from .choquet import choquet_batch
 from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
+    _check_integer,
     _check_measure,
     _check_source_count,
     _read_json,
@@ -293,8 +295,10 @@ class SynthSpec:
 
     sets_per_bag and instances_per_set are inclusive (lo, hi) ranges.
     noise_sigma is the per-value Gaussian noise applied after construction
-    (clipped back to [0, 1]). A spec whose upper bounds allow more than
-    MAX_SYNTH_INSTANCES instances is refused with CapError.
+    (clipped back to [0, 1]). Counts, range ends and rng_seed are stored as
+    int, noise_sigma as an int or a float; a bool is refused. A spec whose
+    upper bounds allow more than MAX_SYNTH_INSTANCES instances is refused
+    with CapError once every field has passed its type check.
     """
 
     source_count: int
@@ -307,24 +311,35 @@ class SynthSpec:
     rng_seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sets_per_bag", tuple(self.sets_per_bag))
-        object.__setattr__(self, "instances_per_set", tuple(self.instances_per_set))
-        if self.n_pos_bags < 1 or self.n_neg_bags < 1:
-            raise ValidationError("need at least one bag of each polarity")
+        object.__setattr__(self, "source_count", _check_source_count(self.source_count))
+        for name, least in (("n_pos_bags", 1), ("n_neg_bags", 1), ("rng_seed", 0)):
+            value = _check_integer(getattr(self, name), name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
         for name in ("sets_per_bag", "instances_per_set"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValidationError(f"{name} must be a (lo, hi) pair of integers, got {pair!r}")
+            lo, hi = (_check_integer(x, name) for x in pair)
             if not 1 <= lo <= hi:
                 raise ValidationError(f"{name} range ({lo}, {hi}) is empty or non-positive")
+            object.__setattr__(self, name, (lo, hi))
+        sigma = self.noise_sigma
+        if isinstance(sigma, numbers.Real) and not isinstance(sigma, bool):
+            # an int stays an int, as a spec file wrote it, and may be too large for a float
+            sigma = int(sigma) if isinstance(sigma, numbers.Integral) else float(sigma)
+        if type(sigma) not in (int, float) or not 0 <= sigma <= sys.float_info.max:
+            raise ValidationError(f"noise_sigma must be a finite number >= 0, got {sigma!r:.80}")
+        object.__setattr__(self, "noise_sigma", sigma)
+        if not isinstance(self.truth_measure, BinaryFuzzyMeasure):
+            raise ValidationError("truth_measure must be a BinaryFuzzyMeasure")
         bags = self.n_pos_bags + self.n_neg_bags
         most = bags * self.sets_per_bag[1] * self.instances_per_set[1]
         if most > MAX_SYNTH_INSTANCES:
             raise CapError(
                 f"synthesis of up to {most} instances refused (cap {MAX_SYNTH_INSTANCES})"
             )
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not isinstance(self.truth_measure, BinaryFuzzyMeasure):
-            raise ValidationError("truth_measure must be a BinaryFuzzyMeasure")
         _check_measure(self.truth_measure, self.source_count)
 
 
@@ -341,41 +356,15 @@ def spec_to_dict(spec: SynthSpec) -> dict:
     }
 
 
-def _is_count(x) -> bool:
-    return type(x) is int and x >= 0  # a JSON integer; bool is not one
-
-
-def _is_range(x) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(_is_count(i) for i in x)
-
-
-def _spec_field(obj: dict, name: str, ok=_is_count, kind="a non-negative integer"):
-    if name not in obj:
-        raise ValidationError(f"synthesis spec is missing field {name!r}")
-    if not ok(obj[name]):
-        raise ValidationError(f"synthesis spec field {name} must be {kind}, got {obj[name]!r}")
-    return obj[name]
-
-
 def spec_from_dict(obj: dict) -> SynthSpec:
-    """Parse a spec object, checking each field's JSON type before use."""
+    """Parse a spec object; `SynthSpec` checks the field values."""
     if not isinstance(obj, dict):
         raise ValidationError("synthesis spec must be a JSON object")
-    pair = "a [lo, hi] pair of integers"
-    return SynthSpec(
-        source_count=_spec_field(obj, "source_count"),
-        n_pos_bags=_spec_field(obj, "n_pos_bags"),
-        n_neg_bags=_spec_field(obj, "n_neg_bags"),
-        sets_per_bag=tuple(_spec_field(obj, "sets_per_bag", _is_range, pair)),
-        instances_per_set=tuple(_spec_field(obj, "instances_per_set", _is_range, pair)),
-        noise_sigma=_spec_field(
-            obj, "noise_sigma", lambda x: type(x) in (int, float), "a number"
-        ),
-        truth_measure=measure_from_dict(
-            _spec_field(obj, "truth_measure", lambda x: isinstance(x, dict), "an object")
-        ),
-        rng_seed=_spec_field(obj, "rng_seed"),
-    )
+    missing = [field.name for field in fields(SynthSpec) if field.name not in obj]
+    if missing:
+        raise ValidationError(f"synthesis spec is missing field {missing[0]!r}")
+    values = {field.name: obj[field.name] for field in fields(SynthSpec)}
+    return SynthSpec(**{**values, "truth_measure": measure_from_dict(obj["truth_measure"])})
 
 
 # Negative instances put their non-blocked confidences well above 0 so that
@@ -406,7 +395,7 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     rng = substream(spec.rng_seed, "synth")
     truth = spec.truth_measure
     S = spec.source_count
-    coalitions = [c.members for c in minimal_winning_coalitions(truth)]
+    coalitions = minimal_winning_coalitions(truth)
 
     def n_in(rng_range):
         lo, hi = rng_range

@@ -5,9 +5,10 @@ sources. Subsets are encoded as bitmasks: bit i set means source i is in
 the coalition, so subset containment is plain bitwise containment and the
 value table is a flat array of length 2**S indexed by bitmask.
 
-Sources are indexed from 0 throughout the Python API. JSON files and
-printed coalitions number them from 1, the way people label sensors; the
-serializers translate.
+Sources are indexed from 0 throughout the Python API: a coalition goes in
+as a bitmask or an iterable of source indices and comes out as a tuple of
+them. JSON files and printed coalitions number sources from 1, the way
+people label sensors; the serializers translate.
 
 Two representations live here:
 
@@ -25,8 +26,8 @@ passes `validate`.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -54,72 +55,40 @@ _MEASURE_COUNTS = {
 }
 
 
+def _check_integer(value, name: str) -> int:
+    """An int or a numpy integer, never a bool, as an int."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_source_count(source_count: int) -> int:
-    if not isinstance(source_count, (int, np.integer)) or isinstance(source_count, bool):
-        raise ValidationError(f"source_count must be an integer, got {source_count!r}")
+    source_count = _check_integer(source_count, "source_count")
     if not 1 <= source_count <= MAX_SOURCES:
-        raise ValidationError(
-            f"source_count must be in [1, {MAX_SOURCES}], got {source_count}"
-        )
-    return int(source_count)
+        raise ValidationError(f"source_count must be in [1, {MAX_SOURCES}], got {source_count}")
+    return source_count
 
 
 def _masks(source_count: int) -> np.ndarray:
     return np.arange(1 << source_count, dtype=np.uint32)
 
 
-@dataclass(frozen=True)
-class SourceSet:
-    """A subset of the S sources, encoded as a bitmask."""
-
-    bitmask: int
-    source_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "source_count", _check_source_count(self.source_count))
-        object.__setattr__(self, "bitmask", int(self.bitmask))
-        if not 0 <= self.bitmask < (1 << self.source_count):
-            raise ValidationError(
-                f"bitmask {self.bitmask} out of range for {self.source_count} sources"
-            )
-
-    @classmethod
-    def from_members(cls, members: Iterable[int], source_count: int) -> "SourceSet":
-        mask = 0
-        for i in members:
-            if not 0 <= i < source_count:
-                raise ValidationError(f"source index {i} out of range [0, {source_count})")
-            mask |= 1 << i
-        return cls(mask, source_count)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.source_count) if self.bitmask >> i & 1)
-
-    def issubset(self, other: "SourceSet") -> bool:
-        return self.bitmask & other.bitmask == self.bitmask
-
-    def __len__(self) -> int:
-        return self.bitmask.bit_count()
-
-    def __repr__(self) -> str:
-        return f"SourceSet({{{', '.join(map(str, self.members))}}}, S={self.source_count})"
-
-
-def _as_mask(subset: Union[SourceSet, int, Iterable[int]], source_count: int) -> int:
-    """Normalize a subset argument (SourceSet, bitmask, or member list) to a bitmask."""
-    if isinstance(subset, SourceSet):
-        if subset.source_count != source_count:
-            raise ValidationError(
-                f"subset is over {subset.source_count} sources, measure over {source_count}"
-            )
-        return subset.bitmask
+def _as_mask(subset, source_count: int) -> int:
+    """The one subset parser: a bitmask, or an iterable of 0-based source
+    indices. A bool is neither; anything else raises ValidationError."""
     if isinstance(subset, (int, np.integer)) and not isinstance(subset, bool):
-        mask = int(subset)
-        if not 0 <= mask < (1 << source_count):
-            raise ValidationError(f"bitmask {mask} out of range for {source_count} sources")
-        return mask
-    return SourceSet.from_members(subset, source_count).bitmask
+        if not 0 <= subset < 1 << source_count:
+            raise ValidationError(f"bitmask {subset} out of range for {source_count} sources")
+        return int(subset)
+    if not isinstance(subset, Iterable):
+        raise ValidationError(f"a subset is a bitmask or an iterable of indices, got {subset!r}")
+    mask = 0
+    for i in subset:
+        i = _check_integer(i, "a source index")
+        if not 0 <= i < source_count:
+            raise ValidationError(f"source index {i} out of range [0, {source_count})")
+        mask |= 1 << i
+    return mask
 
 
 class _MeasureBase:
@@ -130,10 +99,6 @@ class _MeasureBase:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def full_set(self) -> int:
-        return (1 << self.source_count) - 1
 
     def __getitem__(self, subset) -> float:
         return self.values[_as_mask(subset, self.source_count)].item()
@@ -172,14 +137,10 @@ class BinaryFuzzyMeasure(_MeasureBase):
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def bit_count(self) -> int:
-        """Number of coalitions with value 1."""
-        return int(self.values.sum())
-
     def __repr__(self) -> str:
         if len(self.values) != 1 << self.source_count:
             return f"BinaryFuzzyMeasure(S={self.source_count}, len={len(self.values)})"
-        coalitions = [c.members for c in minimal_winning_coalitions(self)]
+        coalitions = minimal_winning_coalitions(self)
         return f"BinaryFuzzyMeasure(S={self.source_count}, minimal_winning={coalitions})"
 
 
@@ -205,7 +166,7 @@ class RealFuzzyMeasure(_MeasureBase):
         return f"RealFuzzyMeasure(S={self.source_count})"
 
 
-Measure = Union[BinaryFuzzyMeasure, RealFuzzyMeasure]
+Measure = BinaryFuzzyMeasure | RealFuzzyMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +265,7 @@ def maximum_measure(source_count: int) -> BinaryFuzzyMeasure:
 def from_minimal_coalitions(source_count: int, coalitions: Iterable) -> BinaryFuzzyMeasure:
     """Upward closure of the given winning coalitions (plus the full set).
 
-    Accepts SourceSets, bitmasks, or member iterables. The result is always
+    Accepts bitmasks or 0-based member iterables. The result is always
     a valid measure; the inputs need not form an antichain.
     """
     source_count = _check_source_count(source_count)
@@ -329,7 +290,7 @@ def set_with_repair(
     not be targeted.
     """
     mask = _as_mask(subset, measure.source_count)
-    if mask == 0 or mask == measure.full_set:
+    if mask == 0 or mask == (1 << measure.source_count) - 1:
         raise PinnedElementError(
             "the empty set (always 0) and the full set (always 1) cannot be reassigned"
         )
@@ -469,8 +430,9 @@ def _estimate_count(source_count: int):
     return f"more than 2**{comb(source_count, source_count // 2)}"
 
 
-def minimal_winning_coalitions(measure: BinaryFuzzyMeasure) -> list[SourceSet]:
-    """The antichain of winning coalitions whose every immediate subset loses.
+def minimal_winning_coalitions(measure: BinaryFuzzyMeasure) -> list[tuple[int, ...]]:
+    """The antichain of winning coalitions whose every immediate subset loses,
+    each as a tuple of 0-based source indices.
 
     Sorted by cardinality then bitmask. Its upward closure reconstructs the
     measure exactly, so this is a complete, human-readable summary of which
@@ -478,7 +440,7 @@ def minimal_winning_coalitions(measure: BinaryFuzzyMeasure) -> list[SourceSet]:
     """
     found = np.flatnonzero(_minimal(measure.values[:, None])[1:, 0]) + 1
     found = found[np.lexsort((found, np.bitwise_count(found)))]
-    return [SourceSet(int(m), measure.source_count) for m in found]
+    return [tuple(i for i in range(measure.source_count) if m >> i & 1) for m in found.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +466,7 @@ def measure_to_antichain_dict(measure: BinaryFuzzyMeasure) -> dict:
         raise ValidationError("the antichain form exists only for binary measures")
     return {
         "source_count": measure.source_count,
-        "minimal_winning": [
-            [i + 1 for i in c.members] for c in minimal_winning_coalitions(measure)
-        ],
+        "minimal_winning": [[i + 1 for i in c] for c in minimal_winning_coalitions(measure)],
     }
 
 
@@ -546,10 +506,9 @@ def measure_from_dict(obj) -> Measure:
     return measure
 
 
-def save_measure(path, measure: Measure, antichain: bool = False) -> None:
-    obj = measure_to_antichain_dict(measure) if antichain else measure_to_dict(measure)
+def save_measure(path, measure: Measure) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(measure_to_dict(measure), fh, indent=2)
         fh.write("\n")
 
 

@@ -33,6 +33,7 @@ from .measures import (
     Measure,
     RealFuzzyMeasure,
     _all_tables,
+    _check_integer,
     _close_up,
     _random_real_table,
     measure_to_antichain_dict,
@@ -52,7 +53,7 @@ class EAConfig:
     flipped, raised with its supersets or lowered with its subsets (the
     real baseline redraws one value inside its monotonicity interval).
     Otherwise it is a fresh random measure. The counts and rng_seed must be
-    integers (not bool), and rng_seed must be non-negative.
+    integers (not bool) and are stored as int; rng_seed must be non-negative.
     """
 
     population_size: int = 64
@@ -67,9 +68,7 @@ class EAConfig:
     def __post_init__(self):
         for name in ("population_size", "elite_count", "max_generations", "stall_generations",
                      "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
         if self.population_size < 2:

@@ -641,7 +641,7 @@ class TestBenchRecipe:
 
         coalitions = minimal_winning_coalitions(winning)
         assert len(coalitions) == 3
-        assert all(len(c.members) == 3 for c in coalitions)
+        assert all(len(c) == 3 for c in coalitions)
 
     def test_deterministic(self):
         assert spec_to_dict(bench_dataset_spec(5)) == spec_to_dict(bench_dataset_spec(5))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +257,35 @@ class TestSynthSpecValidation:
             SynthSpec(3, bags // 2, bags - bags // 2 + 1, (1, 10), (1, 2), 0.0, TRUTH3, 1)
         with pytest.raises(CapError):
             SynthSpec(3, 10**18, 1, (1, 1), (1, 1), 0.0, TRUTH3, 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_pos_bags", 2.5),
+            ("n_pos_bags", True),
+            ("rng_seed", 1.5),
+            ("rng_seed", -1),
+            ("noise_sigma", "0.1"),
+            ("noise_sigma", 10**400),
+            ("sets_per_bag", (1.5, 2)),
+            ("source_count", True),
+        ],
+    )
+    def test_mistyped_field_refused(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            replace(spec3(), **{field: value})
+
+    def test_type_checked_before_cap(self):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            replace(spec3(), n_pos_bags=10**18, noise_sigma="0.1")
+
+    def test_numpy_numbers_stored_as_python_numbers(self):
+        spec = replace(spec3(), n_pos_bags=np.int64(4), sets_per_bag=(np.int8(1), np.uint16(2)),
+                       noise_sigma=np.float32(0.25))
+        assert type(spec.n_pos_bags) is int
+        assert all(type(x) is int for x in spec.sets_per_bag)
+        assert type(spec.noise_sigma) is float and spec.noise_sigma == 0.25
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 class TestGenerator:

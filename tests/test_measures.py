@@ -10,7 +10,6 @@ from bfmfusion import (
     CapError,
     PinnedElementError,
     RealFuzzyMeasure,
-    SourceSet,
     ValidationError,
     count_all,
     enumerate_all,
@@ -41,22 +40,34 @@ from oracles import (
 PAPER_STYLE = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
 
 
-class TestSourceSet:
-    def test_members_round_trip(self):
-        s = SourceSet.from_members([0, 2], 3)
-        assert s.bitmask == 0b101
-        assert s.members == (0, 2)
-        assert len(s) == 2
+# Subset arguments that are neither a bitmask nor an iterable of integer
+# source indices; a bool counts as neither
+NOT_SUBSETS = [True, 1.5, None, "ab", [1.5], [True], [True, 1]]
 
-    def test_subset(self):
-        a = SourceSet.from_members([0], 3)
-        b = SourceSet.from_members([0, 2], 3)
-        assert a.issubset(b)
-        assert not b.issubset(a)
+
+class TestSourceSet:
+    """A set of sources goes in as a bitmask or 0-based members, comes out as a tuple."""
+
+    def test_members_round_trip(self):
+        assert PAPER_STYLE[[0, 2]] == PAPER_STYLE[0b101] == 1
+        assert PAPER_STYLE[(1, 2)] == PAPER_STYLE[0b110] == 0
+        assert PAPER_STYLE[np.array([0, 1])] == PAPER_STYLE[np.uint32(0b011)] == 1
+        assert minimal_winning_coalitions(from_minimal_coalitions(3, [[2, 0]])) == [(0, 2)]
 
     def test_out_of_range_member(self):
         with pytest.raises(ValidationError):
-            SourceSet.from_members([3], 3)
+            PAPER_STYLE[[3]]
+
+    @pytest.mark.parametrize("subset", NOT_SUBSETS, ids=repr)
+    @pytest.mark.parametrize("call", ["getitem", "from_minimal_coalitions", "set_with_repair"])
+    def test_refused(self, call, subset):
+        with pytest.raises(ValidationError):
+            if call == "getitem":
+                PAPER_STYLE[subset]
+            elif call == "from_minimal_coalitions":
+                from_minimal_coalitions(3, [subset])
+            else:
+                set_with_repair(PAPER_STYLE, subset, 1)
 
 
 class TestConstruction:
@@ -248,18 +259,11 @@ class TestEnumeration:
 
 class TestMinimalWinningCoalitions:
     def test_paper_style_antichain(self):
-        got = [c.members for c in minimal_winning_coalitions(PAPER_STYLE)]
-        assert got == [(0, 1), (0, 2)]
+        assert minimal_winning_coalitions(PAPER_STYLE) == [(0, 1), (0, 2)]
 
     def test_trivial_measures(self):
-        assert [c.members for c in minimal_winning_coalitions(minimum_measure(3))] == [
-            (0, 1, 2)
-        ]
-        assert [c.members for c in minimal_winning_coalitions(maximum_measure(3))] == [
-            (0,),
-            (1,),
-            (2,),
-        ]
+        assert minimal_winning_coalitions(minimum_measure(3)) == [(0, 1, 2)]
+        assert minimal_winning_coalitions(maximum_measure(3)) == [(0,), (1,), (2,)]
 
     @given(seed=st.integers(0, 10_000), s=st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
@@ -270,8 +274,8 @@ class TestMinimalWinningCoalitions:
         # antichain property: no coalition contains another
         for a in coalitions:
             for b in coalitions:
-                if a is not b:
-                    assert not a.issubset(b)
+                if a != b:
+                    assert not set(a) <= set(b)
 
 
 class TestLatticeSweeps:
@@ -337,7 +341,7 @@ class TestSerialization:
         p = tmp_path / "measure.json"
         save_measure(p, PAPER_STYLE)
         assert load_measure(p) == PAPER_STYLE
-        save_measure(p, PAPER_STYLE, antichain=True)
+        p.write_text(json.dumps(measure_to_antichain_dict(PAPER_STYLE)))
         assert json.loads(p.read_text())["minimal_winning"] == [[1, 2], [1, 3]]
         assert load_measure(p) == PAPER_STYLE
 
@@ -362,7 +366,7 @@ class TestMeasureSemantics:
     def test_getitem_accepts_masks_and_sets(self):
         assert PAPER_STYLE[0b011] == 1
         assert PAPER_STYLE[{0, 1}] == 1
-        assert PAPER_STYLE[SourceSet.from_members([1, 2], 3)] == 0
+        assert PAPER_STYLE[(1, 2)] == 0
 
     def test_eq_and_hash(self):
         a = minimum_measure(2)
@@ -370,7 +374,3 @@ class TestMeasureSemantics:
         assert a == b and hash(a) == hash(b)
         assert a != maximum_measure(2)
         assert a != minimum_measure(3)
-
-    def test_bit_count(self):
-        assert PAPER_STYLE.bit_count() == 3
-        assert minimum_measure(4).bit_count() == 1
