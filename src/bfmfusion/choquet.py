@@ -58,14 +58,20 @@ def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.nd
 
     A uint8 stack of binary tables takes the max-min form: the prefixes
     masks[n, :] grow, so under a monotone table the winning ones form a
-    suffix, counted in an (N, S, P) uint8 gather of rows of the stack (no
-    transposed copy, no float (P, N, S) array), and CI is
-    levels[n, S - count], exactly one of the row's confidences. A float64
-    stack of real-valued tables takes the level-difference sum over a
-    (P, N, S) gather through the transposed view.
+    suffix. S row gathers of the stack, one per prefix length, each (N, P),
+    add into one uint8 count (no (N, S, P) array, no transposed copy, no
+    float (P, N, S) array), and CI is levels[n, S - count], exactly one of
+    the row's levels. A float64 stack of real-valued tables takes the
+    level-difference sum over a (P, N, S) gather through the transposed view.
     """
     if tables.dtype == np.uint8:
-        counts = tables[masks].sum(axis=1, dtype=np.uint8)
+        counts = tables[masks[:, 0]]
+        rows = np.empty_like(counts)
+        for k in range(1, masks.shape[1]):
+            # masks index the stack by construction; "clip" writes straight
+            # into rows, where the default "raise" buffers a copy of them
+            counts += np.take(tables, masks[:, k], axis=0, out=rows, mode="clip")
+        del rows  # freed before the level read, which holds the evaluator's peak
         # a flat index into the levels is faster here than take_along_axis
         row_ends = np.arange(1, len(levels) + 1)[:, None] * levels.shape[1] - 1
         return levels.ravel()[row_ends - counts]

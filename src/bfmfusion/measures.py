@@ -26,6 +26,8 @@ passes `validate`.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -60,6 +62,17 @@ def _check_integer(value, name: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str) -> int | float:
+    """A real number, never a bool, at most the largest float in size, as
+    an int or a float."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        # an int stays an int, as a file wrote it, and may be too large for a float
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} must be a finite real number, got {value!r:.80}")
+    return value
 
 
 def _check_source_count(source_count: int) -> int:

@@ -9,12 +9,13 @@ negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
 `prepare` factors out everything measure-independent (the sorted
-decomposition, the bag signs, and the candidate sets and bags grouped by
-size) so that evaluating many value tables against one dataset, as the
-optimizer does, costs one gather for all of them. `objective` and the
-optimizer share one evaluator, `_evaluate`: it takes the tables as a
-(2**S, P) column stack, the optimizer's population layout, gets CI from
-`choquet._choquet` and reduces candidate sets and bags by size group.
+decomposition, whose levels carry the bag sign, and the candidate sets
+and bags grouped by size) so that evaluating many value tables against
+one dataset, as the optimizer does, costs one CI pass for all of them.
+`objective` and the optimizer share one evaluator, `_evaluate`: it takes
+the tables as a (2**S, P) column stack, the optimizer's population
+layout, gets CI from `choquet._choquet` and reduces candidate sets and
+bags by size group.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class PreparedData:
 
     source_count: int
     masks: np.ndarray        # (N, S) coalition bitmasks of the sorted decomposition
-    levels: np.ndarray       # (N, S + 1) each row sorted descending, then a 0
-    signs: np.ndarray        # (N, 1) -1.0 for an instance of a negative bag, else 1.0
+    levels: np.ndarray       # (N, S + 1) each row sorted descending, then a 0; negated
+                             # in a negative bag, so CI comes out with the bag's sign
     set_groups: tuple        # candidate sets by instance count, see _size_groups
     bag_groups: tuple        # bags by candidate-set count
     bag_offsets: np.ndarray  # (n_bags + 1,) bag boundaries in candidate-set order
@@ -98,11 +99,13 @@ def prepare(data: Dataset) -> PreparedData:
     masks, levels = sort_decomposition(X)
     labels = data.labels()
     set_signs = np.repeat(np.where(labels == 0, -1.0, 1.0), np.diff(data.bag_offsets))
+    # negating a level, a level difference or a sum of them is exact, so CI
+    # read from these levels is the signed CI bit for bit
+    levels *= np.repeat(set_signs, np.diff(data.set_offsets))[:, None]
     return PreparedData(
         source_count=data.source_count,
         masks=masks,
         levels=levels,
-        signs=np.repeat(set_signs, np.diff(data.set_offsets))[:, None],
         set_groups=_size_groups(data.set_offsets),
         bag_groups=_size_groups(data.bag_offsets),
         bag_offsets=data.bag_offsets,
@@ -126,19 +129,19 @@ class _Evaluation(NamedTuple):
 
 
 def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
-    """Evaluate a (2**S, P) column stack of value tables in one gather.
+    """Evaluate a (2**S, P) column stack of value tables in one CI pass.
 
     `_choquet` reads CI into an (N, P) array, in max-min form for a uint8
-    stack. CI is negated in negative bags, so the maximum over a candidate
-    set, taken for all sets of one size by one gather, is the negated
-    minimum of a negative set and the maximum of a positive one; the set's
-    sign flips it back. Bags are reduced the same way over the set extremes.
-    A negative bag contributes the square of its largest set minimum; a
-    positive bag contributes (its largest set maximum - 1)^2, which is the
-    smallest shortfall because (x - 1)^2 falls on [0, 1].
+    stack. The prepared levels carry the bag sign, so CI comes out negated
+    in negative bags, and the maximum over a candidate set, taken for all
+    sets of one size by one gather, is the negated minimum of a negative
+    set and the maximum of a positive one; the set's sign flips it back.
+    Bags are reduced the same way over the set extremes. A negative bag
+    contributes the square of its largest set minimum; a positive bag
+    contributes (its largest set maximum - 1)^2, which is the smallest
+    shortfall because (x - 1)^2 falls on [0, 1].
     """
     ci = _choquet(tables, prepared.masks, prepared.levels)
-    ci *= prepared.signs
     set_extreme = _segment_reduce(np.maximum, ci, prepared.set_groups)
     set_extreme *= prepared.set_signs
     # C-contiguous (P, n_bags) as before, so the term sums keep their order

@@ -20,7 +20,6 @@ sort; the stack is never transposed.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -34,6 +33,7 @@ from .measures import (
     RealFuzzyMeasure,
     _all_tables,
     _check_integer,
+    _check_real,
     _close_up,
     _random_real_table,
     measure_to_antichain_dict,
@@ -54,6 +54,8 @@ class EAConfig:
     real baseline redraws one value inside its monotonicity interval).
     Otherwise it is a fresh random measure. The counts and rng_seed must be
     integers (not bool) and are stored as int; rng_seed must be non-negative.
+    The rate, the tolerance and a set time cap must be finite real numbers
+    (not bool) and are stored as an int or a float.
     """
 
     population_size: int = 64
@@ -69,22 +71,25 @@ class EAConfig:
         for name in ("population_size", "elite_count", "max_generations", "stall_generations",
                      "rng_seed"):
             object.__setattr__(self, name, _check_integer(getattr(self, name), name))
+        reals = ("small_mutation_rate", "fitness_tolerance")
+        if self.time_cap_seconds is not None:
+            reals += ("time_cap_seconds",)
+        for name in reals:
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
         if self.population_size < 2:
             raise ValidationError("population_size must be at least 2")
         if not 0 <= self.elite_count < self.population_size:
             raise ValidationError("elite_count must be in [0, population_size)")
-        if not (math.isfinite(self.small_mutation_rate) and 0 <= self.small_mutation_rate <= 1):
+        if not 0 <= self.small_mutation_rate <= 1:
             raise ValidationError("small_mutation_rate must lie in [0, 1]")
         if self.max_generations < 1 or self.stall_generations < 1:
             raise ValidationError("generation limits must be positive")
-        if not (math.isfinite(self.fitness_tolerance) and self.fitness_tolerance >= 0):
-            raise ValidationError("fitness_tolerance must be finite and >= 0")
-        if self.time_cap_seconds is not None and not (
-            math.isfinite(self.time_cap_seconds) and self.time_cap_seconds > 0
-        ):
-            raise ValidationError("time_cap_seconds must be finite and positive when set")
+        if self.fitness_tolerance < 0:
+            raise ValidationError("fitness_tolerance must be >= 0")
+        if self.time_cap_seconds is not None and self.time_cap_seconds <= 0:
+            raise ValidationError("time_cap_seconds must be positive when set")
 
     def to_json_dict(self) -> dict:
         return asdict(self)

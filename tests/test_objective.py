@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bfmfusion import (
     prepare,
     sample_random,
     sample_random_real,
+    sort_decomposition,
 )
 from bfmfusion.objective import _evaluate
 from oracles import naive_breakdown, naive_objective
@@ -320,6 +322,19 @@ class TestPreparedReuse:
         pre = prepare(ds)
         measures = [sample_random(3, 0.5, rng) for _ in range(6)]
         assert np.array_equal(stack_totals(measures, pre), stack_totals(measures, prepare(ds)))
+
+
+    def test_levels_carry_the_bag_sign(self):
+        rng = np.random.default_rng(13)
+        ds = random_dataset(rng, 4, n_bags=6)
+        pre = prepare(ds)
+        bag_of_set = np.repeat(np.arange(len(ds.labels())), np.diff(ds.bag_offsets))
+        negative = np.repeat(ds.labels()[bag_of_set] == 0, np.diff(ds.set_offsets))
+        levels = sort_decomposition(ds.instance_matrix())[1]
+        levels[negative] *= -1.0
+        assert negative.any() and not negative.all()
+        assert np.array_equal(pre.levels, levels)
+        assert "signs" not in {f.name for f in fields(pre)}
 
 
 class TestStructuralInvariances:

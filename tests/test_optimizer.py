@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -91,11 +92,24 @@ class TestConfigValidation:
             {"rng_seed": -1},
             {"rng_seed": 0.5},
             {"rng_seed": False},
+            {"small_mutation_rate": "0.5"},
+            {"small_mutation_rate": True},
+            {"fitness_tolerance": 10**400},
+            {"fitness_tolerance": True},
+            {"time_cap_seconds": "1"},
+            {"time_cap_seconds": True},
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValidationError):
             EAConfig(**kwargs)
+
+    def test_numpy_reals_stored_as_python_numbers(self):
+        cfg = EAConfig(small_mutation_rate=np.float32(0.5), fitness_tolerance=np.int64(0),
+                       time_cap_seconds=np.float64(2.5))
+        assert [type(x) for x in (cfg.small_mutation_rate, cfg.fitness_tolerance,
+                                  cfg.time_cap_seconds)] == [float, int, float]
+        assert json.loads(json.dumps(cfg.to_json_dict()))["small_mutation_rate"] == 0.5
 
     def test_defaults_valid(self):
         cfg = EAConfig()
