@@ -8,9 +8,11 @@ of top sources:
 
 For a binary measure this collapses to a max-min form over the winning
 coalitions, so every fused value is one of the row's own confidences.
-`_choquet` reads every binary table that way, in fusion and in training,
-and a real-valued table by the sum; `choquet_maxmin` computes the max-min
-form directly, as an independent cross-check.
+`_choquet` reads a binary table that way in fusion, and a real-valued
+table by the sum, in fusion and in training; training reads binary
+tables off threshold walks instead (see `bfmfusion.objective`), since it
+needs only each candidate set's extreme. `choquet_maxmin` computes the
+max-min form directly, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -46,23 +48,30 @@ def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     differences. Measure-independent, so it can be computed once per dataset.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n, s = X.shape
     order = np.argsort(-X, axis=1, kind="stable")
-    levels = np.pad(np.take_along_axis(X, order, axis=1), ((0, 0), (0, 1)))
-    # distinct power-of-two bits, so cumulative sum equals cumulative OR
-    masks = np.cumsum(np.left_shift(1, order), axis=1)
+    levels = np.zeros((n, s + 1))
+    # a flat index into X is faster here than take_along_axis
+    levels[:, :s] = X.ravel()[order + np.arange(0, n * s, s)[:, None]]
+    # distinct power-of-two bits, so a running sum is a running OR; column by
+    # column, since a cumsum along short rows pays per row
+    masks = np.left_shift(1, order)
+    for k in range(1, s):
+        masks[:, k] += masks[:, k - 1]
     return masks, levels
 
 
 def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """(N, P) CI of every decomposed row under a (2**S, P) column stack.
 
-    A uint8 stack of binary tables takes the max-min form: the prefixes
-    masks[n, :] grow, so under a monotone table the winning ones form a
-    suffix. S row gathers of the stack, one per prefix length, each (N, P),
-    add into one uint8 count (no (N, S, P) array, no transposed copy, no
-    float (P, N, S) array), and CI is levels[n, S - count], exactly one of
-    the row's levels. A float64 stack of real-valued tables takes the
-    level-difference sum over a (P, N, S) gather through the transposed view.
+    A uint8 stack of binary tables, which only fusion passes, takes the
+    max-min form: the prefixes masks[n, :] grow, so under a monotone table
+    the winning ones form a suffix. S row gathers of the stack, one per
+    prefix length, each (N, P), add into one uint8 count (no (N, S, P)
+    array, no transposed copy, no float (P, N, S) array), and CI is
+    levels[n, S - count], exactly one of the row's levels. A float64 stack
+    of real-valued tables takes the level-difference sum over a (P, N, S)
+    gather through the transposed view.
     """
     if tables.dtype == np.uint8:
         counts = tables[masks[:, 0]]
@@ -71,7 +80,7 @@ def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.nd
             # masks index the stack by construction; "clip" writes straight
             # into rows, where the default "raise" buffers a copy of them
             counts += np.take(tables, masks[:, k], axis=0, out=rows, mode="clip")
-        del rows  # freed before the level read, which holds the evaluator's peak
+        del rows  # freed before the level read, which holds the peak
         # a flat index into the levels is faster here than take_along_axis
         row_ends = np.arange(1, len(levels) + 1)[:, None] * levels.shape[1] - 1
         return levels.ravel()[row_ends - counts]

@@ -481,6 +481,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        # outputs are written only after the work, so nothing is left behind
+        print(f"refused: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,13 +9,27 @@ negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
 `prepare` factors out everything measure-independent (the sorted
-decomposition, whose levels carry the bag sign, and the candidate sets
+decomposition, each candidate set's threshold walk, and the candidate sets
 and bags grouped by size) so that evaluating many value tables against
-one dataset, as the optimizer does, costs one CI pass for all of them.
-`objective` and the optimizer share one evaluator, `_evaluate`: it takes
-the tables as a (2**S, P) column stack, the optimizer's population
-layout, gets CI from `choquet._choquet` and reduces candidate sets and
-bags by size group.
+one dataset, as the optimizer does, costs one pass for all of them.
+`objective` and the optimizer share one evaluator, `_evaluate`, which
+takes the tables as a (2**S, P) column stack, the optimizer's population
+layout.
+
+A binary table never needs CI itself, only each candidate set's extreme.
+Under a binary measure g a row's CI is its level at its first winning
+prefix. As the prefixes grow and the levels fall, that is both the
+highest level of an (instance, prefix) pair whose prefix wins and the
+lowest level of a pair whose prefix above it, the sources before it,
+loses. A positive set's maximum CI is thus the highest level of any of
+its winning pairs: walk its pairs by falling level and stop at the first
+that wins. A negative set's minimum CI is the lowest level of any pair
+whose prefix above loses, that is, whose complement, the row's sources
+from that pair on, wins under the dual measure 1 - g(complement)
+(max-min/min-max duality): walk by rising level and stop at the first
+pair whose dual wins. Both stops read a level, an exact copy of a
+confidence, so the extremes keep their bits. A real-valued stack gets
+CI from `choquet._choquet` by the level-difference sum.
 """
 
 from __future__ import annotations
@@ -68,30 +82,66 @@ class PreparedData:
     masks: np.ndarray        # (N, S) coalition bitmasks of the sorted decomposition
     levels: np.ndarray       # (N, S + 1) each row sorted descending, then a 0; negated
                              # in a negative bag, so CI comes out with the bag's sign
-    set_groups: tuple        # candidate sets by instance count, see _size_groups
-    bag_groups: tuple        # bags by candidate-set count
+    coalitions: np.ndarray   # (U,) the value-table rows the walks read
+    walks: tuple             # each set group's threshold walks, see _walks
+    set_groups: tuple        # candidate sets by size, see _size_groups
+    bag_groups: tuple        # bags by candidate-set count, the same way
     bag_offsets: np.ndarray  # (n_bags + 1,) bag boundaries in candidate-set order
     set_signs: np.ndarray    # (n_sets, 1) the sign of each candidate set's bag
     labels: np.ndarray       # per bag, 0 or 1
 
 
+# elements a blocked gather holds at once: 256 KiB of words or floats, small
+# enough to stay in cache and to be reused from one block to the next
+_BLOCK = 1 << 15
+
+# byte v spread over the 8 bytes of a word in packbits' order: byte i is
+# bit 7 - i of v, the column that bit holds
+_SPREAD = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(np.uint64)[:, 0]
+
+
 def _size_groups(offsets: np.ndarray) -> tuple:
-    """Segments grouped by size: for each size g present, the segment
-    indices and a (n_g, g) array of the rows each of them covers."""
+    """Segments grouped by the power of two G at or above their size: for
+    each G present, the segment indices and a (n_g, G) array of the rows
+    each of them covers, its last row repeated up to G, which moves no
+    max or min."""
     sizes = np.diff(offsets)
+    exps = np.frexp(sizes - 1)[1]  # the bit length of size - 1, so 2**exps >= size
     return tuple(
-        (segs, offsets[segs][:, None] + np.arange(g))
-        for g in np.flatnonzero(np.bincount(sizes))
-        for segs in [np.flatnonzero(sizes == g)]
+        (segs, offsets[segs][:, None] + np.minimum(np.arange(1 << e), sizes[segs][:, None] - 1))
+        for e in np.flatnonzero(np.bincount(exps))
+        for segs in [np.flatnonzero(exps == e)]
     )
 
 
-def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray:
-    """`ufunc` over each segment of the rows of x, one gather per size group."""
-    out = np.empty((sum(len(segs) for segs, _ in groups),) + x.shape[1:], x.dtype)
+def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple, out=None) -> np.ndarray:
+    """`ufunc` over each segment of the rows of x, into out (n_segs, ...),
+    in blocks of segments of one size."""
+    if out is None:
+        out = np.empty((sum(len(segs) for segs, _ in groups),) + x.shape[1:], x.dtype)
     for segs, rows in groups:
-        out[segs] = ufunc.reduce(x[rows], axis=1)
+        step = max(1, _BLOCK // (rows.shape[1] * (x.size // len(x))))
+        for i in range(0, len(segs), step):
+            out[segs[i : i + step]] = ufunc.reduce(x[rows[i : i + step]], axis=1)
     return out
+
+
+def _walks(set_groups: tuple, words: np.ndarray, keys: np.ndarray) -> tuple:
+    """For each group of candidate sets: the set indices, the (G * S, n_g)
+    word indices of each set's (instance, prefix) pairs by ascending key,
+    one set per column, and the (n_g, G * S) levels |key| in that order."""
+    s = keys.shape[1]
+    out = []
+    for segs, rows in set_groups:
+        pairs = (rows[:, :, None] * s + np.arange(s)).reshape(len(segs), -1)
+        key = keys.ravel()[pairs]
+        # ties may fall in any order: a tied pair has the same level
+        order = np.argsort(key, axis=1)
+        order += np.arange(0, key.size, key.shape[1])[:, None]
+        walk = words.ravel()[pairs.ravel()[order]]
+        levels = key.ravel()[order]
+        out.append((segs, walk.T.copy(), np.abs(levels, out=levels)))
+    return tuple(out)
 
 
 def prepare(data: Dataset) -> PreparedData:
@@ -99,14 +149,33 @@ def prepare(data: Dataset) -> PreparedData:
     masks, levels = sort_decomposition(X)
     labels = data.labels()
     set_signs = np.repeat(np.where(labels == 0, -1.0, 1.0), np.diff(data.bag_offsets))
+    row_signs = np.repeat(set_signs, np.diff(data.set_offsets))[:, None]
+    # only the coalitions some walk tests are packed, so evaluation scales
+    # with the data and not with 2**S: the prefixes and the empty set
+    present = np.zeros(1 << data.source_count, bool)
+    present[masks] = True
+    present[0] = True
+    coalitions = np.flatnonzero(present)
+    rank = (np.cumsum(present, dtype=np.int32) - 1)[masks]
+    # a positive set's walk tests g at the prefixes masks[n, k] by falling
+    # level, its key the negated level; a negative set's tests the dual by
+    # rising level, at the complement of the top-k prefix, which is empty,
+    # of rank 0, at k = 0: word U + i is the complement of word i
+    words = np.where(
+        row_signs < 0, np.pad(rank[:, :-1], ((0, 0), (1, 0))) + len(coalitions), rank
+    )
+    set_groups = _size_groups(data.set_offsets)
+    walks = _walks(set_groups, words, levels[:, :-1] * -row_signs)
     # negating a level, a level difference or a sum of them is exact, so CI
     # read from these levels is the signed CI bit for bit
-    levels *= np.repeat(set_signs, np.diff(data.set_offsets))[:, None]
+    levels *= row_signs
     return PreparedData(
         source_count=data.source_count,
         masks=masks,
         levels=levels,
-        set_groups=_size_groups(data.set_offsets),
+        coalitions=coalitions,
+        walks=walks,
+        set_groups=set_groups,
         bag_groups=_size_groups(data.bag_offsets),
         bag_offsets=data.bag_offsets,
         set_signs=set_signs[:, None],
@@ -128,26 +197,88 @@ class _Evaluation(NamedTuple):
         return self.negative + self.positive
 
 
-def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
-    """Evaluate a (2**S, P) column stack of value tables in one CI pass.
+def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
+    """(n_sets, P) set extremes of a uint8 stack of binary tables.
 
-    `_choquet` reads CI into an (N, P) array, in max-min form for a uint8
-    stack. The prepared levels carry the bag sign, so CI comes out negated
-    in negative bags, and the maximum over a candidate set, taken for all
-    sets of one size by one gather, is the negated minimum of a negative
-    set and the maximum of a positive one; the set's sign flips it back.
-    Bags are reduced the same way over the set extremes. A negative bag
-    contributes the square of its largest set minimum; a positive bag
-    contributes (its largest set maximum - 1)^2, which is the smallest
-    shortfall because (x - 1)^2 falls on [0, 1].
+    The rows the walks read are packed 64 columns to a word, and word U + i
+    is the complement of word i. OR-accumulated along a set's walk, the
+    words of its pairs set column c's bit from c's first hit j on; the
+    complement is 1 at exactly the first j positions, so bit b of j is the
+    parity of its 1s at positions m * 2**b - 1, one XOR reduction per bit.
+    `_SPREAD` turns each byte of such a plane into one byte per column, so
+    j is built 8 columns at a time, and the extreme is the walk's level at
+    j. Every walk has a hit because valid tables have g(empty) = 0 and
+    g(full) = 1.
     """
-    ci = _choquet(tables, prepared.masks, prepared.levels)
-    set_extreme = _segment_reduce(np.maximum, ci, prepared.set_groups)
-    set_extreme *= prepared.set_signs
-    # C-contiguous (P, n_bags) as before, so the term sums keep their order
-    bag_extreme = _segment_reduce(np.maximum, set_extreme, prepared.bag_groups).T.copy()
+    p = tables.shape[1]
+    n_bytes, n_words = -(-p // 8), -(-p // 64)
+    # one packbits of a copy padded to whole bytes: packing each short row
+    # is slower
+    columns = np.zeros((len(prepared.coalitions), 8 * n_bytes), np.uint8)
+    columns[:, :p] = tables[prepared.coalitions]
+    packed = np.zeros((len(columns), 8 * n_words), np.uint8)
+    packed[:, :n_bytes] = np.packbits(columns).reshape(len(columns), n_bytes)
+    packed = packed.view(np.uint64)
+    # one row per word of columns, so each gather below is a 1-D take
+    doubled = np.ascontiguousarray(np.concatenate([packed, ~packed]).T)
+    shifts = np.arange(8, dtype=np.uint64)[:, None, None]
+    out = np.empty((len(prepared.set_signs), p))
+    for segs, walk, levels in prepared.walks:
+        length = walk.shape[0]
+        bits = max(1, (length - 1).bit_length())
+        step = max(1, _BLOCK // max(length * n_words, p))
+        for i in range(0, len(segs), step):
+            block = walk[:, i : i + step]
+            n = block.shape[1]
+            # hit[w, t, k]: word w of the tables at pair t of set k, then
+            # OR-accumulated along the walk and complemented, so that each
+            # step of both runs over whole rows of sets
+            hit = np.empty((n_words, length, n), np.uint64)
+            for w in range(n_words):
+                np.take(doubled[w], block, out=hit[w])
+            np.bitwise_or.accumulate(hit, axis=1, out=hit)
+            np.invert(hit, out=hit)
+            planes = np.empty((bits, n, n_words), np.uint64)
+            for b in range(bits):
+                np.bitwise_xor.reduce(hit[:, (1 << b) - 1 :: 1 << b], axis=1, out=planes[b].T)
+            # flat index of each walk's level at j, 8 bits of j at a time
+            at = np.arange(i * length, (i + n) * length, length)[:, None]
+            for low in range(0, bits, 8):
+                spread = np.take(_SPREAD, planes[low : low + 8].view(np.uint8))
+                spread <<= shifts[: len(spread)]
+                j = np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:, :p]
+                at = at + (np.left_shift(j, low, dtype=np.intp) if low else j)
+            out[segs[i : i + step]] = levels.ravel()[at]
+    return out
+
+
+def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
+    """Evaluate a (2**S, P) column stack of value tables.
+
+    A uint8 stack of binary tables is read off each candidate set's walk
+    (see the module docstring and `_walk_extremes`). For a float64 stack
+    `_choquet` reads CI into an (N, P) array by the level-difference sum;
+    the prepared levels carry the bag sign, so the maximum over a candidate
+    set is the negated minimum of a negative set and the maximum of a
+    positive one, and the set's sign flips it back. Bags are reduced the
+    same way over the set extremes. A negative bag contributes the square
+    of its largest set minimum; a positive bag contributes (its largest set
+    maximum - 1)^2, which is the smallest shortfall because (x - 1)^2 falls
+    on [0, 1].
+    """
+    if tables.dtype == np.uint8:
+        set_extreme = _walk_extremes(tables, prepared)
+    else:
+        ci = _choquet(tables, prepared.masks, prepared.levels)
+        set_extreme = _segment_reduce(np.maximum, ci, prepared.set_groups)
+        set_extreme *= prepared.set_signs
+    # C-contiguous (P, n_bags): the bits of the term sums depend on this layout
+    bag_extreme = np.empty((tables.shape[1], len(prepared.labels)))
+    _segment_reduce(np.maximum, set_extreme, prepared.bag_groups, out=bag_extreme.T)
+    # x - 0 is x, so a negative bag's contribution is its extreme squared
+    contributions = bag_extreme - prepared.labels
+    np.square(contributions, out=contributions)
     neg = prepared.labels == 0
-    contributions = np.where(neg, bag_extreme**2, (bag_extreme - 1.0) ** 2)
     terms = contributions[:, neg].sum(axis=1), contributions[:, ~neg].sum(axis=1)
     return _Evaluation(*terms, contributions, set_extreme.T, bag_extreme)
 

@@ -251,6 +251,24 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["train", "--mode", "bfm"], ["train", "--mode", "real"],
+         ["bench", "--sources", "3", "--repeats", "1"]],
+        ids=["bfm", "real", "bench"],
+    )
+    def test_out_of_memory_exits_3(self, command, dataset_path, tmp_path, capsys):
+        # 10**15 columns exceed the address space, so the first population
+        # allocation fails at once instead of growing
+        out = tmp_path / "r.csv"
+        data = ["--data", str(dataset_path)] if command[0] == "train" else []
+        code = main(command + data + ["--population-size", str(10**15), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists() and not out.with_suffix(".runs.json").exists()
+
     @pytest.mark.parametrize("mode", ["bfm", "real"])
     def test_single_source_exits_1(self, mode, tmp_path, capsys):
         data_path = tmp_path / "one.json"

@@ -21,7 +21,7 @@ from bfmfusion import (
     sort_decomposition,
 )
 from bfmfusion.objective import _evaluate
-from oracles import naive_breakdown, naive_objective
+from oracles import naive_breakdown, naive_choquet, naive_objective
 
 # CI reduces to the first coordinate under this measure, which makes the
 # bag arithmetic below checkable by hand
@@ -199,6 +199,98 @@ class TestBinaryMaxMin:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * p * 6000 * s * 8
+
+
+class TestThresholdWalk:
+    """Set extremes of uint8 stacks, read off each candidate set's walk,
+    against the naive oracles."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        s=st.integers(1, 8),
+        p=st.sampled_from([1, 63, 64, 65, 130]),
+        shapes=st.lists(
+            st.lists(st.integers(1, 9), min_size=1, max_size=3), min_size=1, max_size=3
+        ),
+        tied=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_set_extremes_equal_oracle(self, seed, s, p, shapes, tied):
+        rng = np.random.default_rng(seed)
+        # tied: confidences from a few levels, 0.0 and 1.0 among them
+        pool = np.array([0.0, 1.0, 0.5, rng.random(), rng.random()])
+        bags = tuple(
+            Bag(b % 2, [rng.choice(pool, (k, s)) if tied else rng.random((k, s)) for k in sizes])
+            for b, sizes in enumerate(shapes)
+        )
+        ds = Dataset(s, bags)
+        tables = np.stack(
+            [sample_random(s, float(rng.random()), rng).values for _ in range(p)], axis=1
+        )
+        ev = _evaluate(tables, prepare(ds))
+        sets = [(bag.label, cset) for bag in ds.bags for cset in bag.candidate_sets]
+        for table, extremes, total in zip(tables.T, ev.set_extreme, ev.total):
+            for (label, cset), extreme in zip(sets, extremes):
+                cis = [naive_choquet(h, table) for h in cset.instances]
+                assert extreme == (min(cis) if label == 0 else max(cis))
+            assert total == pytest.approx(naive_objective(table, ds), abs=1e-12)
+
+    @pytest.mark.parametrize("label", [1, 0], ids=["positive_min", "negative_max"])
+    def test_first_hit_past_index_255(self, label):
+        # 300 rows of one high and one low confidence. Under the min measure
+        # a positive set's CI is each row's low value, and its walk passes
+        # all 300 high values, which lose, before the first hit; under the
+        # max measure a negative set's walk passes all 300 low values first
+        rng = np.random.default_rng(61)
+        rows = np.column_stack([rng.uniform(0.6, 1.0, 300), rng.uniform(0.0, 0.4, 300)])
+        ds = Dataset(2, (Bag(label, [rows]),))
+        table = np.array([0, 0, 0, 1] if label else [0, 1, 1, 1], dtype=np.uint8)
+        cis = [naive_choquet(h, table) for h in rows]
+        expected = max(cis) if label else min(cis)
+        passed = rows > expected if label else rows < expected
+        assert passed.sum() >= 256  # every one of them comes before the hit
+        ev = _evaluate(np.repeat(table[:, None], 65, axis=1), prepare(ds))
+        assert (ev.set_extreme[:, 0] == expected).all()
+        assert (ev.total == naive_objective(table, ds)).all()
+
+    def test_memory_does_not_grow_with_the_table(self):
+        # at S=20 the table has 2**20 rows, but 20 instances test at most
+        # 20 * 20 + 1 coalitions, and only those are packed
+        s = 20
+        rng = np.random.default_rng(81)
+        ds = Dataset(s, (Bag(0, [rng.random((10, s))]), Bag(1, [rng.random((10, s))])))
+        pre = prepare(ds)
+        table = from_minimal_coalitions(s, [set(range(10)), set(range(10, 20))]).values
+        tracemalloc.start()
+        try:
+            ev = _evaluate(table[:, None], pre)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20 // 8  # an eighth of a byte per table row
+        assert ev.total[0] == pytest.approx(naive_objective(table, ds), abs=1e-12)
+
+    def test_memory_beyond_the_returned_arrays_is_bounded(self):
+        # the walk and the bag reduction run in blocks, so beyond the
+        # returned arrays only the term sums' copies of the bag columns grow
+        # with the data
+        s, p = 10, 64
+        rng = np.random.default_rng(71)
+        bags = tuple(
+            Bag(b % 2, [rng.random((int(rng.integers(1, 5)), s))
+                        for _ in range(int(rng.integers(1, 4)))])
+            for b in range(600)
+        )
+        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
+        for ds in (Dataset(s, bags), Dataset(s, bags * 4)):
+            pre = prepare(ds)
+            tracemalloc.start()
+            try:
+                ev = _evaluate(tables, pre)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - sum(a.nbytes for a in ev) <= 4 * 2**20
 
 
 def skewed_dataset(s):
