@@ -3,7 +3,9 @@
 A measure assigns a weight to every subset (coalition) of the S fusion
 sources. Subsets are encoded as bitmasks: bit i set means source i is in
 the coalition, so subset containment is plain bitwise containment and the
-value table is a flat array of length 2**S indexed by bitmask.
+value table is a flat array of length 2**S indexed by bitmask. Stacks of
+binary tables in bulk, as training holds them, are bitsets of 8
+coalitions a byte (see `_pack`).
 
 Sources are indexed from 0 throughout the Python API: a coalition goes in
 as a bitmask or an iterable of source indices and comes out as a tuple of
@@ -289,8 +291,7 @@ def from_minimal_coalitions(source_count: int, coalitions: Iterable) -> BinaryFu
             raise ValidationError("the empty set cannot be a winning coalition")
         values[mask] = 1
     values[-1] = 1
-    _close_up(values[:, None])
-    return BinaryFuzzyMeasure(source_count, values)
+    return BinaryFuzzyMeasure(source_count, _closure(values, source_count))
 
 
 def set_with_repair(
@@ -338,22 +339,68 @@ def sample_random(
 
 def _random_table(source_count: int, density: float, rng: np.random.Generator) -> np.ndarray:
     """The value table behind `sample_random`, drawn from `rng` with one call."""
-    values = (rng.random(1 << source_count) < density).astype(np.uint8)
+    values = rng.random(1 << source_count) < density
     values[[0, -1]] = 0, 1
-    return _close_up(values[:, None])[:, 0]
+    return _closure(values, source_count)
 
 
-def _close_up(tables: np.ndarray) -> np.ndarray:
-    """Upward closure, in place, of every column of a (2**S, C) uint8 stack:
-    a coalition wins when any subset of it did. C may be 0. A stack whose
-    rows cannot be regrouped without a copy, such as a transposed one,
-    raises ValueError rather than closing a copy."""
-    n, cols = tables.shape
-    for i in range(n.bit_length() - 1):  # subset-OR sweep: closes upward one bit at a time
-        # axis 1 of this view is bit i: [:, 1] holds each [:, 0] set plus source i
-        pairs = np.reshape(tables, (n >> i + 1, 2, cols << i), copy=False)
+# Bitsets. A stack of binary tables in bulk holds 8 coalitions a byte: a
+# (ceil(2**S / 8), C) uint8 stack in np.packbits order, one table per
+# column, coalition c at byte c >> 3, bit 7 - (c & 7). The first coalition
+# of a byte is its highest bit, so bytes compare as the tables' rows do;
+# below S = 3 one byte holds all 2**S coalitions and its low bits are 0.
+
+# each byte with its bits in reverse order
+_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)[:, ::-1])
+
+
+def _pack(tables: np.ndarray) -> np.ndarray:
+    """The bitset stack of a (2**S, C) stack of {0, 1} tables."""
+    return np.packbits(tables, axis=0)
+
+
+def _unpack(stack: np.ndarray, source_count: int) -> np.ndarray:
+    """The (2**S, C) uint8 stack of {0, 1} tables of a bitset stack."""
+    return np.unpackbits(stack, axis=0, count=1 << source_count)
+
+
+def _coalition_bits(coalitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Byte row and uint8 bit mask of each coalition in a bitset stack:
+    stack[row] & mask is nonzero where the coalition wins, and OR-ing the
+    mask in makes it win."""
+    return coalitions >> 3, (0x80 >> (coalitions & 7)).astype(np.uint8)
+
+
+def _at_complements(stack: np.ndarray, source_count: int) -> np.ndarray:
+    """A new bitset stack whose coalition c holds coalition full ^ c of
+    `stack`: the coalitions in reverse order, bytes and bits reversed."""
+    out = np.take(_REVERSED, stack[::-1])
+    if source_count < 3:
+        out <<= 8 - (1 << source_count)  # back above the padding bits
+    return out
+
+
+def _close_up(stack: np.ndarray, source_count: int) -> np.ndarray:
+    """Upward closure, in place, of every column of a bitset stack of
+    tables on `source_count` sources: a coalition wins when any subset of
+    it did. C may be 0, and padding bits stay 0. A stack whose rows cannot
+    be regrouped without a copy, such as a transposed one, raises
+    ValueError rather than closing a copy."""
+    for i, without in enumerate((0xAA, 0xCC, 0xF0)[:source_count]):
+        # sources 0-2 within a byte: each bit of `without` is a coalition
+        # lacking source i, and 2**i bits below it that coalition plus i
+        stack |= (stack & without) >> (1 << i)
+    n, cols = stack.shape
+    for i in range(n.bit_length() - 1):  # subset-OR sweep over bytes, sources 3 and up
+        # axis 1 of this view is bit i + 3: [:, 1] holds each [:, 0] set plus source i + 3
+        pairs = np.reshape(stack, (n >> i + 1, 2, cols << i), copy=False)
         pairs[:, 1] |= pairs[:, 0]
-    return tables
+    return stack
+
+
+def _closure(table: np.ndarray, source_count: int) -> np.ndarray:
+    """The upward closure of one (2**S,) {0, 1} table, as uint8."""
+    return _unpack(_close_up(_pack(table[:, None]), source_count), source_count)[:, 0]
 
 
 def _minimal(tables: np.ndarray) -> np.ndarray:

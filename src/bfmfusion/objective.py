@@ -13,8 +13,10 @@ decomposition, each candidate set's threshold walk, and the candidate sets
 and bags grouped by size) so that evaluating many value tables against
 one dataset, as the optimizer does, costs one pass for all of them.
 `objective` and the optimizer share one evaluator, `_evaluate`, which
-takes the tables as a (2**S, P) column stack, the optimizer's population
-layout.
+takes the tables as a column stack in the optimizer's population layout:
+binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
+(coalition c at byte c >> 3, bit 7 - (c & 7); see `measures._pack`), real
+ones as a (2**S, P) float64 stack.
 
 A binary table never needs CI itself, only each candidate set's extreme.
 Under a binary measure g a row's CI is its level at its first winning
@@ -41,7 +43,7 @@ import numpy as np
 
 from .choquet import _choquet, sort_decomposition
 from .data import Dataset
-from .measures import Measure, _check_measure
+from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _coalition_bits, _pack
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,8 @@ class PreparedData:
     masks: np.ndarray        # (N, S) coalition bitmasks of the sorted decomposition
     levels: np.ndarray       # (N, S + 1) each row sorted descending, then a 0; negated
                              # in a negative bag, so CI comes out with the bag's sign
-    coalitions: np.ndarray   # (U,) the value-table rows the walks read
+    coalitions: tuple        # byte rows and bit masks (see measures._coalition_bits) of
+                             # the U coalitions the walks read
     walks: tuple             # each set group's threshold walks, see _walks
     set_groups: tuple        # candidate sets by size, see _size_groups
     bag_groups: tuple        # bags by candidate-set count, the same way
@@ -94,6 +97,11 @@ class PreparedData:
 # elements a blocked gather holds at once: 256 KiB of words or floats, small
 # enough to stay in cache and to be reused from one block to the next
 _BLOCK = 1 << 15
+
+# elements of the term sums' row blocks: they add a block's rows side by
+# side, so they are slow on short rows of bags; 2 MiB of floats keeps
+# P = 64 whole up to about 4,000 bags
+_SUM_BLOCK = 1 << 18
 
 # byte v spread over the 8 bytes of a word in packbits' order: byte i is
 # bit 7 - i of v, the column that bit holds
@@ -155,14 +163,14 @@ def prepare(data: Dataset) -> PreparedData:
     present = np.zeros(1 << data.source_count, bool)
     present[masks] = True
     present[0] = True
-    coalitions = np.flatnonzero(present)
+    coalitions = _coalition_bits(np.flatnonzero(present))
     rank = (np.cumsum(present, dtype=np.int32) - 1)[masks]
     # a positive set's walk tests g at the prefixes masks[n, k] by falling
     # level, its key the negated level; a negative set's tests the dual by
     # rising level, at the complement of the top-k prefix, which is empty,
     # of rank 0, at k = 0: word U + i is the complement of word i
     words = np.where(
-        row_signs < 0, np.pad(rank[:, :-1], ((0, 0), (1, 0))) + len(coalitions), rank
+        row_signs < 0, np.pad(rank[:, :-1], ((0, 0), (1, 0))) + len(coalitions[0]), rank
     )
     set_groups = _size_groups(data.set_offsets)
     walks = _walks(set_groups, words, levels[:, :-1] * -row_signs)
@@ -198,9 +206,10 @@ class _Evaluation(NamedTuple):
 
 
 def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
-    """(n_sets, P) set extremes of a uint8 stack of binary tables.
+    """(n_sets, P) set extremes of a bitset stack of binary tables.
 
-    The rows the walks read are packed 64 columns to a word, and word U + i
+    The coalitions the walks read are gathered as byte rows, masked to
+    their bits and packed 64 columns to a word, and word U + i
     is the complement of word i. OR-accumulated along a set's walk, the
     words of its pairs set column c's bit from c's first hit j on; the
     complement is 1 at exactly the first j positions, so bit b of j is the
@@ -213,9 +222,11 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     p = tables.shape[1]
     n_bytes, n_words = -(-p // 8), -(-p // 64)
     # one packbits of a copy padded to whole bytes: packing each short row
-    # is slower
-    columns = np.zeros((len(prepared.coalitions), 8 * n_bytes), np.uint8)
-    columns[:, :p] = tables[prepared.coalitions]
+    # is slower. packbits packs any nonzero byte as 1, so each coalition's
+    # byte masked to its bit is enough
+    row, bit = prepared.coalitions
+    columns = np.zeros((len(row), 8 * n_bytes), np.uint8)
+    np.bitwise_and(tables[row], bit[:, None], out=columns[:, :p])
     packed = np.zeros((len(columns), 8 * n_words), np.uint8)
     packed[:, :n_bytes] = np.packbits(columns).reshape(len(columns), n_bytes)
     packed = packed.view(np.uint64)
@@ -253,18 +264,18 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
 
 
 def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
-    """Evaluate a (2**S, P) column stack of value tables.
+    """Evaluate a column stack of P value tables.
 
-    A uint8 stack of binary tables is read off each candidate set's walk
-    (see the module docstring and `_walk_extremes`). For a float64 stack
-    `_choquet` reads CI into an (N, P) array by the level-difference sum;
-    the prepared levels carry the bag sign, so the maximum over a candidate
-    set is the negated minimum of a negative set and the maximum of a
-    positive one, and the set's sign flips it back. Bags are reduced the
-    same way over the set extremes. A negative bag contributes the square
-    of its largest set minimum; a positive bag contributes (its largest set
-    maximum - 1)^2, which is the smallest shortfall because (x - 1)^2 falls
-    on [0, 1].
+    A uint8 stack is a bitset stack of binary tables (see `measures._pack`),
+    read off each candidate set's walk (see the module docstring and
+    `_walk_extremes`). For a float64 stack `_choquet` reads CI into an
+    (N, P) array by the level-difference sum; the prepared levels carry the
+    bag sign, so the maximum over a candidate set is the negated minimum of
+    a negative set and the maximum of a positive one, and the set's sign
+    flips it back. Bags are reduced the same way over the set extremes. A
+    negative bag contributes the square of its largest set minimum; a
+    positive bag contributes (its largest set maximum - 1)^2, which is the
+    smallest shortfall because (x - 1)^2 falls on [0, 1].
     """
     if tables.dtype == np.uint8:
         set_extreme = _walk_extremes(tables, prepared)
@@ -279,7 +290,17 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
     contributions = bag_extreme - prepared.labels
     np.square(contributions, out=contributions)
     neg = prepared.labels == 0
-    terms = contributions[:, neg].sum(axis=1), contributions[:, ~neg].sum(axis=1)
+    terms = np.empty((2, len(contributions)))
+    # the term sums copy the bag columns, so they run in row blocks of
+    # _SUM_BLOCK elements. numpy adds two or more rows left to right, one
+    # column at a time, but one row pairwise, so a block is one row only
+    # when P is 1
+    step = max(2, _SUM_BLOCK // len(neg))
+    edges = [*range(0, max(len(contributions) - 1, 1), step), len(contributions)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = contributions[lo:hi]
+        terms[0, lo:hi] = block[:, neg].sum(axis=1)
+        terms[1, lo:hi] = block[:, ~neg].sum(axis=1)
     return _Evaluation(*terms, contributions, set_extreme.T, bag_extreme)
 
 
@@ -287,7 +308,8 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     """Evaluate the objective with a per-bag breakdown for diagnostics."""
     prepared = data if isinstance(data, PreparedData) else prepare(data)
     _check_measure(measure, prepared.source_count)
-    ev = _evaluate(measure.values[:, None], prepared)
+    tables = measure.values[:, None]
+    ev = _evaluate(_pack(tables) if isinstance(measure, BinaryFuzzyMeasure) else tables, prepared)
     # the selected set is the first in its bag to reach the bag's extreme
     set_index = np.arange(len(prepared.set_signs))
     reaches = ev.set_extreme[0] == np.repeat(ev.bag_extreme[0], np.diff(prepared.bag_offsets))

@@ -10,12 +10,16 @@ The binary candidate space is finite (every measure has at most 2**S - 2
 single-flip neighbours), which is what lets the binary search terminate by
 exact convergence where the real-valued baseline keeps inching forward.
 
-A population is a (2**S, P) column stack: one value table per column, one
+A population is one column stack, one value table per column. Binary
+tables are a bitset stack, (ceil(2**S / 8), P) uint8 with 8 coalitions a
+byte in np.packbits order (coalition c at byte c >> 3, bit 7 - (c & 7);
+see `measures._pack`), so closure, breeding, ranking and evaluation touch
+an eighth of the bytes; real tables are a (2**S, P) float64 stack, one
 coalition per row. Each generation draws its moves child by child and then
 builds all children at once: binary ones with one upward closure, real ones
 with one gather of redraw intervals and one cardinality sweep for fresh
-tables. It evaluates them in one gather and ranks the columns with one
-sort; the stack is never transposed.
+tables. It evaluates them in one pass and ranks the columns with one sort;
+the stack is never transposed.
 """
 
 from __future__ import annotations
@@ -32,10 +36,14 @@ from .measures import (
     Measure,
     RealFuzzyMeasure,
     _all_tables,
+    _at_complements,
     _check_integer,
     _check_real,
     _close_up,
+    _coalition_bits,
+    _pack,
     _random_real_table,
+    _unpack,
     measure_to_antichain_dict,
     measure_to_dict,
 )
@@ -121,56 +129,73 @@ class TrainResult:
 
 
 class _BinaryOps:
-    """Moves and ranking of the binary search over a (2**S, P) uint8 stack."""
+    """Moves and ranking of the binary search over a bitset stack of tables
+    on `source_count` sources: (ceil(2**S / 8), P) uint8, 8 coalitions a
+    byte in np.packbits order (see `measures._pack`)."""
 
-    dtype = np.uint8
-    measure = BinaryFuzzyMeasure
+    def __init__(self, source_count: int):
+        self.source_count = source_count
 
-    @staticmethod
-    def breed(pop, parents, small, rng):
-        """Children of the columns `parents` of pop as a (2**S, C) stack: a
+    def stack(self, tables):
+        """This layout of a (2**S, C) stack of {0, 1} tables."""
+        return _pack(tables)
+
+    def measure(self, column):
+        return BinaryFuzzyMeasure(self.source_count, _unpack(column, self.source_count))
+
+    def breed(self, pop, parents, small, rng):
+        """Children of the columns `parents` of pop as a bitset stack: a
         small mutation where `small` holds, else a fresh table, in blocks
         raised, lowered, fresh. Only the draws are made child by child, in
         child order; one upward closure of a seed stack builds every child.
         A flipped coalition idx is raised, parent | up(idx), or lowered,
-        parent & ~down(idx), where down(idx) is up(full ^ idx) with its rows
-        reversed; a fresh table is up(Bernoulli(0.5) field)."""
-        n = len(pop)
+        parent & ~down(idx), where down(idx) is up(full ^ idx) read at the
+        complements; a fresh table is up(Bernoulli(0.5) field)."""
+        n = 1 << self.source_count
         draws = [rng.integers(1, n - 1) if is_small else rng.random(n) < 0.5 for is_small in small]
         idx = np.array([d for d, is_small in zip(draws, small) if is_small], dtype=int)
         fields = [d for d, is_small in zip(draws, small) if not is_small]
         # a coalition that loses in its parent is raised, one that wins is lowered
         kin = parents[small]
-        lit = pop[idx, kin]
+        row, bit = _coalition_bits(idx)
+        lit = (pop[row, kin] & bit) != 0
         by_kind = np.argsort(lit, kind="stable")
         idx, kin = idx[by_kind], kin[by_kind]
-        raised, flips = np.count_nonzero(lit == 0), len(idx)
-        seeds = np.zeros((n, len(small)), dtype=np.uint8)
-        seeds[np.r_[idx[:raised], (n - 1) ^ idx[raised:]], np.arange(flips)] = 1
-        seeds[:, flips:] = np.reshape(fields, (-1, n)).T
-        seeds[0, flips:], seeds[-1, flips:] = 0, 1  # a fresh table pins both ends
-        up = _close_up(seeds)
+        raised, flips = np.count_nonzero(~lit), len(idx)
+        seeds = np.zeros((len(pop), len(small)), dtype=np.uint8)
+        row, bit = _coalition_bits(np.r_[idx[:raised], (n - 1) ^ idx[raised:]])
+        seeds[row, np.arange(flips)] = bit
+        fields = np.array(fields, dtype=bool).reshape(-1, n)
+        fields[:, 0], fields[:, -1] = 0, 1  # a fresh table pins both ends
+        seeds[:, flips:] = _pack(fields.T)
+        up = _close_up(seeds, self.source_count)
         kin = pop[:, kin]
         up[:, :raised] |= kin[:, :raised]
-        up[:, raised:flips] = kin[:, raised:] & ~up[::-1, raised:flips]
+        down = _at_complements(up[:, raised:flips], self.source_count)
+        np.invert(down, out=down)
+        np.bitwise_and(kin[:, raised:], down, out=up[:, raised:flips])
         return up
 
     @staticmethod
     def order(pop, js):
         """Column order by objective, then fewer winning coalitions, then
         the table's bytes: equal objectives rank the sparser structure first."""
-        packed = pop[0::8] << 7  # 8 rows a byte, the first highest: bytes compare as rows do
-        for r in range(1, min(8, len(pop))):
-            packed |= pop[r::8] << (7 - r)
-        return _column_order(packed, np.bitwise_count(packed).sum(axis=0), js)
+        return _column_order(pop, np.bitwise_count(pop).sum(axis=0), js)
 
 
 class _RealOps:
     """Moves and ranking of the real-valued baseline over a (2**S, P) float64
     stack; like `_BinaryOps`, it draws child by child and builds in one batch."""
 
-    dtype = np.float64
-    measure = RealFuzzyMeasure
+    def __init__(self, source_count: int):
+        self.source_count = source_count
+
+    def stack(self, tables):
+        """This layout of a (2**S, C) stack of {0, 1} tables."""
+        return tables.astype(np.float64)
+
+    def measure(self, column):
+        return RealFuzzyMeasure(self.source_count, column)
 
     @staticmethod
     def breed(pop, parents, small, rng):
@@ -224,12 +249,13 @@ def _rank_picks(rng, size: int, count: int) -> np.ndarray:
 
 
 def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
-    """Elitist search over a (2**S, P) stack of value tables, one column
-    each; the stack stays unpermuted and `order` ranks its columns."""
+    """Elitist search over a stack of value tables, one column each, in the
+    layout of `ops`; the stack stays unpermuted and `order` ranks its columns."""
     t0 = time.perf_counter()
-    ends = np.zeros((1 << prepared.source_count, 2), dtype=ops.dtype)
+    ends = np.zeros((1 << prepared.source_count, 2), dtype=np.uint8)
     ends[-1, 0] = 1  # only the full set wins: fusion is min
     ends[1:, 1] = 1  # every non-empty set wins: fusion is max
+    ends = ops.stack(ends)
     fresh = np.zeros(cfg.population_size - 2, dtype=bool)  # no small mutations
     drawn = ops.breed(ends, fresh.astype(int), fresh, substream(cfg.rng_seed, "init"))
     pop = np.concatenate([ends, drawn], axis=1)
@@ -272,7 +298,7 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
         gen += 1
 
     return TrainResult(
-        best_measure=ops.measure(prepared.source_count, pop[:, order[0]]),
+        best_measure=ops.measure(pop[:, order[0]]),
         best_objective=trace[-1],
         generations_run=gen,
         wall_time_seconds=time.perf_counter() - t0,
@@ -293,13 +319,13 @@ def _check_trainable(data: Dataset) -> None:
 def train_bfm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
     """Evolutionary search for the binary measure minimizing the objective."""
     _check_trainable(data)
-    return _evolve(prepare(data), cfg, _BinaryOps())
+    return _evolve(prepare(data), cfg, _BinaryOps(data.source_count))
 
 
 def train_real_fm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
     """Same search skeleton over real-valued measures; the timing baseline."""
     _check_trainable(data)
-    return _evolve(prepare(data), cfg, _RealOps())
+    return _evolve(prepare(data), cfg, _RealOps(data.source_count))
 
 
 def train_exhaustive(data: Dataset) -> TrainResult:
@@ -309,7 +335,8 @@ def train_exhaustive(data: Dataset) -> TrainResult:
     bitmask index order). Refuses source counts above ENUMERATION_CAP.
     """
     t0 = time.perf_counter()
-    tables = _all_tables(data.source_count)
+    s = data.source_count
+    tables = _pack(_all_tables(s))
     prepared = prepare(data)
     js = np.concatenate([
         _evaluate(tables[:, i : i + 512], prepared).total
@@ -318,7 +345,7 @@ def train_exhaustive(data: Dataset) -> TrainResult:
     best = int(np.argmin(js))  # the columns are sorted as bytes: the first minimum wins ties
     best_objective = float(js[best])
     return TrainResult(
-        best_measure=BinaryFuzzyMeasure(data.source_count, tables[:, best]),
+        best_measure=BinaryFuzzyMeasure(s, _unpack(tables[:, best], s)),
         best_objective=best_objective,
         generations_run=tables.shape[1],
         wall_time_seconds=time.perf_counter() - t0,

@@ -27,7 +27,7 @@ from bfmfusion import (
     set_with_repair,
     validate,
 )
-from bfmfusion.measures import _close_up, _minimal
+from bfmfusion.measures import _close_up, _minimal, _pack, _unpack
 from oracles import (
     brute_force_tables,
     naive_first_covering_violation,
@@ -281,16 +281,21 @@ class TestMinimalWinningCoalitions:
 class TestLatticeSweeps:
     """The column-stack sweeps against pair-scanning oracles."""
 
-    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 6), cols=st.sampled_from([0, 1, 5]),
+    @given(seed=st.integers(0, 2**31 - 1), cols=st.sampled_from([0, 1, 5]),
            density=st.sampled_from([0.02, 0.2, 0.5]))
-    @settings(max_examples=120, deadline=None)
-    def test_close_up_matches_oracle(self, seed, s, cols, density):
-        stack = (np.random.default_rng(seed).random((1 << s, cols)) < density).astype(np.uint8)
-        expected = [naive_upward_closure(column) for column in stack.T.tolist()]
-        closed = _close_up(stack)
-        assert closed is stack  # in place
-        assert closed.shape == (1 << s, cols)
-        assert closed.T.tolist() == expected
+    @settings(max_examples=40, deadline=None)
+    def test_close_up_matches_oracle(self, seed, cols, density):
+        rng = np.random.default_rng(seed)
+        for s in range(1, 9):  # packed stacks of 1 byte a table up to 32
+            tables = (rng.random((1 << s, cols)) < density).astype(np.uint8)
+            expected = [naive_upward_closure(column) for column in tables.T.tolist()]
+            stack = _pack(tables)
+            closed = _close_up(stack, s)
+            assert closed is stack  # in place
+            assert closed.shape == (-(-(1 << s) // 8), cols)
+            assert _unpack(closed, s).T.tolist() == expected
+            if s <= 2:  # one byte, its low 8 - 2**S bits padding
+                assert not (closed & (1 << 8 - (1 << s)) - 1).any()
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 6), cols=st.sampled_from([0, 1, 5]))
     @settings(max_examples=120, deadline=None)
@@ -298,7 +303,7 @@ class TestLatticeSweeps:
         rng = np.random.default_rng(seed)
         stack = (rng.random((1 << s, cols)) < rng.uniform(0.01, 0.5)).astype(np.uint8)
         stack[0] = 0
-        _close_up(stack)
+        stack = _unpack(_close_up(_pack(stack), s), s)
         minimal = _minimal(stack)
         assert minimal.dtype == np.uint8 and minimal.shape == stack.shape
         for column, table in zip(minimal.T, stack.T):
@@ -307,7 +312,7 @@ class TestLatticeSweeps:
     def test_close_up_refuses_a_strided_stack(self):
         # closing a copy would silently leave the caller's stack open
         with pytest.raises(ValueError):
-            _close_up(np.zeros((4, 8), dtype=np.uint8).T)
+            _close_up(np.asfortranarray(_pack(np.zeros((64, 4), dtype=np.uint8))), 6)
 
 
 class TestSerialization:

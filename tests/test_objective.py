@@ -20,6 +20,7 @@ from bfmfusion import (
     sample_random_real,
     sort_decomposition,
 )
+from bfmfusion.measures import _pack
 from bfmfusion.objective import _evaluate
 from oracles import naive_breakdown, naive_choquet, naive_objective
 
@@ -34,9 +35,15 @@ def hand_dataset():
     return Dataset(source_count=2, bags=(neg, pos))
 
 
+def as_stack(tables):
+    """The stack `_evaluate` takes for a (2**S, P) stack of value tables:
+    binary (uint8) tables as a bitset stack, real ones as they are."""
+    return _pack(tables) if tables.dtype == np.uint8 else tables
+
+
 def stack_totals(measures, prepared):
-    """Objective totals of the measures' tables evaluated as one (2**S, P) stack."""
-    return _evaluate(np.stack([m.values for m in measures], axis=1), prepared).total
+    """Objective totals of the measures' tables evaluated as one stack."""
+    return _evaluate(as_stack(np.stack([m.values for m in measures], axis=1)), prepared).total
 
 
 def random_dataset(rng, s, n_bags=None):
@@ -174,7 +181,7 @@ class TestBinaryMaxMin:
         ds = tied_dataset(rng, s)
         pre = prepare(ds)
         tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
-        binary = _evaluate(tables, pre)
+        binary = _evaluate(_pack(tables), pre)
         summed = _evaluate(tables.astype(np.float64), pre)
         for field in ("total", "contributions", "set_extreme", "bag_extreme"):
             np.testing.assert_allclose(
@@ -191,10 +198,10 @@ class TestBinaryMaxMin:
             Bag(b % 2, [rng.random((3, s)), rng.random((3, s))]) for b in range(1000)
         )
         pre = prepare(Dataset(s, bags))
-        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
+        stack = _pack(np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1))
         tracemalloc.start()
         try:
-            _evaluate(tables, pre)
+            _evaluate(stack, pre)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -227,7 +234,7 @@ class TestThresholdWalk:
         tables = np.stack(
             [sample_random(s, float(rng.random()), rng).values for _ in range(p)], axis=1
         )
-        ev = _evaluate(tables, prepare(ds))
+        ev = _evaluate(_pack(tables), prepare(ds))
         sets = [(bag.label, cset) for bag in ds.bags for cset in bag.candidate_sets]
         for table, extremes, total in zip(tables.T, ev.set_extreme, ev.total):
             for (label, cset), extreme in zip(sets, extremes):
@@ -249,7 +256,7 @@ class TestThresholdWalk:
         expected = max(cis) if label else min(cis)
         passed = rows > expected if label else rows < expected
         assert passed.sum() >= 256  # every one of them comes before the hit
-        ev = _evaluate(np.repeat(table[:, None], 65, axis=1), prepare(ds))
+        ev = _evaluate(_pack(np.repeat(table[:, None], 65, axis=1)), prepare(ds))
         assert (ev.set_extreme[:, 0] == expected).all()
         assert (ev.total == naive_objective(table, ds)).all()
 
@@ -261,9 +268,10 @@ class TestThresholdWalk:
         ds = Dataset(s, (Bag(0, [rng.random((10, s))]), Bag(1, [rng.random((10, s))])))
         pre = prepare(ds)
         table = from_minimal_coalitions(s, [set(range(10)), set(range(10, 20))]).values
+        stack = _pack(table[:, None])
         tracemalloc.start()
         try:
-            ev = _evaluate(table[:, None], pre)
+            ev = _evaluate(stack, pre)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -271,9 +279,9 @@ class TestThresholdWalk:
         assert ev.total[0] == pytest.approx(naive_objective(table, ds), abs=1e-12)
 
     def test_memory_beyond_the_returned_arrays_is_bounded(self):
-        # the walk and the bag reduction run in blocks, so beyond the
-        # returned arrays only the term sums' copies of the bag columns grow
-        # with the data
+        # the walk, the bag reduction and the term sums run in blocks, so
+        # beyond the returned arrays memory stays bounded as the bags grow
+        # from 600 to 9,600
         s, p = 10, 64
         rng = np.random.default_rng(71)
         bags = tuple(
@@ -281,12 +289,12 @@ class TestThresholdWalk:
                         for _ in range(int(rng.integers(1, 4)))])
             for b in range(600)
         )
-        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
-        for ds in (Dataset(s, bags), Dataset(s, bags * 4)):
+        stack = _pack(np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1))
+        for ds in (Dataset(s, bags), Dataset(s, bags * 4), Dataset(s, bags * 16)):
             pre = prepare(ds)
             tracemalloc.start()
             try:
-                ev = _evaluate(tables, pre)
+                ev = _evaluate(stack, pre)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -347,7 +355,7 @@ class TestSkewedSizes:
             tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(4)], axis=1)
         else:
             tables = np.stack([sample_random_real(s, rng).values for _ in range(2)], axis=1)
-        ev = _evaluate(tables, prepare(ds))
+        ev = _evaluate(as_stack(tables), prepare(ds))
         for table, total, contributions in zip(tables.T, ev.total, ev.contributions):
             assert total == pytest.approx(naive_objective(table, ds), abs=1e-12)
             expected = [c for c, _ in naive_breakdown(table, ds)]
@@ -360,10 +368,10 @@ class TestSkewedSizes:
         ds = skewed_dataset(s)
         pre = prepare(ds)
         rng = np.random.default_rng(43)
-        tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
+        stack = _pack(np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1))
         tracemalloc.start()
         try:
-            _evaluate(tables, pre)
+            _evaluate(stack, pre)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

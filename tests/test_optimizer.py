@@ -28,7 +28,7 @@ from bfmfusion import (
     train_real_fm,
     validate,
 )
-from bfmfusion.measures import _close_up, _random_table
+from bfmfusion.measures import _close_up, _pack, _random_table, _unpack
 from bfmfusion.optimizer import _BinaryOps, _RealOps
 from oracles import naive_random_real_table, naive_ranking, naive_real_redraw
 
@@ -328,7 +328,7 @@ def random_population(rng, s, p, duplicates=0):
     copies of earlier ones."""
     pop = (rng.random((1 << s, p)) < rng.uniform(0.02, 0.4)).astype(np.uint8)
     pop[0], pop[-1] = 0, 1
-    _close_up(pop)
+    pop = _unpack(_close_up(_pack(pop), s), s)
     for c in range(p - duplicates, p):
         pop[:, c] = pop[:, rng.integers(0, p - duplicates)]
     return pop
@@ -346,7 +346,9 @@ class TestBatchedMoves:
         parents = rng.integers(0, p, children)
         small = rng.random(children) < small_rate
         breed_rng = np.random.default_rng(seed + 1)
-        got = _BinaryOps.breed(pop, parents, small, breed_rng)
+        packed = _BinaryOps(s).breed(_pack(pop), parents, small, breed_rng)
+        got = _unpack(packed, s)
+        assert np.array_equal(packed, _pack(got))  # and any padding bits are 0
 
         # the same draws, one child at a time, with the single-table moves
         draws = np.random.default_rng(seed + 1)
@@ -401,7 +403,7 @@ class TestRanking:
         pop = random_population(rng, s, p, min(duplicates, p - 1))
         # few distinct objectives: ties at different popcounts are common
         js = rng.choice([0.0, 0.25, 1.0], size=p)
-        got = _BinaryOps.order(pop, js).tolist()
+        got = _BinaryOps.order(_pack(pop), js).tolist()
         assert got == naive_ranking(pop.T.tolist(), js.tolist(), binary=True)
 
     def test_binary_order_breaks_ties_by_popcount_then_bytes(self):
@@ -410,7 +412,7 @@ class TestRanking:
         pop = np.stack([wins0, wins1, full, wins2, wins0], axis=1)
         js = np.array([0.5, 0.5, 0.5, 0.5, 0.25])
         # 0.25 first; then the sparser table; then 00001111 < 00110011 < 01010101
-        assert _BinaryOps.order(pop, js).tolist() == [4, 2, 3, 1, 0]
+        assert _BinaryOps.order(_pack(pop), js).tolist() == [4, 2, 3, 1, 0]
 
     @given(seed=st.integers(0, 2**31 - 1), p=st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
@@ -423,18 +425,24 @@ class TestRanking:
         assert got == naive_ranking(pop.T.tolist(), js.tolist(), binary=False)
 
 
-# Default EAConfig on planted noise-free datasets at S=8 and S=10: per run the
-# generation count, stop reason, best objective and SHA-256 prefixes of the
-# objective trace (float64 bytes) and of the best table. Recorded before the
-# population became a column stack; a change to draws, moves or ranking shows here.
+# Default EAConfig on planted noise-free datasets at S=2, 8, 10 and 12: per run
+# the generation count, stop reason, best objective and SHA-256 prefixes of the
+# objective trace (float64 bytes) and of the best table. The S=8 and S=10 runs
+# were recorded before the population became a column stack, the S=2 and S=12
+# runs (a table of 4 coalitions, and one of 4096) before it became a bitset;
+# a change to draws, moves or ranking shows here.
 PLANTED = {
+    2: [{0}],
     8: [{0, 1, 2, 3}, {2, 4, 5, 6}, {1, 3, 5, 7}],
     10: [{0, 1, 2, 3, 4}, {3, 5, 6, 7, 8}, {1, 4, 6, 8, 9}],
+    12: [{0, 1, 2, 3, 4, 5}, {4, 6, 7, 8, 9, 10}, {1, 3, 5, 7, 9, 11}],
 }
 GOLDEN_DEFAULT = [
+    (2, 0, 0, "converged", 0.0, "af5570f5a1810b7a", "76cc5805dab9b4ea"),
     (8, 0, 50, "converged", 0.0, "b075edc2340e34ae", "84ac3f504064aac5"),
     (8, 2, 65, "stalled", 0.4649537847401779, "f6f7a52740853f5a", "52e32a050d940b23"),
     (10, 0, 163, "stalled", 1.577279445000654, "74e821036d77ef6d", "5e61f6d18ed106f0"),
+    (12, 1, 272, "stalled", 3.4807463565290173, "728de965d91641f5", "bbdf58e56ba56672"),
 ]
 # train_real_fm with max_generations=150, the real-baseline benchmark's budget;
 # recorded while real children were still built one at a time
