@@ -7,12 +7,13 @@ of top sources:
     CI(h) = sum_k (h_(k) - h_(k+1)) * g(top-k sources),  h_(S+1) = 0.
 
 For a binary measure this collapses to a max-min form over the winning
-coalitions, so every fused value is one of the row's own confidences.
-`_choquet` reads a binary table that way in fusion, and a real-valued
-table by the sum, in fusion and in training; training reads binary
-tables off threshold walks instead (see `bfmfusion.objective`), since it
-needs only each candidate set's extreme. `choquet_maxmin` computes the
-max-min form directly, as an independent cross-check.
+coalitions, so every fused value is one of the row's own confidences:
+`choquet_batch` reads it as the level at each row's first winning prefix,
+with one gather of the table. `_choquet` is the level-difference sum over
+a stack of real-valued tables, in fusion and in training; training reads
+binary tables off threshold walks instead (see `bfmfusion.objective`),
+since it needs only each candidate set's extreme. `choquet_maxmin`
+computes the max-min form directly, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -62,28 +63,9 @@ def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """(N, P) CI of every decomposed row under a (2**S, P) column stack.
-
-    A uint8 stack of binary tables, which only fusion passes, takes the
-    max-min form: the prefixes masks[n, :] grow, so under a monotone table
-    the winning ones form a suffix. S row gathers of the stack, one per
-    prefix length, each (N, P), add into one uint8 count (no (N, S, P)
-    array, no transposed copy, no float (P, N, S) array), and CI is
-    levels[n, S - count], exactly one of the row's levels. A float64 stack
-    of real-valued tables takes the level-difference sum over a (P, N, S)
-    gather through the transposed view.
-    """
-    if tables.dtype == np.uint8:
-        counts = tables[masks[:, 0]]
-        rows = np.empty_like(counts)
-        for k in range(1, masks.shape[1]):
-            # masks index the stack by construction; "clip" writes straight
-            # into rows, where the default "raise" buffers a copy of them
-            counts += np.take(tables, masks[:, k], axis=0, out=rows, mode="clip")
-        del rows  # freed before the level read, which holds the peak
-        # a flat index into the levels is faster here than take_along_axis
-        row_ends = np.arange(1, len(levels) + 1)[:, None] * levels.shape[1] - 1
-        return levels.ravel()[row_ends - counts]
+    """(N, P) CI of every decomposed row under a (2**S, P) float64 column
+    stack of real-valued tables: the level-difference sum over a (P, N, S)
+    gather through the transposed view."""
     diffs = levels[:, :-1] - levels[:, 1:]
     return (diffs * tables.T[:, masks]).sum(axis=2).T
 
@@ -91,12 +73,18 @@ def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.nd
 def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:
     """Choquet integral of every row of an (N, S) confidence matrix.
 
-    Refuses an invalid measure, rows of another width and confidences
-    outside [0, 1], as `fuse` and `objective` do.
+    A binary measure takes the max-min form: the prefixes masks[n, :] grow,
+    so under a monotone table the winning ones form a suffix, and CI is the
+    level at the first of them, read with one (N, S) uint8 gather of the
+    table, exactly one of the row's confidences. A real-valued measure takes
+    the level-difference sum. Refuses an invalid measure, rows of another
+    width and confidences outside [0, 1], as `fuse` and `objective` do.
     """
     _check_measure(measure, measure.source_count)
-    X = _check_rows(X, measure.source_count)
-    return _choquet(measure.values[:, None], *sort_decomposition(X))[:, 0]
+    masks, levels = sort_decomposition(_check_rows(X, measure.source_count))
+    if isinstance(measure, BinaryFuzzyMeasure):
+        return levels[np.arange(len(levels)), np.argmax(measure.values[masks], axis=1)]
+    return _choquet(measure.values[:, None], masks, levels)[:, 0]
 
 
 def choquet_integral(h, measure: Measure) -> float:

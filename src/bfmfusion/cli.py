@@ -7,7 +7,8 @@ Subcommands wire the library into reproducible runs:
 * fuse-eval  apply a measure (or naive baseline) and score against truth
 * bench      timing comparison of binary vs real training across source counts
 
-Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 cap refusal.
+Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 cap refusal
+or a run out of memory.
 Every persisted artifact embeds the seed, a hash of the run configuration,
 and the tool version, so outputs are traceable to their inputs.
 """

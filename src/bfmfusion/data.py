@@ -220,10 +220,15 @@ def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> 
         nested = False
     if not nested or [len(tset) for tset in tsets] != set_sizes:
         raise ValidationError("instance_truth does not nest like the bags, sets and instances")
-    bad = next((k for k, t in enumerate(flat) if t not in (0, 1)), None)
+    # integers only, as bag labels: True == 1 and 1.0 == 1 would pass `in`
+    bad = next((
+        k for k, t in enumerate(flat)
+        if type(t) is not int and not isinstance(t, np.integer) or t not in (0, 1)
+    ), None)
     if bad is not None:
         raise ValidationError(
-            f"instance_truth at {_locate(bad, set_offsets, bag_offsets)}: labels must be 0 or 1"
+            f"instance_truth at {_locate(bad, set_offsets, bag_offsets)}: "
+            f"labels must be the integer 0 or 1, got {flat[bad]!r}"
         )
     return np.array(flat, dtype=np.int8)
 

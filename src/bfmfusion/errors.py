@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ValidationError -> 1, OSError -> 2,
-CapError -> 3.
+CapError -> 3; a run out of memory (MemoryError) also exits 3.
 """
 
 

@@ -233,7 +233,7 @@ def validate(measure: Measure) -> ValidityReport:
 
     best: tuple[int, int] | None = None  # first offending (A, A | bit) pair
     for i in range(measure.source_count):
-        # the view of _close_up: [:, 1] holds each [:, 0] set plus source i
+        # coalitions paired across bit i: [:, 1] holds each [:, 0] set plus source i
         pairs = v.reshape(n >> i + 1, 2, 1 << i)
         # the first offending A for this bit, or A = 0 when there is none
         high, low = divmod(int((pairs[:, 0] > pairs[:, 1]).argmax()), 1 << i)
@@ -540,6 +540,8 @@ def measure_from_dict(obj) -> Measure:
     if not isinstance(obj, dict) or "source_count" not in obj:
         raise ValidationError("measure JSON must be an object with a source_count field")
     source_count = _check_source_count(obj["source_count"])
+    if "minimal_winning" in obj and "values" in obj:
+        raise ValidationError("measure JSON takes values or minimal_winning, not both")
     if "minimal_winning" in obj:
         coalitions = obj["minimal_winning"]
         if not isinstance(coalitions, list):

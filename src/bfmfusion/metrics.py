@@ -128,6 +128,8 @@ def score(
         )
     if scores.size == 0:
         raise ValidationError("cannot score an empty map")
+    if not np.isfinite(scores).all():
+        raise ValidationError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
     if not np.isin(t, (0, 1)).all():
         raise ValidationError("truth labels must be 0 or 1")
     t = t.astype(np.int64)

@@ -138,15 +138,14 @@ def _walks(set_groups: tuple, words: np.ndarray, keys: np.ndarray) -> tuple:
     """For each group of candidate sets: the set indices, the (G * S, n_g)
     word indices of each set's (instance, prefix) pairs by ascending key,
     one set per column, and the (n_g, G * S) levels |key| in that order."""
-    s = keys.shape[1]
     out = []
     for segs, rows in set_groups:
-        pairs = (rows[:, :, None] * s + np.arange(s)).reshape(len(segs), -1)
-        key = keys.ravel()[pairs]
+        key = keys[rows].reshape(len(segs), -1)
+        word = words[rows].ravel()
         # ties may fall in any order: a tied pair has the same level
         order = np.argsort(key, axis=1)
         order += np.arange(0, key.size, key.shape[1])[:, None]
-        walk = words.ravel()[pairs.ravel()[order]]
+        walk = word[order]
         levels = key.ravel()[order]
         out.append((segs, walk.T.copy(), np.abs(levels, out=levels)))
     return tuple(out)

@@ -224,27 +224,23 @@ class TestStackForms:
     def test_maxmin_stack_equals_oracle(self, s):
         rng = np.random.default_rng(s)
         measures = list(enumerate_all(s))
-        tables = np.stack([g.values for g in measures], axis=1)
         for X in (rng.random((15, s)), tied_rows(rng, 15, s)):
-            ci = _choquet(tables, *sort_decomposition(X))
-            assert ci.shape == (15, len(measures))
-            for p, g in enumerate(measures):
-                assert [float(v) for v in ci[:, p]] == [choquet_maxmin(h, g) for h in X]
+            for g in measures:
+                ci = choquet_batch(X, g)
+                assert ci.shape == (15,)
+                assert [float(v) for v in ci] == [choquet_maxmin(h, g) for h in X]
 
     @pytest.mark.parametrize("p", [1, 7])
     @pytest.mark.parametrize("s", [1, 2, 5, 8])
     def test_maxmin_stack_of_random_tables_equals_oracle(self, s, p):
-        # rows with ties, 0.0 and 1.0 among them, and a column slice of a
-        # wider stack, as train_exhaustive passes
+        # rows with ties, 0.0 and 1.0 among them
         rng = np.random.default_rng(200 + 10 * s + p)
         measures = [sample_random(s, 0.5, rng) for _ in range(p)]
-        wide = np.stack([g.values for g in measures for _ in range(2)], axis=1)
-        for tables in (wide[:, ::2], np.ascontiguousarray(wide[:, ::2])):
-            for X in (rng.random((40, s)), tied_rows(rng, 40, s)):
-                ci = _choquet(tables, *sort_decomposition(X))
-                assert ci.shape == (40, p)
-                for k, g in enumerate(measures):
-                    assert [float(v) for v in ci[:, k]] == [choquet_maxmin(h, g) for h in X]
+        for X in (rng.random((40, s)), tied_rows(rng, 40, s)):
+            for g in measures:
+                ci = choquet_batch(X, g)
+                assert ci.shape == (40,)
+                assert [float(v) for v in ci] == [choquet_maxmin(h, g) for h in X]
 
     def test_sum_stack_equals_batch_bitwise(self):
         rng = np.random.default_rng(9)

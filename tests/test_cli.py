@@ -416,6 +416,35 @@ class TestFuseEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "eval" / "fusion.csv").exists()
 
+    def test_measure_with_both_spellings_exits_1(self, tmp_path, capsys):
+        data = self.auc_dataset(tmp_path)
+        mpath = tmp_path / "measure.json"
+        mpath.write_text(json.dumps({"source_count": 3, "values": [0, 0, 0, 1, 0, 1, 0, 1],
+                                     "minimal_winning": [[1, 2], [1, 3]]}))
+        code = main(["fuse-eval", "--data", str(data), "--measure", str(mpath),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "eval" / "fusion.csv").exists()
+
+    @pytest.mark.parametrize("truth", [True, 1.0, False, 0.0])
+    def test_non_integer_truth_exits_1(self, tmp_path, capsys, truth):
+        # as bag labels, truth labels are the integers 0 and 1 only
+        obj = json.loads(self.auc_dataset(tmp_path).read_text())
+        obj["instance_truth"][-1][-1][-1] = truth
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main(["fuse-eval", "--data", str(path), "--naive", "min",
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        b, c = len(obj["bags"]) - 1, len(obj["bags"][-1]["candidate_sets"]) - 1
+        i = len(obj["bags"][-1]["candidate_sets"][-1]) - 1
+        assert f"bag {b}, candidate set {c}, instance {i}" in err
+        assert not (tmp_path / "eval" / "fusion.csv").exists()
+
     @pytest.mark.parametrize(
         "change",
         [

@@ -336,6 +336,13 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             measure_from_dict({"source_count": 3, "minimal_winning": [[4]]})
 
+    def test_both_spellings_rejected(self):
+        # neither field may silently win over the other
+        with pytest.raises(ValidationError, match="not both"):
+            measure_from_dict(
+                {"source_count": 2, "values": [0, 1, 1, 1], "minimal_winning": [[1, 2]]}
+            )
+
     def test_int_values_parse_binary_float_values_parse_real(self):
         b = measure_from_dict({"source_count": 1, "values": [0, 1]})
         r = measure_from_dict({"source_count": 1, "values": [0.0, 1.0]})

@@ -232,6 +232,12 @@ class TestScoreInputs:
         with pytest.raises(ValidationError, match="empty"):
             score(np.array([]), [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores(self, bad):
+        # NaN would otherwise read as AUC 0 and an "infinite" PSNR
+        with pytest.raises(ValidationError, match="finite"):
+            score([bad, 0.5], [1, 0])
+
     def test_nonbinary_truth(self):
         with pytest.raises(ValidationError, match="0 or 1"):
             score(np.array([0.1, 0.2]), [0, 2])
