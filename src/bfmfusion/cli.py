@@ -146,6 +146,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.mode == "bfm-exhaustive":
+        # the scan visits every measure once, so no search setting applies
+        for field in fields(EAConfig):
+            if getattr(args, field.name, None) is not None:
+                flag = "--" + field.name.replace("_", "-")
+                raise ValidationError(f"{flag} does not apply to --mode bfm-exhaustive")
     data = load_dataset(args.data)
     cfg = _ea_config(args, args.seed)
     _claim(args.force, args.out)

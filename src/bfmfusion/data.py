@@ -44,6 +44,7 @@ from .measures import (
     _check_measure,
     _check_real,
     _check_source_count,
+    _is_bit,
     _read_json,
     measure_from_dict,
     measure_to_dict,
@@ -79,7 +80,7 @@ class Bag:
     candidate_sets: tuple[CandidateSet, ...]
 
     def __post_init__(self):
-        if self.label not in (0, 1):
+        if not _is_bit(self.label):
             raise ValidationError(f"label must be 0 or 1, got {self.label!r}")
         if not len(self.candidate_sets):
             raise ValidationError("a bag needs at least one candidate set")
@@ -100,7 +101,7 @@ class Dataset:
     def __init__(self, source_count, bags, instance_truth=None):
         bags = [
             {
-                "label": int(bag.label),
+                "label": bag.label,
                 "candidate_sets": [cs.instances.tolist() for cs in bag.candidate_sets],
             }
             for bag in bags
@@ -171,7 +172,7 @@ def _parse(source_count, bags, truth) -> tuple:
         if not isinstance(bag, dict) or not {"label", "candidate_sets"} <= bag.keys():
             raise ValidationError(f"bag {b}: expected label and candidate_sets fields")
         label, sets = bag["label"], bag["candidate_sets"]
-        if type(label) is not int or label not in (0, 1):
+        if not _is_bit(label):
             raise ValidationError(f"bag {b}: label must be the integer 0 or 1, got {label!r}")
         if not isinstance(sets, list) or not sets:
             raise ValidationError(f"bag {b}: candidate_sets must be a non-empty list")
@@ -220,11 +221,7 @@ def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> 
         nested = False
     if not nested or [len(tset) for tset in tsets] != set_sizes:
         raise ValidationError("instance_truth does not nest like the bags, sets and instances")
-    # integers only, as bag labels: True == 1 and 1.0 == 1 would pass `in`
-    bad = next((
-        k for k, t in enumerate(flat)
-        if type(t) is not int and not isinstance(t, np.integer) or t not in (0, 1)
-    ), None)
+    bad = next((k for k, t in enumerate(flat) if not _is_bit(t)), None)
     if bad is not None:
         raise ValidationError(
             f"instance_truth at {_locate(bad, set_offsets, bag_offsets)}: "

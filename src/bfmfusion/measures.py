@@ -66,6 +66,12 @@ def _check_integer(value, name: str) -> int:
     return int(value)
 
 
+def _is_bit(value) -> bool:
+    """An int or a numpy integer, never a bool, equal to 0 or 1: the rule for
+    bag labels, instance truth and binary measure bits."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value in (0, 1)
+
+
 def _check_real(value, name: str) -> int | float:
     """A real number, never a bool, at most the largest float in size, as
     an int or a float."""
@@ -308,7 +314,7 @@ def set_with_repair(
         raise PinnedElementError(
             "the empty set (always 0) and the full set (always 1) cannot be reassigned"
         )
-    if bit not in (0, 1):
+    if not _is_bit(bit):
         raise ValidationError(f"bit must be 0 or 1, got {bit!r}")
     masks = _masks(measure.source_count)
     values = measure.values.copy()

@@ -98,15 +98,6 @@ class PreparedData:
 # enough to stay in cache and to be reused from one block to the next
 _BLOCK = 1 << 15
 
-# elements of the term sums' row blocks: they add a block's rows side by
-# side, so they are slow on short rows of bags; 2 MiB of floats keeps
-# P = 64 whole up to about 4,000 bags
-_SUM_BLOCK = 1 << 18
-
-# byte v spread over the 8 bytes of a word in packbits' order: byte i is
-# bit 7 - i of v, the column that bit holds
-_SPREAD = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).view(np.uint64)[:, 0]
-
 
 def _size_groups(offsets: np.ndarray) -> tuple:
     """Segments grouped by the power of two G at or above their size: for
@@ -122,11 +113,10 @@ def _size_groups(offsets: np.ndarray) -> tuple:
     )
 
 
-def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple, out=None) -> np.ndarray:
-    """`ufunc` over each segment of the rows of x, into out (n_segs, ...),
+def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray:
+    """`ufunc` over each segment of the rows of x, as an (n_segs, ...) array,
     in blocks of segments of one size."""
-    if out is None:
-        out = np.empty((sum(len(segs) for segs, _ in groups),) + x.shape[1:], x.dtype)
+    out = np.empty((sum(len(segs) for segs, _ in groups),) + x.shape[1:], x.dtype)
     for segs, rows in groups:
         step = max(1, _BLOCK // (rows.shape[1] * (x.size // len(x))))
         for i in range(0, len(segs), step):
@@ -213,10 +203,10 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     words of its pairs set column c's bit from c's first hit j on; the
     complement is 1 at exactly the first j positions, so bit b of j is the
     parity of its 1s at positions m * 2**b - 1, one XOR reduction per bit.
-    `_SPREAD` turns each byte of such a plane into one byte per column, so
-    j is built 8 columns at a time, and the extreme is the walk's level at
-    j. Every walk has a hit because valid tables have g(empty) = 0 and
-    g(full) = 1.
+    `np.unpackbits` turns each bit of such a plane into one byte, the byte
+    of its column in a word, so j is built 8 columns at a time, and the
+    extreme is the walk's level at j. Every walk has a hit because valid
+    tables have g(empty) = 0 and g(full) = 1.
     """
     p = tables.shape[1]
     n_bytes, n_words = -(-p // 8), -(-p // 64)
@@ -254,7 +244,8 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
             # flat index of each walk's level at j, 8 bits of j at a time
             at = np.arange(i * length, (i + n) * length, length)[:, None]
             for low in range(0, bits, 8):
-                spread = np.take(_SPREAD, planes[low : low + 8].view(np.uint8))
+                spread = np.unpackbits(planes[low : low + 8].view(np.uint8), axis=-1)
+                spread = spread.view(np.uint64)
                 spread <<= shifts[: len(spread)]
                 j = np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:, :p]
                 at = at + (np.left_shift(j, low, dtype=np.intp) if low else j)
@@ -282,25 +273,18 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
         ci = _choquet(tables, prepared.masks, prepared.levels)
         set_extreme = _segment_reduce(np.maximum, ci, prepared.set_groups)
         set_extreme *= prepared.set_signs
-    # C-contiguous (P, n_bags): the bits of the term sums depend on this layout
-    bag_extreme = np.empty((tables.shape[1], len(prepared.labels)))
-    _segment_reduce(np.maximum, set_extreme, prepared.bag_groups, out=bag_extreme.T)
+    bag_extreme = _segment_reduce(np.maximum, set_extreme, prepared.bag_groups)
     # x - 0 is x, so a negative bag's contribution is its extreme squared
-    contributions = bag_extreme - prepared.labels
+    contributions = bag_extreme - prepared.labels[:, None]
     np.square(contributions, out=contributions)
-    neg = prepared.labels == 0
-    terms = np.empty((2, len(contributions)))
-    # the term sums copy the bag columns, so they run in row blocks of
-    # _SUM_BLOCK elements. numpy adds two or more rows left to right, one
-    # column at a time, but one row pairwise, so a block is one row only
-    # when P is 1
-    step = max(2, _SUM_BLOCK // len(neg))
-    edges = [*range(0, max(len(contributions) - 1, 1), step), len(contributions)]
-    for lo, hi in zip(edges, edges[1:]):
-        block = contributions[lo:hi]
-        terms[0, lo:hi] = block[:, neg].sum(axis=1)
-        terms[1, lo:hi] = block[:, ~neg].sum(axis=1)
-    return _Evaluation(*terms, contributions, set_extreme.T, bag_extreme)
+    # one masked reduction a term: for P >= 2 it adds each table's bags left
+    # to right; a single table's runs of bags are each summed pairwise
+    neg = (prepared.labels == 0)[:, None]
+    return _Evaluation(
+        np.add.reduce(contributions, axis=0, where=neg),
+        np.add.reduce(contributions, axis=0, where=~neg),
+        contributions.T, set_extreme.T, bag_extreme.T,
+    )
 
 
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:

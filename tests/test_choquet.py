@@ -161,6 +161,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             choquet_maxmin([0.2, 0.9], g)
 
+    def test_maxmin_refuses_a_table_without_a_winner(self):
+        with pytest.raises(ValidationError, match="no winning coalition"):
+            choquet_maxmin([0.2, 0.9], BinaryFuzzyMeasure(2, [0, 0, 0, 0]))
+
 
 class TestBatch:
     def test_batch_matches_scalar(self):

@@ -227,6 +227,23 @@ class TestTrain:
         assert payload["result"]["best_objective"] == 0.0
         assert payload["result"]["best_measure_minimal_winning"] == [[1, 2], [1, 3]]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--population-size", "7"), ("--elite-count", "1"), ("--small-mutation-rate", "0.5"),
+         ("--max-generations", "3"), ("--stall-generations", "2"),
+         ("--fitness-tolerance", "0.1"), ("--time-cap-seconds", "1e-6")],
+    )
+    def test_exhaustive_refuses_search_settings(self, flag, value, dataset_path, tmp_path,
+                                                capsys):
+        # the scan would ignore each of them, the time cap included
+        out = tmp_path / "result.json"
+        code = main(["train", "--data", str(dataset_path), "--mode", "bfm-exhaustive",
+                     "--out", str(out), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_exhaustive_refuses_large_source_count(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         big = Dataset(6, (Bag(0, [rng.random((2, 6))]), Bag(1, [rng.random((2, 6))])))
@@ -454,9 +471,11 @@ class TestFuseEval:
             lambda d: d.update(instance_truth=[[5]]),
             lambda d: d["bags"][0]["candidate_sets"][0].__setitem__(0, ["0.1", 0.2, 0.3]),
             lambda d: d["bags"][0].update(label=0.0),
+            lambda d: d["bags"].__setitem__(0, 5),
+            lambda d: d["bags"][0].pop("label"),
         ],
         ids=["bags_number", "candidate_sets_number", "truth_number", "truth_too_shallow",
-             "string_confidence", "float_label"],
+             "string_confidence", "float_label", "bag_number", "bag_without_label"],
     )
     def test_malformed_dataset_exits_1(self, tmp_path, capsys, change):
         obj = json.loads(self.auc_dataset(tmp_path).read_text())

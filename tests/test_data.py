@@ -72,6 +72,21 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             Bag(2, [np.array([[0.1, 0.2]])])
 
+    @pytest.mark.parametrize("label", [True, False, 1.0, 0.0], ids=repr)
+    def test_label_is_the_integer_0_or_1(self, label):
+        # as in the loader and instance truth: True == 1 and 1.0 == 1 pass `in`
+        with pytest.raises(ValidationError, match="label must be 0 or 1"):
+            Bag(label, [np.array([[0.1, 0.2]])])
+
+    def test_numpy_integer_labels_load(self):
+        rows = [np.array([[0.1, 0.2]])]
+        ds = Dataset(2, (Bag(np.int64(1), rows), Bag(np.uint8(0), rows)))
+        assert ds.labels().tolist() == [1, 0]
+
+    def test_instances_beyond_two_dimensions(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            CandidateSet(np.zeros((2, 2, 2)))
+
     def test_source_count_mismatch(self):
         with pytest.raises(ValidationError) as exc:
             Dataset(3, (Bag(0, [np.array([[0.1, 0.2]])]),))
@@ -239,6 +254,12 @@ class TestSynthSpecValidation:
     def test_truth_source_count_mismatch(self):
         with pytest.raises(ValidationError):
             SynthSpec(4, 5, 5, (2, 3), (2, 4), 0.0, TRUTH3, 1)
+
+    def test_real_truth_measure(self):
+        from bfmfusion import sample_random_real
+
+        with pytest.raises(ValidationError, match="BinaryFuzzyMeasure"):
+            SynthSpec(3, 5, 5, (2, 3), (2, 4), 0.0, sample_random_real(3, 1), 1)
 
     def test_invalid_truth_measure(self):
         from bfmfusion import BinaryFuzzyMeasure

@@ -57,6 +57,8 @@ class TestSourceSet:
     def test_out_of_range_member(self):
         with pytest.raises(ValidationError):
             PAPER_STYLE[[3]]
+        with pytest.raises(ValidationError, match="bitmask 8 out of range"):
+            PAPER_STYLE[1 << 3]
 
     @pytest.mark.parametrize("subset", NOT_SUBSETS, ids=repr)
     @pytest.mark.parametrize("call", ["getitem", "from_minimal_coalitions", "set_with_repair"])
@@ -99,6 +101,11 @@ class TestConstruction:
             BinaryFuzzyMeasure(2, np.array([0, 2, 0, 1]))
         with pytest.raises(ValidationError):
             RealFuzzyMeasure(2, np.array([0.0, 1.2, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("kind", [BinaryFuzzyMeasure, RealFuzzyMeasure])
+    def test_values_must_be_one_dimensional(self, kind):
+        with pytest.raises(ValidationError, match="1-D"):
+            kind(1, np.zeros((2, 2)))
 
     def test_values_read_only(self):
         g = minimum_measure(2)
@@ -181,6 +188,14 @@ class TestSetWithRepair:
         with pytest.raises(PinnedElementError):
             set_with_repair(PAPER_STYLE, {0, 1, 2}, 0)
 
+    @pytest.mark.parametrize("bit", [2, -1, True, False, 1.0, 0.0], ids=repr)
+    def test_bit_is_the_integer_0_or_1(self, bit):
+        with pytest.raises(ValidationError, match="bit must be 0 or 1"):
+            set_with_repair(maximum_measure(3), 3, bit)
+
+    def test_numpy_integer_bit(self):
+        assert set_with_repair(maximum_measure(3), 3, np.int64(0))[3] == 0
+
     @given(
         seed=st.integers(0, 10_000),
         s=st.integers(2, 6),
@@ -255,6 +270,13 @@ class TestEnumeration:
         # refusal happens at call time, not first iteration
         with pytest.raises(CapError):
             enumerate_all(7)
+
+    def test_cap_refusal_beyond_known_counts(self):
+        # no exact count is known past S = 9: C(10, 5) = 252 bounds it
+        with pytest.raises(CapError, match=r"more than 2\*\*252"):
+            enumerate_all(10)
+        with pytest.raises(CapError, match="S=10"):
+            count_all(10)
 
 
 class TestMinimalWinningCoalitions:
@@ -342,6 +364,20 @@ class TestSerialization:
             measure_from_dict(
                 {"source_count": 2, "values": [0, 1, 1, 1], "minimal_winning": [[1, 2]]}
             )
+
+    def test_antichain_form_of_a_real_measure_refused(self):
+        with pytest.raises(ValidationError, match="only for binary measures"):
+            measure_to_antichain_dict(sample_random_real(2, 1))
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [({"source_count": 2, "minimal_winning": "12"}, "must be a list of coalitions"),
+         ({"source_count": 2}, "needs either values or minimal_winning")],
+        ids=["minimal_winning_not_a_list", "neither_field"],
+    )
+    def test_malformed_form_refused(self, obj, message):
+        with pytest.raises(ValidationError, match=message):
+            measure_from_dict(obj)
 
     def test_int_values_parse_binary_float_values_parse_real(self):
         b = measure_from_dict({"source_count": 1, "values": [0, 1]})

@@ -279,9 +279,9 @@ class TestThresholdWalk:
         assert ev.total[0] == pytest.approx(naive_objective(table, ds), abs=1e-12)
 
     def test_memory_beyond_the_returned_arrays_is_bounded(self):
-        # the walk, the bag reduction and the term sums run in blocks, so
-        # beyond the returned arrays memory stays bounded as the bags grow
-        # from 600 to 9,600
+        # the walk and the bag reduction run in blocks, and the term sums
+        # are masked reductions that copy no bags, so beyond the returned
+        # arrays memory stays bounded as the bags grow from 600 to 9,600
         s, p = 10, 64
         rng = np.random.default_rng(71)
         bags = tuple(
@@ -405,6 +405,27 @@ class TestBatchPaths:
         np.testing.assert_allclose(
             stack_totals(measures, prepare(ds)), singles, rtol=1e-12, atol=0
         )
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+    @pytest.mark.parametrize("p", [2, 3, 64, 65, 130])
+    def test_terms_add_bags_left_to_right(self, p, binary):
+        # each term of each table in a stack adds that table's contributions
+        # one at a time in bag order, with the labels shuffled among the bags
+        rng = np.random.default_rng(91)
+        bags = random_dataset(rng, 4, n_bags=400).bags
+        ds = Dataset(4, tuple(bags[i] for i in rng.permutation(len(bags))))
+        tables = np.stack([
+            (sample_random(4, 0.5, rng) if binary else sample_random_real(4, rng)).values
+            for _ in range(p)
+        ], axis=1)
+        ev = _evaluate(as_stack(tables), prepare(ds))
+        negative = ds.labels() == 0
+        for contributions, *terms in zip(ev.contributions, ev.negative, ev.positive):
+            for term, bags_of_term in zip(terms, (negative, ~negative)):
+                running = 0.0
+                for c in contributions[bags_of_term].tolist():
+                    running += c
+                assert float(term) == running
 
 
 class TestPreparedReuse:

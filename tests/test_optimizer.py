@@ -30,6 +30,7 @@ from bfmfusion import (
 )
 from bfmfusion.measures import _close_up, _pack, _random_table, _unpack
 from bfmfusion.optimizer import _BinaryOps, _RealOps
+from bfmfusion.rng import substream
 from oracles import naive_random_real_table, naive_ranking, naive_real_redraw
 
 TRUTH = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
@@ -135,6 +136,10 @@ class TestDeterminism:
         b = train_real_fm(data, quick_cfg(rng_seed=3, max_generations=15))
         assert a.objective_trace == b.objective_trace
         assert np.array_equal(a.best_measure.values, b.best_measure.values)
+
+    def test_unknown_stream_refused(self):
+        with pytest.raises(ValueError, match="unknown rng stream 'nope'"):
+            substream(0, "nope")
 
 
 class TestTraceShape:
