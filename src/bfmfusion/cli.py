@@ -156,19 +156,22 @@ def cmd_train(args) -> int:
     cfg = _ea_config(args, args.seed)
     _claim(args.force, args.out)
 
-    if args.mode == "bfm":
-        result = train_bfm(data, cfg)
-    elif args.mode == "real":
-        result = train_real_fm(data, cfg)
+    run_config = {"mode": args.mode, "seed": args.seed}
+    if args.mode == "bfm-exhaustive":
+        # the scan reads no search setting, so none is recorded or hashed
+        result, config = train_exhaustive(data), None
+        ran = f"over {result.generations_run} measures scanned"
     else:
-        result = train_exhaustive(data)
+        trainer = train_bfm if args.mode == "bfm" else train_real_fm
+        result, config = trainer(data, cfg), cfg.to_json_dict()
+        run_config["config"] = config
+        ran = f"after {result.generations_run} generations ({result.terminated_by})"
 
-    run_config = {"mode": args.mode, "seed": args.seed, "config": cfg.to_json_dict()}
     payload = {
         "command": "train",
         "mode": args.mode,
         "seed": args.seed,
-        "config": cfg.to_json_dict(),
+        "config": config,
         "data_path": str(args.data),
         "result": result.to_json_dict(),
         "provenance": _provenance(args.seed, run_config),
@@ -179,11 +182,7 @@ def cmd_train(args) -> int:
 
     _write_json(args.out, payload)
 
-    print(
-        f"best objective {result.best_objective:.6g} after "
-        f"{result.generations_run} generations ({result.terminated_by}), "
-        f"{result.wall_time_seconds:.3f}s"
-    )
+    print(f"best objective {result.best_objective:.6g} {ran}, {result.wall_time_seconds:.3f}s")
     if isinstance(result.best_measure, BinaryFuzzyMeasure):
         print(f"minimal winning coalitions: {_antichain_text(result.best_measure)}")
     if args.explain:

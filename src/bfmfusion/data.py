@@ -395,42 +395,38 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     S = spec.source_count
     coalitions = minimal_winning_coalitions(truth)
 
-    def n_in(rng_range):
-        lo, hi = rng_range
-        return int(rng.integers(lo, hi + 1))
+    # each kind of draw is one call over every bag, set or row: set counts,
+    # instance counts, each positive bag's target set, row and coalition,
+    # the confidences, the blockers, the noise
+    labels = np.repeat(np.array([0, 1], dtype=np.int8), [spec.n_neg_bags, spec.n_pos_bags])
+    sets_per_bag = rng.integers(*spec.sets_per_bag, size=len(labels), endpoint=True)
+    bag_offsets = _offsets(sets_per_bag)
+    set_sizes = rng.integers(*spec.instances_per_set, size=bag_offsets[-1], endpoint=True)
+    set_offsets = _offsets(set_sizes)
+    pos = slice(spec.n_neg_bags, None)
+    target_set = bag_offsets[:-1][pos] + rng.integers(0, sets_per_bag[pos])
+    target_row = set_offsets[target_set] + rng.integers(0, set_sizes[target_set])
+    target = rng.integers(len(coalitions), size=spec.n_pos_bags)
 
-    # one pass draws every set in the established stream order; the columns
-    # are assembled once at the end
-    labels = [0] * spec.n_neg_bags + [1] * spec.n_pos_bags
-    blocks, sets_per_bag = [], []
-    for label in labels:
-        n_sets = n_in(spec.sets_per_bag)
-        target_set = int(rng.integers(n_sets)) if label else -1
-        for c in range(n_sets):
-            if label:
-                n_inst = n_in(spec.instances_per_set)
-                inst = rng.uniform(0.0, 1.0, size=(n_inst, S))
-                if c == target_set:
-                    # CI-extremal: fuses to exactly 1 under the truth measure
-                    coalition = coalitions[int(rng.integers(len(coalitions)))]
-                    target = np.zeros(S)
-                    target[list(coalition)] = 1.0
-                    inst[int(rng.integers(n_inst))] = target
-            else:
-                # one integers draw, as choice makes, at a quarter of its cost
-                blockers = sorted({c[int(rng.integers(len(c)))] for c in coalitions})
-                inst = rng.uniform(*_NEG_OFF_RANGE, size=(n_in(spec.instances_per_set), S))
-                inst[:, blockers] = 0.0
-            blocks.append(inst)
-        sets_per_bag.append(n_sets)
+    neg_sets = bag_offsets[spec.n_neg_bags]
+    neg_rows = set_offsets[neg_sets]
+    low = np.zeros((set_offsets[-1], 1))
+    low[:neg_rows] = _NEG_OFF_RANGE[0]
+    X = rng.uniform(low, _NEG_OFF_RANGE[1], size=(set_offsets[-1], S))
+    # negative sets: one member of each minimal winning coalition blocks,
+    # at exactly 0 in every instance of the set; a positive bag's target row
+    # is the indicator of its coalition, CI-extremal: it fuses to exactly 1
+    blocked = np.zeros((neg_sets, S), dtype=bool)
+    indicators = np.zeros((len(coalitions), S))
+    for i, coalition in enumerate(coalitions):
+        members = np.array(coalition)
+        blocked[np.arange(neg_sets), members[rng.integers(len(members), size=neg_sets)]] = True
+        indicators[i, members] = 1.0
+    X[:neg_rows][np.repeat(blocked, set_sizes[:neg_sets], axis=0)] = 0.0
+    X[target_row] = indicators[target]
 
-    X = np.concatenate(blocks)
     # evaluation-only labels from the pre-noise fused confidences
     truth_labels = (choquet_batch(X, truth) >= 0.5).astype(np.int8)
     if spec.noise_sigma > 0:
-        # one draw for the whole matrix takes the same stream as one per set
         X = np.clip(X + rng.normal(0.0, spec.noise_sigma, X.shape), 0.0, 1.0)
-
-    set_offsets = _offsets([len(block) for block in blocks])
-    labels = np.array(labels, dtype=np.int8)
-    return Dataset._from_columns(S, X, set_offsets, _offsets(sets_per_bag), labels, truth_labels)
+    return Dataset._from_columns(S, X, set_offsets, bag_offsets, labels, truth_labels)

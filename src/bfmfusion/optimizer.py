@@ -15,11 +15,11 @@ tables are a bitset stack, (ceil(2**S / 8), P) uint8 with 8 coalitions a
 byte in np.packbits order (coalition c at byte c >> 3, bit 7 - (c & 7);
 see `measures._pack`), so closure, breeding, ranking and evaluation touch
 an eighth of the bytes; real tables are a (2**S, P) float64 stack, one
-coalition per row. Each generation draws its moves child by child and then
-builds all children at once: binary ones with one upward closure, real ones
-with one gather of redraw intervals and one cardinality sweep for fresh
-tables. It evaluates them in one pass and ranks the columns with one sort;
-the stack is never transposed.
+coalition per row. Each generation makes one random draw per kind of move
+for all its children and then builds them at once: binary ones with one
+upward closure, real ones with one gather of redraw intervals and one
+cardinality sweep for fresh tables. It evaluates them in one pass and ranks
+the columns with one sort; the stack is never transposed.
 """
 
 from __future__ import annotations
@@ -146,15 +146,15 @@ class _BinaryOps:
     def breed(self, pop, parents, small, rng):
         """Children of the columns `parents` of pop as a bitset stack: a
         small mutation where `small` holds, else a fresh table, in blocks
-        raised, lowered, fresh. Only the draws are made child by child, in
-        child order; one upward closure of a seed stack builds every child.
-        A flipped coalition idx is raised, parent | up(idx), or lowered,
-        parent & ~down(idx), where down(idx) is up(full ^ idx) read at the
-        complements; a fresh table is up(Bernoulli(0.5) field)."""
+        raised, lowered, fresh. One call draws every flipped coalition and
+        one every fresh field, as random bytes in bitset layout; one upward
+        closure of a seed stack builds every child. A flipped coalition idx
+        is raised, parent | up(idx), or lowered, parent & ~down(idx), where
+        down(idx) is up(full ^ idx) read at the complements; a fresh table
+        is up(Bernoulli(0.5) field)."""
         n = 1 << self.source_count
-        draws = [rng.integers(1, n - 1) if is_small else rng.random(n) < 0.5 for is_small in small]
-        idx = np.array([d for d, is_small in zip(draws, small) if is_small], dtype=int)
-        fields = [d for d, is_small in zip(draws, small) if not is_small]
+        idx = rng.integers(1, n - 1, size=np.count_nonzero(small))
+        fields = rng.integers(0, 256, size=(len(pop), len(small) - len(idx)), dtype=np.uint8)
         # a coalition that loses in its parent is raised, one that wins is lowered
         kin = parents[small]
         row, bit = _coalition_bits(idx)
@@ -165,9 +165,11 @@ class _BinaryOps:
         seeds = np.zeros((len(pop), len(small)), dtype=np.uint8)
         row, bit = _coalition_bits(np.r_[idx[:raised], (n - 1) ^ idx[raised:]])
         seeds[row, np.arange(flips)] = bit
-        fields = np.array(fields, dtype=bool).reshape(-1, n)
-        fields[:, 0], fields[:, -1] = 0, 1  # a fresh table pins both ends
-        seeds[:, flips:] = _pack(fields.T)
+        # a fresh table pins both ends; below S = 3 the low 8 - n bits of
+        # its one byte are padding and stay 0
+        fields[0] &= 0x7F & 0xFF << 8 - min(n, 8)
+        fields[(n - 1) >> 3] |= 0x80 >> ((n - 1) & 7)
+        seeds[:, flips:] = fields
         up = _close_up(seeds, self.source_count)
         kin = pop[:, kin]
         up[:, :raised] |= kin[:, :raised]
@@ -185,7 +187,8 @@ class _BinaryOps:
 
 class _RealOps:
     """Moves and ranking of the real-valued baseline over a (2**S, P) float64
-    stack; like `_BinaryOps`, it draws child by child and builds in one batch."""
+    stack; like `_BinaryOps`, it draws once per kind of move and builds in
+    one batch."""
 
     def __init__(self, source_count: int):
         self.source_count = source_count
@@ -202,17 +205,14 @@ class _RealOps:
         """Children of the columns `parents` of pop as a (2**S, C) stack, in
         child order: the parent with one coalition idx redrawn uniformly
         inside its monotonicity interval where `small` holds, else a fresh
-        table. Only the draws are made child by child; one gather bounds
-        every redraw and one cardinality sweep builds every fresh table."""
+        table. One call draws every redrawn coalition, one every redraw and
+        one every fresh field; one gather bounds every redraw and one
+        cardinality sweep builds every fresh table."""
         n = len(pop)
-        idx, u, fields = [], [], []
-        for is_small in small:
-            if is_small:
-                idx.append(rng.integers(1, n - 1))
-                u.append(rng.random())
-            else:
-                fields.append(rng.random(n))
-        idx, kin = np.array(idx, dtype=int), parents[small]
+        idx = rng.integers(1, n - 1, size=np.count_nonzero(small))
+        u = rng.random(len(idx))
+        fields = rng.random((len(small) - len(idx), n))
+        kin = parents[small]
         bits = 1 << np.arange(n.bit_length() - 1)
         # idx ^ bit is the subset without bit where idx holds it, else the superset with it
         near = pop[idx[:, None] ^ bits, kin[:, None]]
@@ -221,8 +221,8 @@ class _RealOps:
         hi = np.where(inside, 1.0, near).min(axis=1)
         children = np.empty((n, len(small)))
         children[:, small] = pop[:, kin]
-        children[idx, np.flatnonzero(small)] = lo + (hi - lo) * np.array(u)
-        children[:, ~small] = _random_real_table(np.reshape(fields, (-1, n)).T)
+        children[idx, np.flatnonzero(small)] = lo + (hi - lo) * u
+        children[:, ~small] = _random_real_table(fields.T)
         return children
 
     @staticmethod

@@ -21,7 +21,7 @@ from bfmfusion import (
     save_measure,
     validate,
 )
-from bfmfusion.cli import bench_dataset_spec, bench_table, main, run_benchmark
+from bfmfusion.cli import _config_hash, bench_dataset_spec, bench_table, main, run_benchmark
 from bfmfusion.data import generate_synthetic, spec_to_dict
 from bfmfusion.measures import measure_to_dict
 
@@ -98,18 +98,17 @@ class TestSynth:
             tmp_path / "b.manifest.json"
         ).read_bytes()
 
-    # SHA-256 of the outputs for one noisy spec and a fixed measure, recorded
-    # when each candidate set was still generated and written on its own: a
+    # SHA-256 of the outputs for one noisy spec and a fixed measure: a
     # generator that shifts the random stream, or a writer that formats a
-    # number differently, changes these bytes. fusion.csv was re-recorded
-    # when binary fusion took the max-min form: each value is exactly one of
-    # its row's confidences
+    # number differently, changes these bytes. Re-recorded when the
+    # generator began to make one draw per kind of draw, over every bag, set
+    # or row at once, instead of one per bag and set
     GOLDEN = {
-        "data.json": "1884bb5526bf24c5b5960622871ea1ac4a1d4256ef2857c3b8c0c3356ffbe8eb",
-        "data.manifest.json": "cdfc8d8f16999b23a6edeb676d51b8b1a36c3cb4a8aa2d5e036c8a3fde9cff0c",
-        "eval/fusion.csv": "4697cba0960d3e2d2b473e4ce4ed85db95df187899d079868d5bedda9a0cb120",
-        "eval/score.json": "3fe6b0aa0143651e41c3cc15a4dcebd3ae8912e62ccd788ea42bc7b0322e0250",
-        "eval/roc.csv": "9b06ffa0327c6d623b15ae1db732a0d9f82f9aab4a5fd17e1f7705bc0fa7dd65",
+        "data.json": "32a26c419871e01952935a9e516bd40ed55ec7516450ab85b546903ae3462687",
+        "data.manifest.json": "0f67f0bc12127e2926119f0c13ad9310d4cc97ffc5bd643bf75567ec954fc58e",
+        "eval/fusion.csv": "8a5d59298b99d430095f34fff71b6742764f59c9a184e0e0f46ba56c7d9b1e6e",
+        "eval/score.json": "2fd196fe32f735d113c0c7164447fb153425975a9e9808d5457cb1a56f449399",
+        "eval/roc.csv": "ceca71bc21ac6ac8aff9c85f9c21ae4ab98ee02ca229eecc67afc29bfcb0f833",
     }
 
     def test_golden_bytes(self, tmp_path, monkeypatch):
@@ -226,6 +225,12 @@ class TestTrain:
         payload = json.loads(out.read_text())
         assert payload["result"]["best_objective"] == 0.0
         assert payload["result"]["best_measure_minimal_winning"] == [[1, 2], [1, 3]]
+        # the scan reads no search setting: none is written, none is hashed
+        assert payload["config"] is None
+        run_config = {"mode": "bfm-exhaustive", "seed": payload["seed"]}
+        assert payload["provenance"]["config_hash"] == _config_hash(run_config)
+        # 18 valid binary measures on 3 sources, each scanned once
+        assert "best objective 0 over 18 measures scanned, " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, value",

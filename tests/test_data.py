@@ -19,6 +19,7 @@ from bfmfusion import (
     generate_synthetic,
     has_both_polarities,
     load_dataset,
+    minimal_winning_coalitions,
     objective,
     sample_random,
     save_dataset,
@@ -372,6 +373,40 @@ class TestGenerator:
                     assert flat[k] == v
                     k += 1
         assert k == ds.n_instances
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negative_sets_share_blockers_of_every_coalition(self, seed):
+        truth = sample_random(5, 0.3, seed)
+        coalitions = [list(c) for c in minimal_winning_coalitions(truth)]
+        ds = generate_synthetic(SynthSpec(5, 6, 30, (1, 4), (1, 5), 0.0, truth, rng_seed=seed))
+        for bag in ds.bags:
+            if bag.label:
+                continue
+            for cs in bag.candidate_sets:
+                zero = cs.instances == 0.0
+                assert (zero == zero[0]).all()  # one blocking set per candidate set
+                assert all(zero[0, c].any() for c in coalitions)
+                rest = cs.instances[~zero]
+                assert ((rest >= 0.55) & (rest < 1.0)).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_planted_target_per_positive_bag(self, seed):
+        truth = sample_random(5, 0.3, seed)
+        indicators = {
+            tuple(float(i in c) for i in range(5)) for c in minimal_winning_coalitions(truth)
+        }
+        ds = generate_synthetic(SynthSpec(5, 30, 30, (1, 4), (1, 5), 0.0, truth, rng_seed=seed))
+        for bag in ds.bags:
+            rows = np.concatenate([cs.instances for cs in bag.candidate_sets])
+            planted = [row for row in map(tuple, rows.tolist()) if row in indicators]
+            assert len(planted) == bag.label
+
+    def test_counts_reach_both_ends_of_their_ranges(self):
+        ds = generate_synthetic(SynthSpec(3, 1000, 1000, (2, 5), (1, 4), 0.0, TRUTH3, 3))
+        sets_per_bag = np.diff(ds.bag_offsets)
+        instances_per_set = np.diff(ds.set_offsets)
+        assert set(sets_per_bag.tolist()) == {2, 3, 4, 5}
+        assert set(instances_per_set.tolist()) == {1, 2, 3, 4}
 
     def test_noise_moves_values(self):
         clean = generate_synthetic(spec3(seed=9))

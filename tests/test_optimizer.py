@@ -28,10 +28,15 @@ from bfmfusion import (
     train_real_fm,
     validate,
 )
-from bfmfusion.measures import _close_up, _pack, _random_table, _unpack
+from bfmfusion.measures import _close_up, _pack, _unpack
 from bfmfusion.optimizer import _BinaryOps, _RealOps
 from bfmfusion.rng import substream
-from oracles import naive_random_real_table, naive_ranking, naive_real_redraw
+from oracles import (
+    naive_random_real_table,
+    naive_ranking,
+    naive_real_redraw,
+    naive_upward_closure,
+)
 
 TRUTH = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
 
@@ -273,23 +278,24 @@ class TestRealBaseline:
 
 # Frozen runs: a change to the search's random draws, moves or ranking shows
 # here. Re-record them only in a change that means to alter trajectories.
+# Recorded when the synthetic generator and both breeders began to make one
+# draw per kind of draw instead of one per bag, set or child: the data and
+# every generation's moves come from new streams.
 GOLDEN = [
-    ("bfm", 3, (1.843524706342592, 1.843524706342592, 1.843524706342592,
-                1.843524706342592, 1.6535396122819281, 1.6535396122819281)
-     + (0.8501317277436862,) * 11, 16, "stalled", [0, 0, 0, 0, 0, 1, 0, 1]),
-    ("bfm", 6, (1.967511649788977,) + (1.5108449157598254,) * 3
-     + (0.31499423117302394,) * 8 + (0.0,), 12, "converged", [0, 0, 0, 1, 0, 1, 0, 1]),
-    ("real", 1, (0.9547378583813295, 0.9547378583813295, 0.9547378583813295,
-                 0.8234270847284882) + (0.31840444728250994,) * 4
-     + (0.31414417541592893, 0.25362886155709524, 0.25362886155709524,
-        0.22076530540870626, 0.22076530540870626), 12, "max_generations",
-     [0.0, 0.1718090317202463, 0.04528404065805103, 0.872898448285572,
-      0.04256481939166859, 0.9183845448712431, 0.23507739939942984, 1.0]),
-    ("real", 4, (0.8922734968050626,) * 4 + (0.2727878486319182,) * 2
-     + (0.2274821444539522,) + (0.19705355133892843,) * 4
-     + (0.13683199270134955,) * 2, 12, "max_generations",
-     [0.0, 0.04261903590019345, 0.14593135485167702, 0.9712705516371245,
-      0.1398241580578954, 0.8880570372398328, 0.20228913949096436, 1.0]),
+    ("bfm", 3, (1.1858527096653109,) * 4 + (0.3133700778916616,) * 2 + (0.0,), 6,
+     "converged", [0, 0, 0, 1, 0, 1, 0, 1]),
+    ("bfm", 6, (1.1858527096653109,) * 2 + (0.30787359908930484,) * 10 + (0.0,), 12,
+     "converged", [0, 0, 0, 1, 0, 1, 0, 1]),
+    ("real", 1, (0.6386735551516405, 0.5235137516279234, 0.36949989605193156)
+     + (0.36168131188970576,) * 2 + (0.349242297823703,) + (0.2571585180377456,) * 6
+     + (0.2403578796060173,), 12, "max_generations",
+     [0.0, 0.06302817833254645, 0.04528404065805103, 0.8665857856923189,
+      0.15779389787270426, 0.9870188866362605, 0.23507739939942984, 1.0]),
+    ("real", 4, (0.4469448029903804,) * 2 + (0.4412466213600428,) * 4
+     + (0.43317294952075547, 0.41948380135124375, 0.4088584062983927, 0.4000144395882838)
+     + (0.20273375715153832,) * 2 + (0.19720576737849407,), 12, "max_generations",
+     [0.0, 0.07188528089228319, 0.0016421284616654976, 0.9211790246321979,
+      0.10639329826428512, 0.8880570372398328, 0.20228913949096436, 1.0]),
 ]
 
 
@@ -355,21 +361,26 @@ class TestBatchedMoves:
         got = _unpack(packed, s)
         assert np.array_equal(packed, _pack(got))  # and any padding bits are 0
 
-        # the same draws, one child at a time, with the single-table moves
+        # the same draws, in the same order: every flipped coalition, then
+        # every fresh field as bytes in bitset layout, one column per child;
+        # each child is built on its own with the single-table moves
         draws = np.random.default_rng(seed + 1)
+        n, flips = 1 << s, int(small.sum())
+        idx = draws.integers(1, n - 1, size=flips)
+        fields = draws.integers(0, 256, size=(len(packed), children - flips), dtype=np.uint8)
         blocks = {"raised": [], "lowered": [], "fresh": []}
-        for parent, is_small in zip(parents, small):
-            if is_small:
-                idx = int(draws.integers(1, (1 << s) - 1))
-                lit = pop[idx, parent]
-                parent_measure = BinaryFuzzyMeasure(s, pop[:, parent])
-                child = set_with_repair(parent_measure, idx, 0 if lit else 1).values
-                blocks["lowered" if lit else "raised"].append(child)
-            else:
-                blocks["fresh"].append(_random_table(s, 0.5, draws))
+        for parent, coalition in zip(parents[small], idx.tolist()):
+            lit = pop[coalition, parent]
+            parent_measure = BinaryFuzzyMeasure(s, pop[:, parent])
+            child = set_with_repair(parent_measure, coalition, 0 if lit else 1).values
+            blocks["lowered" if lit else "raised"].append(child.tolist())
+        for field in fields.T:
+            table = np.unpackbits(field)[:n].tolist()
+            table[0], table[-1] = 0, 1
+            blocks["fresh"].append(naive_upward_closure(table))
         expected = blocks["raised"] + blocks["lowered"] + blocks["fresh"]
         assert got.dtype == np.uint8 and got.shape == (1 << s, children)
-        assert [column.tolist() for column in got.T] == [child.tolist() for child in expected]
+        assert [column.tolist() for column in got.T] == expected
         assert breed_rng.random() == draws.random()  # and the same draws were made
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.integers(2, 6), p=st.integers(1, 4),
@@ -383,15 +394,18 @@ class TestBatchedMoves:
         breed_rng = np.random.default_rng(seed + 1)
         got = _RealOps.breed(pop, parents, small, breed_rng)
 
-        # the same draws, one child at a time, with the naive loop moves
+        # the same draws, in the same order: every redrawn coalition, every
+        # redraw, every fresh field; each child is built on its own with the
+        # naive loop moves
         draws = np.random.default_rng(seed + 1)
-        expected = []
-        for parent, is_small in zip(parents, small):
-            if is_small:
-                idx = int(draws.integers(1, (1 << s) - 1))
-                expected.append(naive_real_redraw(pop[:, parent], idx, draws.random()))
-            else:
-                expected.append(naive_random_real_table(draws.random(1 << s)))
+        flips = int(small.sum())
+        idx = draws.integers(1, (1 << s) - 1, size=flips)
+        u = draws.random(flips)
+        fields = draws.random((children - flips, 1 << s))
+        redrawn = iter(naive_real_redraw(pop[:, parent], int(i), float(v))
+                       for parent, i, v in zip(parents[small], idx, u))
+        fresh = iter(naive_random_real_table(field) for field in fields)
+        expected = [next(redrawn) if is_small else next(fresh) for is_small in small]
         assert got.dtype == np.float64 and got.shape == (1 << s, children)
         assert [column.tolist() for column in got.T] == expected
         assert breed_rng.random() == draws.random()  # and the same draws were made
@@ -432,10 +446,10 @@ class TestRanking:
 
 # Default EAConfig on planted noise-free datasets at S=2, 8, 10 and 12: per run
 # the generation count, stop reason, best objective and SHA-256 prefixes of the
-# objective trace (float64 bytes) and of the best table. The S=8 and S=10 runs
-# were recorded before the population became a column stack, the S=2 and S=12
-# runs (a table of 4 coalitions, and one of 4096) before it became a bitset;
-# a change to draws, moves or ranking shows here.
+# objective trace (float64 bytes) and of the best table; a change to draws,
+# moves or ranking shows here. Re-recorded, with the same specs and seeds, when
+# the generator and the breeders began to draw once per kind of draw; only the
+# S=2 run, which converges before it breeds, kept its values.
 PLANTED = {
     2: [{0}],
     8: [{0, 1, 2, 3}, {2, 4, 5, 6}, {1, 3, 5, 7}],
@@ -444,16 +458,16 @@ PLANTED = {
 }
 GOLDEN_DEFAULT = [
     (2, 0, 0, "converged", 0.0, "af5570f5a1810b7a", "76cc5805dab9b4ea"),
-    (8, 0, 50, "converged", 0.0, "b075edc2340e34ae", "84ac3f504064aac5"),
-    (8, 2, 65, "stalled", 0.4649537847401779, "f6f7a52740853f5a", "52e32a050d940b23"),
-    (10, 0, 163, "stalled", 1.577279445000654, "74e821036d77ef6d", "5e61f6d18ed106f0"),
-    (12, 1, 272, "stalled", 3.4807463565290173, "728de965d91641f5", "bbdf58e56ba56672"),
+    (8, 0, 101, "stalled", 0.38197739846525164, "c5023e5205504c6d", "f9da84cc4ab31498"),
+    (8, 2, 93, "stalled", 0.6472129484489022, "961ef823e8df1c84", "225d7135f37cbf93"),
+    (10, 0, 166, "stalled", 0.30939052797694194, "fae4fc066474b4f3", "08338c3a4d378063"),
+    (12, 1, 146, "stalled", 4.066026929795611, "7ed4c2cf5216e30e", "b6be1cd2c2baafc8"),
 ]
 # train_real_fm with max_generations=150, the real-baseline benchmark's budget;
-# recorded while real children were still built one at a time
+# re-recorded with the binary runs above
 GOLDEN_DEFAULT_REAL = [
-    (8, 0, 150, "max_generations", 5.201943742214404, "c39eaea124cb2190", "d5a590b129a78b3c"),
-    (8, 1, 150, "max_generations", 4.717822490222354, "02a5d6a35410565e", "d4edd793f948b8b1"),
+    (8, 0, 150, "max_generations", 4.352492834318577, "f76c424d0391f438", "5307c1fe14c68ab3"),
+    (8, 1, 150, "max_generations", 4.4710722015108875, "e560e484e32373ec", "68d06ab2e2e861c3"),
 ]
 
 
