@@ -38,6 +38,21 @@ def _check_rows(X, source_count: int) -> np.ndarray:
     return X
 
 
+# elements a blocked gather holds at once: 256 KiB of words or floats, small
+# enough to stay in cache and to be reused from one block to the next
+_BLOCK = 1 << 15
+
+
+def _prefix_masks(order: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Bitmasks of the growing prefixes of the source indices along the last
+    axis. Distinct power-of-two bits, so a running sum is a running OR;
+    column by column, since a cumsum along short rows pays per row."""
+    masks = np.left_shift(1, order, dtype=dtype)
+    for k in range(1, order.shape[-1]):
+        masks[..., k] += masks[..., k - 1]
+    return masks
+
+
 def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row sorted decomposition of an (N, S) confidence matrix.
 
@@ -54,18 +69,14 @@ def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     levels = np.zeros((n, s + 1))
     # a flat index into X is faster here than take_along_axis
     levels[:, :s] = X.ravel()[order + np.arange(0, n * s, s)[:, None]]
-    # distinct power-of-two bits, so a running sum is a running OR; column by
-    # column, since a cumsum along short rows pays per row
-    masks = np.left_shift(1, order)
-    for k in range(1, s):
-        masks[:, k] += masks[:, k - 1]
-    return masks, levels
+    return _prefix_masks(order), levels
 
 
 def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """(N, P) CI of every decomposed row under a (2**S, P) float64 column
     stack of real-valued tables: the level-difference sum over a (P, N, S)
-    gather through the transposed view."""
+    gather through the transposed view. Callers pass a block of rows at a
+    time, so the gather stays small."""
     diffs = levels[:, :-1] - levels[:, 1:]
     return (diffs * tables.T[:, masks]).sum(axis=2).T
 
@@ -81,10 +92,19 @@ def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:
     width and confidences outside [0, 1], as `fuse` and `objective` do.
     """
     _check_measure(measure, measure.source_count)
-    masks, levels = sort_decomposition(_check_rows(X, measure.source_count))
-    if isinstance(measure, BinaryFuzzyMeasure):
-        return levels[np.arange(len(levels)), np.argmax(measure.values[masks], axis=1)]
-    return _choquet(measure.values[:, None], masks, levels)[:, 0]
+    X = _check_rows(X, measure.source_count)
+    binary = isinstance(measure, BinaryFuzzyMeasure)
+    out = np.empty(len(X))
+    # decomposed a block of rows at a time, so no (N, S) mask or level array
+    # is formed
+    step = max(1, _BLOCK // measure.source_count)
+    for i in range(0, len(X), step):
+        masks, levels = sort_decomposition(X[i : i + step])
+        out[i : i + step] = (
+            levels[np.arange(len(levels)), np.argmax(measure.values[masks], axis=1)]
+            if binary else _choquet(measure.values[:, None], masks, levels)[:, 0]
+        )
+    return out
 
 
 def choquet_integral(h, measure: Measure) -> float:

@@ -54,7 +54,7 @@ from .metrics import (
     write_fusion_csv,
     write_roc_csv,
 )
-from .objective import objective
+from .objective import objective, prepare
 from .optimizer import EAConfig, train_bfm, train_exhaustive, train_real_fm
 from .rng import substream
 
@@ -155,15 +155,17 @@ def cmd_train(args) -> int:
     data = load_dataset(args.data)
     cfg = _ea_config(args, args.seed)
     _claim(args.force, args.out)
+    # one compilation serves the training and the explanation
+    prepared = prepare(data)
 
     run_config = {"mode": args.mode, "seed": args.seed}
     if args.mode == "bfm-exhaustive":
         # the scan reads no search setting, so none is recorded or hashed
-        result, config = train_exhaustive(data), None
+        result, config = train_exhaustive(prepared), None
         ran = f"over {result.generations_run} measures scanned"
     else:
         trainer = train_bfm if args.mode == "bfm" else train_real_fm
-        result, config = trainer(data, cfg), cfg.to_json_dict()
+        result, config = trainer(prepared, cfg), cfg.to_json_dict()
         run_config["config"] = config
         ran = f"after {result.generations_run} generations ({result.terminated_by})"
 
@@ -177,7 +179,7 @@ def cmd_train(args) -> int:
         "provenance": _provenance(args.seed, run_config),
     }
     if args.explain:
-        breakdown = objective(result.best_measure, data)
+        breakdown = objective(result.best_measure, prepared)
         payload["explanation"] = breakdown.to_json_dict()
 
     _write_json(args.out, payload)

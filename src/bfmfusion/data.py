@@ -36,7 +36,6 @@ from itertools import chain, pairwise
 
 import numpy as np
 
-from .choquet import choquet_batch
 from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
@@ -425,8 +424,16 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     X[:neg_rows][np.repeat(blocked, set_sizes[:neg_sets], axis=0)] = 0.0
     X[target_row] = indicators[target]
 
-    # evaluation-only labels from the pre-noise fused confidences
-    truth_labels = (choquet_batch(X, truth) >= 0.5).astype(np.int8)
+    # evaluation-only labels from the pre-noise fused confidences: in the
+    # max-min form of a binary measure, CI >= 0.5 exactly when some winning
+    # coalition lies at or above 0.5, that is, by monotonicity, when the
+    # coalition of the sources at or above 0.5 wins
+    above = np.zeros(len(X), dtype=np.intp)
+    for i in range(S):
+        above += np.left_shift(X[:, i] >= 0.5, i, dtype=np.intp)
+    truth_labels = truth.values.astype(np.int8)[above]
     if spec.noise_sigma > 0:
-        X = np.clip(X + rng.normal(0.0, spec.noise_sigma, X.shape), 0.0, 1.0)
+        noise = rng.normal(0.0, spec.noise_sigma, X.shape)
+        noise += X
+        X = np.clip(noise, 0.0, 1.0, out=noise)
     return Dataset._from_columns(S, X, set_offsets, bag_offsets, labels, truth_labels)

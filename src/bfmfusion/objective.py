@@ -8,10 +8,13 @@ of CI - 1)^2. The total is the plain sum over bags. Zero total means every
 negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
-`prepare` factors out everything measure-independent (the sorted
-decomposition, each candidate set's threshold walk, and the candidate sets
-and bags grouped by size) so that evaluating many value tables against
-one dataset, as the optimizer does, costs one pass for all of them.
+`prepare` factors out everything measure-independent (each candidate set's
+threshold walk, and the candidate sets and bags grouped by size) so that
+evaluating many value tables against one dataset, as the optimizer does,
+costs one pass for all of them. It sorts the rows and builds the walks in
+blocks and holds only what it returns; the sorted decomposition that a
+real-valued stack reads is built on its first use, so binary training
+never holds one.
 `objective` and the optimizer share one evaluator, `_evaluate`, which
 takes the tables as a column stack in the optimizer's population layout:
 binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
@@ -37,11 +40,12 @@ CI from `choquet._choquet` by the level-difference sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .choquet import _choquet, sort_decomposition
+from .choquet import _BLOCK, _choquet, _prefix_masks, sort_decomposition
 from .data import Dataset
 from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _coalition_bits, _pack
 
@@ -81,9 +85,8 @@ class PreparedData:
     """Measure-independent compilation of a dataset for repeated evaluation."""
 
     source_count: int
-    masks: np.ndarray        # (N, S) coalition bitmasks of the sorted decomposition
-    levels: np.ndarray       # (N, S + 1) each row sorted descending, then a 0; negated
-                             # in a negative bag, so CI comes out with the bag's sign
+    instances: np.ndarray    # (N, S) the dataset's own confidence matrix, not a copy
+    set_offsets: np.ndarray  # (n_sets + 1,) instance boundaries of the candidate sets
     coalitions: tuple        # byte rows and bit masks (see measures._coalition_bits) of
                              # the U coalitions the walks read
     walks: tuple             # each set group's threshold walks, see _walks
@@ -93,10 +96,22 @@ class PreparedData:
     set_signs: np.ndarray    # (n_sets, 1) the sign of each candidate set's bag
     labels: np.ndarray       # per bag, 0 or 1
 
+    @cached_property
+    def _decomposition(self) -> tuple:
+        """`sort_decomposition` of the instances, its levels negated in a
+        negative bag so CI comes out with the bag's sign. Only a float64
+        stack reads it, so it is built on first use: binary training never
+        holds it."""
+        masks, levels = sort_decomposition(self.instances)
+        # negating a level, a level difference or a sum of them is exact, so
+        # CI read from these levels is the signed CI bit for bit
+        levels *= np.repeat(self.set_signs[:, 0], np.diff(self.set_offsets))[:, None]
+        return masks, levels
 
-# elements a blocked gather holds at once: 256 KiB of words or floats, small
-# enough to stay in cache and to be reused from one block to the next
-_BLOCK = 1 << 15
+    @property
+    def levels(self) -> np.ndarray:
+        """(N, S + 1) each row sorted descending, then a 0, with the bag's sign."""
+        return self._decomposition[1]
 
 
 def _size_groups(offsets: np.ndarray) -> tuple:
@@ -124,54 +139,80 @@ def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray
     return out
 
 
-def _walks(set_groups: tuple, words: np.ndarray, keys: np.ndarray) -> tuple:
+def _walks(
+    set_groups: tuple, X: np.ndarray, order: np.ndarray, rank: np.ndarray,
+    set_signs: np.ndarray, u: int,
+) -> tuple:
     """For each group of candidate sets: the set indices, the (G * S, n_g)
     word indices of each set's (instance, prefix) pairs by ascending key,
-    one set per column, and the (n_g, G * S) levels |key| in that order."""
+    one set per column, and the (n_g, G * S) levels |key| in that order.
+
+    Built a block of sets at a time from each row's sources by falling
+    confidence, `order`, and each coalition's word, `rank`. A positive set's
+    walk tests g at its rows' prefixes by falling level, its key the negated
+    level. A negative set's tests the dual by rising level, at the
+    complement of the prefix above the pair, the sources before it: word
+    u + i is the complement of word i, and the first pair's prefix above is
+    the empty set, word 0.
+    """
+    s = X.shape[1]
+    flat = X.ravel()
     out = []
     for segs, rows in set_groups:
-        key = keys[rows].reshape(len(segs), -1)
-        word = words[rows].ravel()
-        # ties may fall in any order: a tied pair has the same level
-        order = np.argsort(key, axis=1)
-        order += np.arange(0, key.size, key.shape[1])[:, None]
-        walk = word[order]
-        levels = key.ravel()[order]
-        out.append((segs, walk.T.copy(), np.abs(levels, out=levels)))
+        width = rows.shape[1] * s
+        walk = np.empty((width, len(segs)), np.int32)
+        levels = np.empty((len(segs), width))
+        step = max(1, _BLOCK // width)
+        for i in range(0, len(segs), step):
+            block = rows[i : i + step]
+            by_level = order[block]
+            sign = set_signs[segs[i : i + step], None, None]
+            key = flat[block[..., None] * s + by_level] * -sign
+            word = rank[_prefix_masks(by_level, np.int32)]
+            above = np.empty_like(word)
+            above[..., 0] = u
+            np.add(word[..., :-1], u, out=above[..., 1:])
+            word = np.where(sign < 0, above, word).reshape(len(block), width)
+            key = key.reshape(len(block), width)
+            # ties may fall in any order: a tied pair has the same level
+            by_key = np.argsort(key, axis=1)
+            # a flat index is faster here than take_along_axis
+            by_key += np.arange(0, key.size, width)[:, None]
+            walk[:, i : i + step] = word.ravel()[by_key].T
+            np.abs(key.ravel()[by_key], out=levels[i : i + step])
+        out.append((segs, walk, levels))
     return tuple(out)
 
 
 def prepare(data: Dataset) -> PreparedData:
+    """Compile a dataset for evaluation. Rows are sorted in blocks of about
+    _BLOCK entries and their order kept as one byte a source, then each set
+    group's walks are built a block of sets at a time; no (N, S) mask or
+    level array is formed."""
     X = data.instance_matrix()
-    masks, levels = sort_decomposition(X)
+    n, s = X.shape
     labels = data.labels()
     set_signs = np.repeat(np.where(labels == 0, -1.0, 1.0), np.diff(data.bag_offsets))
-    row_signs = np.repeat(set_signs, np.diff(data.set_offsets))[:, None]
-    # only the coalitions some walk tests are packed, so evaluation scales
-    # with the data and not with 2**S: the prefixes and the empty set
-    present = np.zeros(1 << data.source_count, bool)
-    present[masks] = True
+    # each row's sources by falling confidence, ties by ascending source, as
+    # in sort_decomposition; S <= 24 fits a byte. Only the coalitions some
+    # walk tests are packed, so evaluation scales with the data and not with
+    # 2**S: the prefixes and the empty set
+    order = np.empty((n, s), np.uint8)
+    present = np.zeros(1 << s, bool)
     present[0] = True
+    step = max(1, _BLOCK // s)
+    for i in range(0, n, step):
+        order[i : i + step] = np.argsort(-X[i : i + step], axis=1, kind="stable")
+        present[_prefix_masks(order[i : i + step], np.int32)] = True
     coalitions = _coalition_bits(np.flatnonzero(present))
-    rank = (np.cumsum(present, dtype=np.int32) - 1)[masks]
-    # a positive set's walk tests g at the prefixes masks[n, k] by falling
-    # level, its key the negated level; a negative set's tests the dual by
-    # rising level, at the complement of the top-k prefix, which is empty,
-    # of rank 0, at k = 0: word U + i is the complement of word i
-    words = np.where(
-        row_signs < 0, np.pad(rank[:, :-1], ((0, 0), (1, 0))) + len(coalitions[0]), rank
-    )
+    rank = np.cumsum(present, dtype=np.int32) - 1
     set_groups = _size_groups(data.set_offsets)
-    walks = _walks(set_groups, words, levels[:, :-1] * -row_signs)
-    # negating a level, a level difference or a sum of them is exact, so CI
-    # read from these levels is the signed CI bit for bit
-    levels *= row_signs
     return PreparedData(
         source_count=data.source_count,
-        masks=masks,
-        levels=levels,
+        instances=X,
+        set_offsets=data.set_offsets,
         coalitions=coalitions,
-        walks=walks,
+        walks=_walks(set_groups, X, order, rank, set_signs, len(coalitions[0])),
         set_groups=set_groups,
         bag_groups=_size_groups(data.bag_offsets),
         bag_offsets=data.bag_offsets,
@@ -253,26 +294,43 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     return out
 
 
+def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
+    """(n_sets, P) set extremes of a float64 stack. `_choquet` reads the CI
+    of a block of candidate sets' rows at a time and each set's maximum is
+    taken at once, so no (N, P) array is formed. The prepared levels carry
+    the bag sign, so the maximum is the negated minimum of a negative set
+    and the maximum of a positive one, and the set's sign flips it back."""
+    masks, levels = prepared._decomposition
+    p = tables.shape[1]
+    out = np.empty((len(prepared.set_signs), p))
+    for segs, rows in prepared.set_groups:
+        size = rows.shape[1]
+        # 8 * _BLOCK elements, 2 MiB, of (P, rows, S) product a block: smaller
+        # blocks pay more per block than they save in cache on small data
+        step = max(1, 8 * _BLOCK // (size * p * prepared.source_count))
+        for i in range(0, len(segs), step):
+            block = rows[i : i + step].ravel()
+            ci = _choquet(tables, masks[block], levels[block])
+            out[segs[i : i + step]] = ci.reshape(-1, size, p).max(axis=1)
+    out *= prepared.set_signs
+    return out
+
+
 def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
     """Evaluate a column stack of P value tables.
 
     A uint8 stack is a bitset stack of binary tables (see `measures._pack`),
     read off each candidate set's walk (see the module docstring and
-    `_walk_extremes`). For a float64 stack `_choquet` reads CI into an
-    (N, P) array by the level-difference sum; the prepared levels carry the
-    bag sign, so the maximum over a candidate set is the negated minimum of
-    a negative set and the maximum of a positive one, and the set's sign
-    flips it back. Bags are reduced the same way over the set extremes. A
-    negative bag contributes the square of its largest set minimum; a
-    positive bag contributes (its largest set maximum - 1)^2, which is the
-    smallest shortfall because (x - 1)^2 falls on [0, 1].
+    `_walk_extremes`); a float64 stack gets CI by the level-difference sum
+    (see `_real_extremes`). Bags are reduced to the largest of their set
+    extremes. A negative bag contributes the square of its largest set
+    minimum; a positive bag contributes (its largest set maximum - 1)^2,
+    which is the smallest shortfall because (x - 1)^2 falls on [0, 1].
     """
     if tables.dtype == np.uint8:
         set_extreme = _walk_extremes(tables, prepared)
     else:
-        ci = _choquet(tables, prepared.masks, prepared.levels)
-        set_extreme = _segment_reduce(np.maximum, ci, prepared.set_groups)
-        set_extreme *= prepared.set_signs
+        set_extreme = _real_extremes(tables, prepared)
     bag_extreme = _segment_reduce(np.maximum, set_extreme, prepared.bag_groups)
     # x - 0 is x, so a negative bag's contribution is its extreme squared
     contributions = bag_extreme - prepared.labels[:, None]

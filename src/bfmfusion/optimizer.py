@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, has_both_polarities
+from .data import Dataset
 from .errors import ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
@@ -307,28 +307,36 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
     )
 
 
-def _check_trainable(data: Dataset) -> None:
-    if data.source_count < 2:
+def _prepared(data: Dataset | PreparedData) -> PreparedData:
+    return data if isinstance(data, PreparedData) else prepare(data)
+
+
+def _trainable(data: Dataset | PreparedData) -> PreparedData:
+    """The data prepared, refused unless evolutionary training can run on it."""
+    prepared = _prepared(data)
+    if prepared.source_count < 2:
         # one source leaves no coalition between the pinned empty and full sets
         # for the small mutation to change
         raise ValidationError("evolutionary training needs at least 2 sources")
-    if not has_both_polarities(data):
+    if not ((prepared.labels == 0).any() and (prepared.labels == 1).any()):
         raise ValidationError("training needs at least one positive and one negative bag")
+    return prepared
 
 
-def train_bfm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
-    """Evolutionary search for the binary measure minimizing the objective."""
-    _check_trainable(data)
-    return _evolve(prepare(data), cfg, _BinaryOps(data.source_count))
+def train_bfm(data: Dataset | PreparedData, cfg: EAConfig = EAConfig()) -> TrainResult:
+    """Evolutionary search for the binary measure minimizing the objective.
+    `data` is a dataset or its `prepare`d form."""
+    prepared = _trainable(data)
+    return _evolve(prepared, cfg, _BinaryOps(prepared.source_count))
 
 
-def train_real_fm(data: Dataset, cfg: EAConfig = EAConfig()) -> TrainResult:
+def train_real_fm(data: Dataset | PreparedData, cfg: EAConfig = EAConfig()) -> TrainResult:
     """Same search skeleton over real-valued measures; the timing baseline."""
-    _check_trainable(data)
-    return _evolve(prepare(data), cfg, _RealOps(data.source_count))
+    prepared = _trainable(data)
+    return _evolve(prepared, cfg, _RealOps(prepared.source_count))
 
 
-def train_exhaustive(data: Dataset) -> TrainResult:
+def train_exhaustive(data: Dataset | PreparedData) -> TrainResult:
     """Global optimum by scanning every valid binary measure.
 
     Ties resolve to the lowest serialization order (the value table read in
@@ -337,7 +345,7 @@ def train_exhaustive(data: Dataset) -> TrainResult:
     t0 = time.perf_counter()
     s = data.source_count
     tables = _pack(_all_tables(s))
-    prepared = prepare(data)
+    prepared = _prepared(data)
     js = np.concatenate([
         _evaluate(tables[:, i : i + 512], prepared).total
         for i in range(0, tables.shape[1], 512)

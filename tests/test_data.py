@@ -408,6 +408,18 @@ class TestGenerator:
         assert set(sets_per_bag.tolist()) == {2, 3, 4, 5}
         assert set(instances_per_set.tolist()) == {1, 2, 3, 4}
 
+    @pytest.mark.parametrize("s", [2, 5, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_truth_is_the_fused_confidence_at_or_above_half(self, s, seed):
+        # the generator labels rows by which sources reach 0.5; the fused
+        # confidence stays the oracle
+        truth = sample_random(s, 0.4, [s, seed])
+        ds = generate_synthetic(SynthSpec(s, 20, 20, (1, 4), (1, 5), 0.0, truth, rng_seed=seed))
+        expected = choquet_batch(ds.instance_matrix(), truth) >= 0.5
+        assert ds.flat_truth().dtype == np.int8
+        assert np.array_equal(ds.flat_truth(), expected)
+        assert 0 < expected.sum() < ds.n_instances
+
     def test_noise_moves_values(self):
         clean = generate_synthetic(spec3(seed=9))
         noisy = generate_synthetic(spec3(sigma=0.05, seed=9))

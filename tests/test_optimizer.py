@@ -300,7 +300,9 @@ GOLDEN = [
 
 
 class TestGoldenTrajectory:
-    @pytest.mark.parametrize("kind, seed, trace, generations, stop, values", GOLDEN)
+    # ids from what a run is, not what it recorded, so a re-recording keeps them
+    @pytest.mark.parametrize("kind, seed, trace, generations, stop, values", GOLDEN,
+                             ids=[f"{g[0]}-s3-seed{g[1]}" for g in GOLDEN])
     def test_trajectory_unchanged(self, kind, seed, trace, generations, stop, values):
         if kind == "bfm":
             res = train_bfm(clean_dataset(),
@@ -478,13 +480,15 @@ def planted_dataset(s):
 
 class TestGoldenDefaultConfig:
     @pytest.mark.parametrize("s, seed, generations, stop, best, trace_sha, table_sha",
-                             GOLDEN_DEFAULT)
+                             GOLDEN_DEFAULT,
+                             ids=[f"bfm-s{g[0]}-seed{g[1]}" for g in GOLDEN_DEFAULT])
     def test_trajectory_unchanged(self, s, seed, generations, stop, best, trace_sha, table_sha):
         res = train_bfm(planted_dataset(s), EAConfig(rng_seed=seed))
         self.check(res, generations, stop, best, trace_sha, table_sha)
 
     @pytest.mark.parametrize("s, seed, generations, stop, best, trace_sha, table_sha",
-                             GOLDEN_DEFAULT_REAL)
+                             GOLDEN_DEFAULT_REAL,
+                             ids=[f"real-s{g[0]}-seed{g[1]}" for g in GOLDEN_DEFAULT_REAL])
     def test_real_trajectory_unchanged(self, s, seed, generations, stop, best, trace_sha,
                                        table_sha):
         res = train_real_fm(planted_dataset(s), EAConfig(rng_seed=seed, max_generations=150))
