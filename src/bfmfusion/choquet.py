@@ -61,7 +61,9 @@ def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     under g is ((levels[:, :-1] - levels[:, 1:]) * g[masks]).sum(axis=1).
     Ties sort stably by ascending source index; CI is tie-order invariant
     for valid measures because tied levels contribute zero-width
-    differences. Measure-independent, so it can be computed once per dataset.
+    differences. `choquet_batch` decomposes its rows with it a block at a
+    time; training sorts once in `bfmfusion.objective.prepare` and keeps only
+    each row's source order, from which it reads the same levels and masks.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, s = X.shape

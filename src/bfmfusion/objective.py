@@ -11,10 +11,10 @@ every positive bag has a matching fused to exactly 1.
 `prepare` factors out everything measure-independent (each candidate set's
 threshold walk, and the candidate sets and bags grouped by size) so that
 evaluating many value tables against one dataset, as the optimizer does,
-costs one pass for all of them. It sorts the rows and builds the walks in
-blocks and holds only what it returns; the sorted decomposition that a
-real-valued stack reads is built on its first use, so binary training
-never holds one.
+costs one pass for all of them. It sorts the rows once, in blocks, keeps
+each row's source order as one byte a source, and builds the walks from it;
+a real-valued stack reads its levels and prefixes from the same order, a
+block of candidate sets at a time, so no second sorted form is held.
 `objective` and the optimizer share one evaluator, `_evaluate`, which
 takes the tables as a column stack in the optimizer's population layout:
 binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
@@ -40,12 +40,11 @@ CI from `choquet._choquet` by the level-difference sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .choquet import _BLOCK, _choquet, _prefix_masks, sort_decomposition
+from .choquet import _BLOCK, _choquet, _prefix_masks
 from .data import Dataset
 from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _coalition_bits, _pack
 
@@ -86,7 +85,8 @@ class PreparedData:
 
     source_count: int
     instances: np.ndarray    # (N, S) the dataset's own confidence matrix, not a copy
-    set_offsets: np.ndarray  # (n_sets + 1,) instance boundaries of the candidate sets
+    order: np.ndarray        # (N, S) uint8 each row's sources by falling confidence,
+                             # ties by ascending source
     coalitions: tuple        # byte rows and bit masks (see measures._coalition_bits) of
                              # the U coalitions the walks read
     walks: tuple             # each set group's threshold walks, see _walks
@@ -95,23 +95,6 @@ class PreparedData:
     bag_offsets: np.ndarray  # (n_bags + 1,) bag boundaries in candidate-set order
     set_signs: np.ndarray    # (n_sets, 1) the sign of each candidate set's bag
     labels: np.ndarray       # per bag, 0 or 1
-
-    @cached_property
-    def _decomposition(self) -> tuple:
-        """`sort_decomposition` of the instances, its levels negated in a
-        negative bag so CI comes out with the bag's sign. Only a float64
-        stack reads it, so it is built on first use: binary training never
-        holds it."""
-        masks, levels = sort_decomposition(self.instances)
-        # negating a level, a level difference or a sum of them is exact, so
-        # CI read from these levels is the signed CI bit for bit
-        levels *= np.repeat(self.set_signs[:, 0], np.diff(self.set_offsets))[:, None]
-        return masks, levels
-
-    @property
-    def levels(self) -> np.ndarray:
-        """(N, S + 1) each row sorted descending, then a 0, with the bag's sign."""
-        return self._decomposition[1]
 
 
 def _size_groups(offsets: np.ndarray) -> tuple:
@@ -205,12 +188,15 @@ def prepare(data: Dataset) -> PreparedData:
         order[i : i + step] = np.argsort(-X[i : i + step], axis=1, kind="stable")
         present[_prefix_masks(order[i : i + step], np.int32)] = True
     coalitions = _coalition_bits(np.flatnonzero(present))
-    rank = np.cumsum(present, dtype=np.int32) - 1
+    # the cumsum runs in place, so the 2**S transient is one int32 array
+    rank = present.astype(np.int32)
+    np.cumsum(rank, out=rank)
+    rank -= 1
     set_groups = _size_groups(data.set_offsets)
     return PreparedData(
         source_count=data.source_count,
         instances=X,
-        set_offsets=data.set_offsets,
+        order=order,
         coalitions=coalitions,
         walks=_walks(set_groups, X, order, rank, set_signs, len(coalitions[0])),
         set_groups=set_groups,
@@ -219,6 +205,11 @@ def prepare(data: Dataset) -> PreparedData:
         set_signs=set_signs[:, None],
         labels=labels,
     )
+
+
+def _prepared(data: Union[Dataset, PreparedData]) -> PreparedData:
+    """`data` if it is already prepared, else `prepare(data)`."""
+    return data if isinstance(data, PreparedData) else prepare(data)
 
 
 class _Evaluation(NamedTuple):
@@ -295,22 +286,30 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
 
 
 def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
-    """(n_sets, P) set extremes of a float64 stack. `_choquet` reads the CI
-    of a block of candidate sets' rows at a time and each set's maximum is
-    taken at once, so no (N, P) array is formed. The prepared levels carry
-    the bag sign, so the maximum is the negated minimum of a negative set
-    and the maximum of a positive one, and the set's sign flips it back."""
-    masks, levels = prepared._decomposition
+    """(n_sets, P) set extremes of a float64 stack. For a block of candidate
+    sets at a time, as in `_walks`, each row's prefixes and sorted levels are
+    read from the prepared `order`, the levels negated in a negative set, and
+    `_choquet` reads their CI; each set's maximum is taken at once, so no
+    (N, P) array is formed. Negating a level is exact, so that maximum is the
+    negated minimum of a negative set bit for bit, and the set's sign flips
+    it back."""
+    s = prepared.source_count
+    flat = prepared.instances.ravel()
     p = tables.shape[1]
     out = np.empty((len(prepared.set_signs), p))
     for segs, rows in prepared.set_groups:
         size = rows.shape[1]
         # 8 * _BLOCK elements, 2 MiB, of (P, rows, S) product a block: smaller
         # blocks pay more per block than they save in cache on small data
-        step = max(1, 8 * _BLOCK // (size * p * prepared.source_count))
+        step = max(1, 8 * _BLOCK // (size * p * s))
         for i in range(0, len(segs), step):
-            block = rows[i : i + step].ravel()
-            ci = _choquet(tables, masks[block], levels[block])
+            block = rows[i : i + step]
+            by_level = prepared.order[block]
+            # each row sorted descending, then a 0, with its set's sign
+            levels = np.zeros(block.shape + (s + 1,))
+            levels[..., :s] = flat[block[..., None] * s + by_level]
+            levels *= prepared.set_signs[segs[i : i + step], :, None]
+            ci = _choquet(tables, _prefix_masks(by_level).reshape(-1, s), levels.reshape(-1, s + 1))
             out[segs[i : i + step]] = ci.reshape(-1, size, p).max(axis=1)
     out *= prepared.set_signs
     return out
@@ -347,7 +346,7 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
 
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:
     """Evaluate the objective with a per-bag breakdown for diagnostics."""
-    prepared = data if isinstance(data, PreparedData) else prepare(data)
+    prepared = _prepared(data)
     _check_measure(measure, prepared.source_count)
     tables = measure.values[:, None]
     ev = _evaluate(_pack(tables) if isinstance(measure, BinaryFuzzyMeasure) else tables, prepared)

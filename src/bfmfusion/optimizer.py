@@ -47,7 +47,7 @@ from .measures import (
     measure_to_antichain_dict,
     measure_to_dict,
 )
-from .objective import PreparedData, _evaluate, prepare
+from .objective import PreparedData, _evaluate, _prepared
 from .rng import substream
 
 
@@ -305,10 +305,6 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
         objective_trace=tuple(trace),
         terminated_by=terminated_by,
     )
-
-
-def _prepared(data: Dataset | PreparedData) -> PreparedData:
-    return data if isinstance(data, PreparedData) else prepare(data)
 
 
 def _trainable(data: Dataset | PreparedData) -> PreparedData:

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from bfmfusion import (
     prepare,
     sample_random,
     sample_random_real,
-    sort_decomposition,
 )
 from bfmfusion.measures import _pack
 from bfmfusion.objective import _BLOCK, _evaluate
@@ -402,6 +400,10 @@ class TestManyBlocks:
         # more than one block of rows, and of sets in some walk group
         assert ds.n_instances * 8 > _BLOCK
         assert max(walk.size for _, walk, _ in pre.walks) > _BLOCK
+        # one sort, kept in blocks: each row's sources by falling confidence,
+        # ties by ascending source
+        assert pre.order.dtype == np.uint8
+        assert np.array_equal(pre.order, np.argsort(-ds.instance_matrix(), axis=1, kind="stable"))
         tables = np.stack(
             [sample_random(8, float(rng.random()), rng).values for _ in range(5)], axis=1
         )
@@ -453,9 +455,10 @@ class TestManyBlocks:
 
 class TestBoundedMemory:
     """tracemalloc bounds at about 3,000 and 50,000 instances. Measured with
-    numpy 2.4: prepare's peak above its held bytes and N * S was 0.85 and
-    1.11 MiB, the float path's peak above its returned arrays 3.76 and 0.06
-    MiB (2 MiB blocks of product, and their gather)."""
+    numpy 2.4: prepare's peak above its held bytes and N * S was 0.75 and
+    0.63 MiB, the float path's peak above its returned arrays 3.76 and 0.06
+    MiB (2 MiB blocks of product, and their gather), and what it still held
+    above them 3.0 and 1.1 KiB."""
 
     S, P = 10, 64
 
@@ -485,14 +488,30 @@ class TestBoundedMemory:
         stack = np.stack([sample_random_real(self.S, rng).values for _ in range(self.P)], axis=1)
         for ds in datasets:
             pre = prepare(ds)
-            pre.levels  # the decomposition is held by pre, built on first use
             tracemalloc.start()
             try:
                 ev = _evaluate(stack, pre)
-                peak = tracemalloc.get_traced_memory()[1]
+                held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak - sum(a.nbytes for a in ev) <= 5 * 2**20
+            returned = sum(a.nbytes for a in ev)
+            assert peak - returned <= 5 * 2**20
+            # nothing is cached on pre: the real path reads prepare's order
+            assert held - returned <= 2**16
+
+    def test_prepare_rank_transient_is_one_int32_table(self):
+        # at S=22 the coalition rank table outweighs a tiny dataset: its
+        # presence flags and one int32 rank each, 5 bytes a coalition
+        rng = np.random.default_rng(73)
+        s = 22
+        ds = Dataset(s, (Bag(0, [rng.random((2, s))]), Bag(1, [rng.random((3, s))])))
+        tracemalloc.start()
+        try:
+            prepare(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**s + 2 * 2**20
 
 
 class TestBatchPaths:
@@ -560,19 +579,6 @@ class TestPreparedReuse:
         pre = prepare(ds)
         measures = [sample_random(3, 0.5, rng) for _ in range(6)]
         assert np.array_equal(stack_totals(measures, pre), stack_totals(measures, prepare(ds)))
-
-
-    def test_levels_carry_the_bag_sign(self):
-        rng = np.random.default_rng(13)
-        ds = random_dataset(rng, 4, n_bags=6)
-        pre = prepare(ds)
-        bag_of_set = np.repeat(np.arange(len(ds.labels())), np.diff(ds.bag_offsets))
-        negative = np.repeat(ds.labels()[bag_of_set] == 0, np.diff(ds.set_offsets))
-        levels = sort_decomposition(ds.instance_matrix())[1]
-        levels[negative] *= -1.0
-        assert negative.any() and not negative.all()
-        assert np.array_equal(pre.levels, levels)
-        assert "signs" not in {f.name for f in fields(pre)}
 
 
 class TestStructuralInvariances:
