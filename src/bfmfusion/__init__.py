@@ -10,12 +10,7 @@ Typical flow: build or load a `Dataset`, call `train_bfm` to learn a
 `score` to evaluate them against instance-level truth.
 """
 
-from .choquet import (
-    choquet_batch,
-    choquet_integral,
-    choquet_maxmin,
-    sort_decomposition,
-)
+from .choquet import choquet_batch, choquet_integral, choquet_maxmin
 from .data import (
     Bag,
     CandidateSet,
@@ -25,7 +20,6 @@ from .data import (
     dataset_from_dict,
     dataset_to_dict,
     generate_synthetic,
-    has_both_polarities,
     load_dataset,
     save_dataset,
     spec_from_dict,
@@ -116,7 +110,6 @@ __all__ = [
     "fuse",
     "fuse_naive",
     "generate_synthetic",
-    "has_both_polarities",
     "load_dataset",
     "load_measure",
     "maximum_measure",
@@ -134,7 +127,6 @@ __all__ = [
     "save_measure",
     "score",
     "set_with_repair",
-    "sort_decomposition",
     "spec_from_dict",
     "spec_to_dict",
     "substream",

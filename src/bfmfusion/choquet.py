@@ -14,6 +14,11 @@ a stack of real-valued tables, in fusion and in training; training reads
 binary tables off threshold walks instead (see `bfmfusion.objective`),
 since it needs only each candidate set's extreme. `choquet_maxmin`
 computes the max-min form directly, as an independent cross-check.
+
+Fusion and training decompose a row one way: `_source_order` is the one
+sort of each row's sources, `_decompose` reads a block of rows' prefix
+masks and sorted levels from it, and `_blocks` sizes every blocked loop
+here and in `bfmfusion.objective`.
 """
 
 from __future__ import annotations
@@ -53,24 +58,38 @@ def _prefix_masks(order: np.ndarray, dtype=np.int64) -> np.ndarray:
     return masks
 
 
-def sort_decomposition(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sorted decomposition of an (N, S) confidence matrix.
+def _blocks(n: int, per_item: int, budget: int = _BLOCK) -> list[slice]:
+    """Slices that cover range(n) in order, max(1, budget // per_item) items
+    each but the last, so a block holds about `budget` elements of
+    `per_item` each."""
+    step = max(1, budget // per_item)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
-    Returns masks (N, S), masks[n, k] the bitmask of the top-(k+1) sources
-    of row n, and levels (N, S + 1), row n sorted descending, then a 0: CI
-    under g is ((levels[:, :-1] - levels[:, 1:]) * g[masks]).sum(axis=1).
-    Ties sort stably by ascending source index; CI is tie-order invariant
-    for valid measures because tied levels contribute zero-width
-    differences. `choquet_batch` decomposes its rows with it a block at a
-    time; training sorts once in `bfmfusion.objective.prepare` and keeps only
-    each row's source order, from which it reads the same levels and masks.
+
+def _source_order(X: np.ndarray) -> np.ndarray:
+    """(N, S) uint8 order of an (N, S) confidence matrix: each row's sources
+    by falling confidence, ties by ascending source; S <= 24 fits a byte.
+    Sorted a block of rows at a time, so argsort's int64 result stays small.
+    CI is tie-order invariant for valid measures, since tied levels
+    contribute zero-width differences."""
+    order = np.empty(X.shape, np.uint8)
+    for rows in _blocks(len(X), X.shape[1]):
+        order[rows] = np.argsort(-X[rows], axis=1, kind="stable")
+    return order
+
+
+def _decompose(flat: np.ndarray, rows: np.ndarray, order: np.ndarray) -> tuple:
+    """Sorted decomposition of the rows `rows`, an index array of any shape,
+    of an (N, S) matrix raveled as `flat`, given their `_source_order`.
+
+    Returns masks (..., S), masks[..., k] the bitmask of a row's top-(k+1)
+    sources, and levels (..., S + 1), the row sorted descending, then a 0:
+    CI under g is ((levels[..., :-1] - levels[..., 1:]) * g[masks]).sum(-1).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n, s = X.shape
-    order = np.argsort(-X, axis=1, kind="stable")
-    levels = np.zeros((n, s + 1))
-    # a flat index into X is faster here than take_along_axis
-    levels[:, :s] = X.ravel()[order + np.arange(0, n * s, s)[:, None]]
+    s = order.shape[-1]
+    levels = np.zeros(order.shape[:-1] + (s + 1,))
+    # a flat index is faster here than take_along_axis
+    levels[..., :s] = flat[rows[..., None] * s + order]
     return _prefix_masks(order), levels
 
 
@@ -97,12 +116,12 @@ def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:
     X = _check_rows(X, measure.source_count)
     binary = isinstance(measure, BinaryFuzzyMeasure)
     out = np.empty(len(X))
-    # decomposed a block of rows at a time, so no (N, S) mask or level array
-    # is formed
-    step = max(1, _BLOCK // measure.source_count)
-    for i in range(0, len(X), step):
-        masks, levels = sort_decomposition(X[i : i + step])
-        out[i : i + step] = (
+    # sorted and decomposed a block of rows at a time, so no (N, S) order,
+    # mask or level array is formed
+    for rows in _blocks(len(X), measure.source_count):
+        block = X[rows]
+        masks, levels = _decompose(block.ravel(), np.arange(len(block)), _source_order(block))
+        out[rows] = (
             levels[np.arange(len(levels)), np.argmax(measure.values[masks], axis=1)]
             if binary else _choquet(measure.values[:, None], masks, levels)[:, 0]
         )

@@ -66,6 +66,7 @@ class CandidateSet:
             )
         if instances.size == 0:
             raise ValidationError("a candidate set needs at least one instance")
+        instances = instances.view()  # frozen below; the caller's array stays writable
         instances.flags.writeable = False
         object.__setattr__(self, "instances", instances)
 
@@ -227,11 +228,6 @@ def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> 
             f"labels must be the integer 0 or 1, got {flat[bad]!r}"
         )
     return np.array(flat, dtype=np.int8)
-
-
-def has_both_polarities(ds: Dataset) -> bool:
-    labels = ds.labels()
-    return bool((labels == 0).any() and (labels == 1).any())
 
 
 # ---------------------------------------------------------------------------

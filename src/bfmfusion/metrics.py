@@ -34,7 +34,7 @@ class FusionMap:
     provenance: dict  # {"mode": "choquet", "measure": {...}} or {"mode": "min"|...}
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = np.asarray(self.scores, dtype=np.float64).view()  # the caller's stays writable
         scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
 

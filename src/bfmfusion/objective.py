@@ -11,10 +11,11 @@ every positive bag has a matching fused to exactly 1.
 `prepare` factors out everything measure-independent (each candidate set's
 threshold walk, and the candidate sets and bags grouped by size) so that
 evaluating many value tables against one dataset, as the optimizer does,
-costs one pass for all of them. It sorts the rows once, in blocks, keeps
-each row's source order as one byte a source, and builds the walks from it;
-a real-valued stack reads its levels and prefixes from the same order, a
-block of candidate sets at a time, so no second sorted form is held.
+costs one pass for all of them. It sorts the rows once with
+`choquet._source_order`, keeps each row's source order as one byte a
+source, and builds the walks from it; a real-valued stack reads its levels
+and prefixes from the same order with `choquet._decompose`, as fusion does,
+a block of candidate sets at a time, so no second sorted form is held.
 `objective` and the optimizer share one evaluator, `_evaluate`, which
 takes the tables as a column stack in the optimizer's population layout:
 binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
@@ -44,7 +45,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .choquet import _BLOCK, _choquet, _prefix_masks
+from .choquet import _BLOCK, _blocks, _choquet, _decompose, _prefix_masks, _source_order
 from .data import Dataset
 from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _coalition_bits, _pack
 
@@ -116,9 +117,8 @@ def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray
     in blocks of segments of one size."""
     out = np.empty((sum(len(segs) for segs, _ in groups),) + x.shape[1:], x.dtype)
     for segs, rows in groups:
-        step = max(1, _BLOCK // (rows.shape[1] * (x.size // len(x))))
-        for i in range(0, len(segs), step):
-            out[segs[i : i + step]] = ufunc.reduce(x[rows[i : i + step]], axis=1)
+        for b in _blocks(len(segs), rows.shape[1] * (x.size // len(x))):
+            out[segs[b]] = ufunc.reduce(x[rows[b]], axis=1)
     return out
 
 
@@ -138,20 +138,19 @@ def _walks(
     u + i is the complement of word i, and the first pair's prefix above is
     the empty set, word 0.
     """
-    s = X.shape[1]
     flat = X.ravel()
     out = []
     for segs, rows in set_groups:
-        width = rows.shape[1] * s
+        width = rows.shape[1] * X.shape[1]
         walk = np.empty((width, len(segs)), np.int32)
         levels = np.empty((len(segs), width))
-        step = max(1, _BLOCK // width)
-        for i in range(0, len(segs), step):
-            block = rows[i : i + step]
-            by_level = order[block]
-            sign = set_signs[segs[i : i + step], None, None]
-            key = flat[block[..., None] * s + by_level] * -sign
-            word = rank[_prefix_masks(by_level, np.int32)]
+        for b in _blocks(len(segs), width):
+            block = rows[b]
+            sign = set_signs[segs[b], None, None]
+            # rebound, so that the masks and levels are freed before the sort
+            word, key = _decompose(flat, block, order[block])
+            word = rank[word]
+            key = key[..., :-1] * -sign
             above = np.empty_like(word)
             above[..., 0] = u
             np.add(word[..., :-1], u, out=above[..., 1:])
@@ -161,32 +160,28 @@ def _walks(
             by_key = np.argsort(key, axis=1)
             # a flat index is faster here than take_along_axis
             by_key += np.arange(0, key.size, width)[:, None]
-            walk[:, i : i + step] = word.ravel()[by_key].T
-            np.abs(key.ravel()[by_key], out=levels[i : i + step])
+            walk[:, b] = word.ravel()[by_key].T
+            np.abs(key.ravel()[by_key], out=levels[b])
         out.append((segs, walk, levels))
     return tuple(out)
 
 
 def prepare(data: Dataset) -> PreparedData:
-    """Compile a dataset for evaluation. Rows are sorted in blocks of about
-    _BLOCK entries and their order kept as one byte a source, then each set
+    """Compile a dataset for evaluation. Rows are sorted in blocks and their
+    order kept as one byte a source (`choquet._source_order`), then each set
     group's walks are built a block of sets at a time; no (N, S) mask or
     level array is formed."""
     X = data.instance_matrix()
-    n, s = X.shape
+    s = X.shape[1]
     labels = data.labels()
     set_signs = np.repeat(np.where(labels == 0, -1.0, 1.0), np.diff(data.bag_offsets))
-    # each row's sources by falling confidence, ties by ascending source, as
-    # in sort_decomposition; S <= 24 fits a byte. Only the coalitions some
-    # walk tests are packed, so evaluation scales with the data and not with
-    # 2**S: the prefixes and the empty set
-    order = np.empty((n, s), np.uint8)
+    order = _source_order(X)
+    # only the coalitions some walk tests are packed, so evaluation scales
+    # with the data and not with 2**S: the prefixes and the empty set
     present = np.zeros(1 << s, bool)
     present[0] = True
-    step = max(1, _BLOCK // s)
-    for i in range(0, n, step):
-        order[i : i + step] = np.argsort(-X[i : i + step], axis=1, kind="stable")
-        present[_prefix_masks(order[i : i + step], np.int32)] = True
+    for rows in _blocks(len(X), s):
+        present[_prefix_masks(order[rows], np.int32)] = True
     coalitions = _coalition_bits(np.flatnonzero(present))
     # the cumsum runs in place, so the 2**S transient is one int32 array
     rank = present.astype(np.int32)
@@ -258,9 +253,8 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     for segs, walk, levels in prepared.walks:
         length = walk.shape[0]
         bits = max(1, (length - 1).bit_length())
-        step = max(1, _BLOCK // max(length * n_words, p))
-        for i in range(0, len(segs), step):
-            block = walk[:, i : i + step]
+        for sets in _blocks(len(segs), max(length * n_words, p)):
+            block = walk[:, sets]
             n = block.shape[1]
             # hit[w, t, k]: word w of the tables at pair t of set k, then
             # OR-accumulated along the walk and complemented, so that each
@@ -274,25 +268,25 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
             for b in range(bits):
                 np.bitwise_xor.reduce(hit[:, (1 << b) - 1 :: 1 << b], axis=1, out=planes[b].T)
             # flat index of each walk's level at j, 8 bits of j at a time
-            at = np.arange(i * length, (i + n) * length, length)[:, None]
+            at = np.arange(sets.start * length, (sets.start + n) * length, length)[:, None]
             for low in range(0, bits, 8):
                 spread = np.unpackbits(planes[low : low + 8].view(np.uint8), axis=-1)
                 spread = spread.view(np.uint64)
                 spread <<= shifts[: len(spread)]
                 j = np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:, :p]
                 at = at + (np.left_shift(j, low, dtype=np.intp) if low else j)
-            out[segs[i : i + step]] = levels.ravel()[at]
+            out[segs[sets]] = levels.ravel()[at]
     return out
 
 
 def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     """(n_sets, P) set extremes of a float64 stack. For a block of candidate
-    sets at a time, as in `_walks`, each row's prefixes and sorted levels are
-    read from the prepared `order`, the levels negated in a negative set, and
-    `_choquet` reads their CI; each set's maximum is taken at once, so no
-    (N, P) array is formed. Negating a level is exact, so that maximum is the
-    negated minimum of a negative set bit for bit, and the set's sign flips
-    it back."""
+    sets at a time, as in `_walks`, each row is decomposed from the prepared
+    `order`, its levels negated in a negative set, and `_choquet` reads
+    their CI; each set's maximum is taken at once, so no (N, P) array is
+    formed. Negating a level is exact, so that maximum is the negated
+    minimum of a negative set bit for bit, and the set's sign flips it
+    back."""
     s = prepared.source_count
     flat = prepared.instances.ravel()
     p = tables.shape[1]
@@ -301,16 +295,12 @@ def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
         size = rows.shape[1]
         # 8 * _BLOCK elements, 2 MiB, of (P, rows, S) product a block: smaller
         # blocks pay more per block than they save in cache on small data
-        step = max(1, 8 * _BLOCK // (size * p * s))
-        for i in range(0, len(segs), step):
-            block = rows[i : i + step]
-            by_level = prepared.order[block]
-            # each row sorted descending, then a 0, with its set's sign
-            levels = np.zeros(block.shape + (s + 1,))
-            levels[..., :s] = flat[block[..., None] * s + by_level]
-            levels *= prepared.set_signs[segs[i : i + step], :, None]
-            ci = _choquet(tables, _prefix_masks(by_level).reshape(-1, s), levels.reshape(-1, s + 1))
-            out[segs[i : i + step]] = ci.reshape(-1, size, p).max(axis=1)
+        for b in _blocks(len(segs), size * p * s, 8 * _BLOCK):
+            block = rows[b]
+            masks, levels = _decompose(flat, block, prepared.order[block])
+            levels *= prepared.set_signs[segs[b], :, None]
+            ci = _choquet(tables, masks.reshape(-1, s), levels.reshape(-1, s + 1))
+            out[segs[b]] = ci.reshape(-1, size, p).max(axis=1)
     out *= prepared.set_signs
     return out
 

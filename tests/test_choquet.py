@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfmfusion import (
@@ -18,9 +18,8 @@ from bfmfusion import (
     minimum_measure,
     sample_random,
     sample_random_real,
-    sort_decomposition,
 )
-from bfmfusion.choquet import _choquet
+from bfmfusion.choquet import _BLOCK, _blocks, _choquet, _decompose, _source_order
 from oracles import naive_choquet
 
 PAPER_STYLE = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
@@ -28,6 +27,11 @@ PAPER_STYLE = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
 
 def random_instance(rng, s):
     return rng.random(s)
+
+
+def decompose(X):
+    """The sorted decomposition of every row of X."""
+    return _decompose(X.ravel(), np.arange(len(X)), _source_order(X))
 
 
 class TestHandCases:
@@ -204,7 +208,7 @@ class TestBatch:
     def test_sort_decomposition_structure(self):
         rng = np.random.default_rng(5)
         X = rng.random((20, 5))
-        masks, levels = sort_decomposition(X)
+        masks, levels = decompose(X)
         # nested chains: popcount k+1 at column k, ending at the full set
         assert (np.bitwise_count(masks) == np.arange(1, 6)).all()
         assert (masks[:, -1] == 0b11111).all()
@@ -216,6 +220,23 @@ class TestBatch:
         g = sample_random(5, 0.5, rng)
         diffs = levels[:, :-1] - levels[:, 1:]
         assert np.array_equal((diffs * g.values[masks]).sum(axis=1), choquet_batch(X, g))
+
+
+class TestBlocks:
+    @given(
+        n=st.integers(0, 300),
+        per_item=st.integers(1, 2 * _BLOCK),
+        budget=st.sampled_from([1, 7, 64, _BLOCK]),
+    )
+    @example(n=0, per_item=1, budget=_BLOCK)
+    @example(n=5, per_item=_BLOCK + 1, budget=_BLOCK)
+    @settings(max_examples=200, deadline=None)
+    def test_slices_cover_the_range_once_in_order(self, n, per_item, budget):
+        blocks = _blocks(n, per_item, budget)
+        step = max(1, budget // per_item)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(len(range(n)[b]) == step for b in blocks[:-1])
+        assert all(0 < len(range(n)[b]) <= step for b in blocks)
 
 
 def tied_rows(rng, n, s):
@@ -251,6 +272,6 @@ class TestStackForms:
         measures = [sample_random_real(4, rng) for _ in range(6)]
         tables = np.stack([g.values for g in measures], axis=1)
         for X in (rng.random((25, 4)), tied_rows(rng, 25, 4)):
-            ci = _choquet(tables, *sort_decomposition(X))
+            ci = _choquet(tables, *decompose(X))
             for p, g in enumerate(measures):
                 assert np.array_equal(ci[:, p], choquet_batch(X, g))

@@ -17,7 +17,6 @@ from bfmfusion import (
     dataset_to_dict,
     from_minimal_coalitions,
     generate_synthetic,
-    has_both_polarities,
     load_dataset,
     minimal_winning_coalitions,
     objective,
@@ -49,7 +48,7 @@ class TestModelValidation:
         ds = small_dataset()
         assert len(ds.bags) == 2
         assert ds.n_instances == 4
-        assert has_both_polarities(ds)
+        assert ds.labels().tolist() == [0, 1]
 
     def test_out_of_range_confidence_names_indices(self):
         with pytest.raises(ValidationError) as exc:
@@ -95,7 +94,7 @@ class TestModelValidation:
 
     def test_single_polarity_allowed_but_flagged(self):
         ds = Dataset(2, (Bag(0, [np.array([[0.1, 0.2]])]),))
-        assert not has_both_polarities(ds)
+        assert ds.labels().tolist() == [0]
 
     def test_truth_shape_must_parallel_bags(self):
         with pytest.raises(ValidationError):
@@ -131,6 +130,14 @@ class TestColumns:
         assert ds.labels().tolist() == [0, 1, 0]
         assert ds.flat_truth().tolist() == [0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0]
         assert ds.n_instances == 12
+
+    def test_candidate_set_leaves_the_callers_array_writable(self):
+        X = np.random.default_rng(0).random((3, 2))
+        cs = CandidateSet(X)
+        X[0, 0] = 1.0
+        assert cs.instances[0, 0] == 1.0  # a view: nothing was copied
+        with pytest.raises(ValueError):
+            cs.instances[0, 0] = 0.0
 
     def test_columns_are_read_only(self):
         ds = ragged_dataset()

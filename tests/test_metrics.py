@@ -82,6 +82,14 @@ class TestFuse:
         with pytest.raises(ValidationError, match="sources"):
             fuse(toy_dataset(), minimum_measure(4))
 
+    def test_fusion_map_leaves_the_callers_array_writable(self):
+        s = np.array([0.1, 0.2])
+        fused = FusionMap(s, {"mode": "min"})
+        s[0] = 0.5
+        assert fused.scores[0] == 0.5  # a view: nothing was copied
+        with pytest.raises(ValueError):
+            fused.scores[0] = 0.0
+
     def test_binary_fusion_is_maxmin_exactly(self):
         # levels spread across several binades, where a sum would round
         rng = np.random.default_rng(6)

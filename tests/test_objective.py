@@ -452,6 +452,24 @@ class TestManyBlocks:
             assert total == single.total
             assert contributions.tolist() == [c.contribution for c in single.per_bag]
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    def test_fusion_and_training_agree_bitwise(self, s):
+        # each row its own single-instance, single-set bag, so a bag's
+        # contribution is its row's fused value against the label; more
+        # than one block of rows, random rows and rows drawn from a few
+        # levels, so most of them hold ties
+        rng = np.random.default_rng(300 + s)
+        n = _BLOCK // s + 37
+        tied = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n - n // 2, s))
+        X = np.concatenate([rng.random((n // 2, s)), tied])
+        labels = rng.integers(0, 2, n).astype(np.int8)
+        offsets = np.arange(n + 1)
+        ds = Dataset._from_columns(s, X, offsets, offsets.copy(), labels, None)
+        for g in (sample_random(s, 0.5, rng), sample_random_real(s, rng)):
+            expected = (choquet_batch(X, g) - labels) ** 2
+            got = np.array([c.contribution for c in objective(g, ds).per_bag])
+            assert np.array_equal(got, expected)
+
 
 class TestBoundedMemory:
     """tracemalloc bounds at about 3,000 and 50,000 instances. Measured with
