@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .measures import BinaryFuzzyMeasure, Measure, _check_measure
+from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _in_unit_interval
 
 
 def _check_rows(X, source_count: int) -> np.ndarray:
@@ -37,9 +37,9 @@ def _check_rows(X, source_count: int) -> np.ndarray:
         raise ValidationError(
             f"confidences of shape {X.shape} do not fit a measure over {source_count} sources"
         )
-    inside = (X >= 0.0) & (X <= 1.0)
-    if not inside.all():
-        raise ValidationError(f"confidences must lie in [0, 1], got {X[~inside][0]}")
+    if not _in_unit_interval(X):
+        bad = X[~((X >= 0.0) & (X <= 1.0))][0]  # a mask only to name a refused value
+        raise ValidationError(f"confidences must lie in [0, 1], got {bad}")
     return X
 
 

@@ -43,6 +43,7 @@ from .measures import (
     _check_measure,
     _check_real,
     _check_source_count,
+    _in_unit_interval,
     _is_bit,
     _read_json,
     measure_from_dict,
@@ -187,13 +188,12 @@ def _parse(source_count, bags, truth) -> tuple:
 
     try:
         X = np.array(rows, dtype=np.float64)
-        # the float64 cast would also take strings, booleans and nulls;
-        # NaN fails both range comparisons
+        # the float64 cast would also take strings, booleans and nulls
         ok = (
             X.ndim == 2
             and X.shape[1] == source_count
             and set(map(type, chain.from_iterable(rows))) <= {int, float}
-            and bool(((X >= 0.0) & (X <= 1.0)).all())
+            and _in_unit_interval(X)
         )
     except (TypeError, ValueError, OverflowError):
         ok = False

@@ -83,6 +83,11 @@ def _check_real(value, name: str) -> int | float:
     return value
 
 
+def _in_unit_interval(x: np.ndarray) -> bool:
+    """Every value of x in [0, 1], not NaN, checked with no temporary array."""
+    return x.size == 0 or bool(x.min() >= 0.0 and x.max() <= 1.0)
+
+
 def _check_source_count(source_count: int) -> int:
     source_count = _check_integer(source_count, "source_count")
     if not 1 <= source_count <= MAX_SOURCES:
@@ -177,7 +182,7 @@ class RealFuzzyMeasure(_MeasureBase):
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise ValidationError(f"values must be 1-D, got shape {values.shape}")
-        if values.size and not ((values >= 0.0) & (values <= 1.0)).all():
+        if not _in_unit_interval(values):
             raise ValidationError("real measure values must all lie in [0, 1]")
         values = values.copy()
         values.flags.writeable = False
@@ -483,7 +488,7 @@ def _all_tables(source_count: int) -> np.ndarray:
 def count_all(source_count: int) -> int:
     """Exact count of valid binary measures, known up to S = 9."""
     try:
-        return _MEASURE_COUNTS[source_count]
+        return _MEASURE_COUNTS[_check_source_count(source_count)]
     except KeyError:
         raise CapError(f"exact measure count unknown for S={source_count}")
 

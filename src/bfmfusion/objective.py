@@ -8,14 +8,15 @@ of CI - 1)^2. The total is the plain sum over bags. Zero total means every
 negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
-`prepare` factors out everything measure-independent (each candidate set's
-threshold walk, and the candidate sets and bags grouped by size) so that
-evaluating many value tables against one dataset, as the optimizer does,
-costs one pass for all of them. It sorts the rows once with
-`choquet._source_order`, keeps each row's source order as one byte a
-source, and builds the walks from it; a real-valued stack reads its levels
-and prefixes from the same order with `choquet._decompose`, as fusion does,
-a block of candidate sets at a time, so no second sorted form is held.
+`prepare` factors out everything measure-independent (the candidate sets
+by size, one record a group with their rows and threshold walks, and the
+bags by set count) so that evaluating many value tables against one
+dataset, as the optimizer does, costs one pass for all of them. It sorts
+the rows once with `choquet._source_order`, keeps each row's source order
+as one byte a source, and builds the walks from it; a real-valued stack
+reads its levels and prefixes from the same order with
+`choquet._decompose`, as fusion does, a block of candidate sets at a time,
+so no second sorted form is held.
 `objective` and the optimizer share one evaluator, `_evaluate`, which
 takes the tables as a column stack in the optimizer's population layout:
 binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
@@ -90,10 +91,9 @@ class PreparedData:
                              # ties by ascending source
     coalitions: tuple        # byte rows and bit masks (see measures._coalition_bits) of
                              # the U coalitions the walks read
-    walks: tuple             # each set group's threshold walks, see _walks
-    set_groups: tuple        # candidate sets by size, see _size_groups
-    bag_groups: tuple        # bags by candidate-set count, the same way
-    bag_offsets: np.ndarray  # (n_bags + 1,) bag boundaries in candidate-set order
+    set_groups: tuple        # one record a size group of candidate sets: its sets,
+                             # their instance rows and threshold walks, see _walks
+    bag_groups: tuple        # bags by candidate-set count, see _size_groups
     set_signs: np.ndarray    # (n_sets, 1) the sign of each candidate set's bag
     labels: np.ndarray       # per bag, 0 or 1
 
@@ -123,10 +123,11 @@ def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray
 
 
 def _walks(
-    set_groups: tuple, X: np.ndarray, order: np.ndarray, rank: np.ndarray,
+    set_offsets: np.ndarray, X: np.ndarray, order: np.ndarray, rank: np.ndarray,
     set_signs: np.ndarray, u: int,
 ) -> tuple:
-    """For each group of candidate sets: the set indices, the (G * S, n_g)
+    """One record (segs, rows, walk, levels) a size group of candidate sets:
+    the set indices and (n_g, G) rows of `_size_groups`, the (G * S, n_g)
     word indices of each set's (instance, prefix) pairs by ascending key,
     one set per column, and the (n_g, G * S) levels |key| in that order.
 
@@ -140,7 +141,7 @@ def _walks(
     """
     flat = X.ravel()
     out = []
-    for segs, rows in set_groups:
+    for segs, rows in _size_groups(set_offsets):
         width = rows.shape[1] * X.shape[1]
         walk = np.empty((width, len(segs)), np.int32)
         levels = np.empty((len(segs), width))
@@ -162,7 +163,7 @@ def _walks(
             by_key += np.arange(0, key.size, width)[:, None]
             walk[:, b] = word.ravel()[by_key].T
             np.abs(key.ravel()[by_key], out=levels[b])
-        out.append((segs, walk, levels))
+        out.append((segs, rows, walk, levels))
     return tuple(out)
 
 
@@ -187,16 +188,13 @@ def prepare(data: Dataset) -> PreparedData:
     rank = present.astype(np.int32)
     np.cumsum(rank, out=rank)
     rank -= 1
-    set_groups = _size_groups(data.set_offsets)
     return PreparedData(
         source_count=data.source_count,
         instances=X,
         order=order,
         coalitions=coalitions,
-        walks=_walks(set_groups, X, order, rank, set_signs, len(coalitions[0])),
-        set_groups=set_groups,
+        set_groups=_walks(data.set_offsets, X, order, rank, set_signs, len(coalitions[0])),
         bag_groups=_size_groups(data.bag_offsets),
-        bag_offsets=data.bag_offsets,
         set_signs=set_signs[:, None],
         labels=labels,
     )
@@ -236,21 +234,19 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     tables have g(empty) = 0 and g(full) = 1.
     """
     p = tables.shape[1]
-    n_bytes, n_words = -(-p // 8), -(-p // 64)
-    # one packbits of a copy padded to whole bytes: packing each short row
+    n_words = -(-p // 64)
+    # one packbits of a copy padded to whole words: packing each short row
     # is slower. packbits packs any nonzero byte as 1, so each coalition's
     # byte masked to its bit is enough
     row, bit = prepared.coalitions
-    columns = np.zeros((len(row), 8 * n_bytes), np.uint8)
+    columns = np.zeros((len(row), 64 * n_words), np.uint8)
     np.bitwise_and(tables[row], bit[:, None], out=columns[:, :p])
-    packed = np.zeros((len(columns), 8 * n_words), np.uint8)
-    packed[:, :n_bytes] = np.packbits(columns).reshape(len(columns), n_bytes)
-    packed = packed.view(np.uint64)
+    packed = np.packbits(columns).view(np.uint64).reshape(len(row), n_words)
     # one row per word of columns, so each gather below is a 1-D take
     doubled = np.ascontiguousarray(np.concatenate([packed, ~packed]).T)
     shifts = np.arange(8, dtype=np.uint64)[:, None, None]
     out = np.empty((len(prepared.set_signs), p))
-    for segs, walk, levels in prepared.walks:
+    for segs, _, walk, levels in prepared.set_groups:
         length = walk.shape[0]
         bits = max(1, (length - 1).bit_length())
         for sets in _blocks(len(segs), max(length * n_words, p)):
@@ -291,7 +287,7 @@ def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     flat = prepared.instances.ravel()
     p = tables.shape[1]
     out = np.empty((len(prepared.set_signs), p))
-    for segs, rows in prepared.set_groups:
+    for segs, rows, _, _ in prepared.set_groups:
         size = rows.shape[1]
         # 8 * _BLOCK elements, 2 MiB, of (P, rows, S) product a block: smaller
         # blocks pay more per block than they save in cache on small data
@@ -340,13 +336,11 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     _check_measure(measure, prepared.source_count)
     tables = measure.values[:, None]
     ev = _evaluate(_pack(tables) if isinstance(measure, BinaryFuzzyMeasure) else tables, prepared)
-    # the selected set is the first in its bag to reach the bag's extreme
-    set_index = np.arange(len(prepared.set_signs))
-    reaches = ev.set_extreme[0] == np.repeat(ev.bag_extreme[0], np.diff(prepared.bag_offsets))
-    first = _segment_reduce(
-        np.minimum, np.where(reaches, set_index, len(set_index)), prepared.bag_groups
-    )
-    selected = first - prepared.bag_offsets[:-1]
+    # the first set in its bag to reach the bag's extreme: argmax takes the
+    # first maximum, and a bag's padding repeats its last set only after it
+    selected = np.empty(len(prepared.labels), np.intp)
+    for segs, rows in prepared.bag_groups:
+        selected[segs] = np.argmax(ev.set_extreme[0][rows], axis=1)
     per_bag = tuple(
         BagContribution(b, float(c), int(sel))
         for b, (c, sel) in enumerate(zip(ev.contributions[0], selected))

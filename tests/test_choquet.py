@@ -143,8 +143,8 @@ class TestValidation:
 
     def test_batch_refuses_out_of_range(self):
         g = from_minimal_coalitions(3, [{0, 1}])
-        for X in ([[1.5, -0.2, 0.3]], [[0.5, 0.2, 0.3], [0.1, np.nan, 0.3]]):
-            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        for X, bad in (([[1.5, -0.2, 0.3]], "1.5"), ([[0.5, 0.2, 0.3], [0.1, np.nan, 0.3]], "nan")):
+            with pytest.raises(ValidationError, match=rf"\[0, 1\], got {bad}$"):
                 choquet_batch(X, g)
 
     def test_invalid_measure_refused(self):
@@ -204,6 +204,25 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak <= g.values.nbytes
+
+    def test_range_check_holds_no_row_sized_mask(self):
+        # beyond the fused output, at most one byte a confidence: the blocks
+        # are small, and the [0, 1] check forms no (N, S) bool array
+        n, s = 200_000, 16
+        g = from_minimal_coalitions(s, [range(8), range(8, s)])
+        X = np.random.default_rng(6).random((n, s))
+        tracemalloc.start()
+        try:
+            out = choquet_batch(X, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + n * s
+
+    def test_empty_batch(self):
+        for g in (PAPER_STYLE, sample_random_real(3, 7)):
+            out = choquet_batch(np.empty((0, 3)), g)
+            assert out.shape == (0,)
 
     def test_sort_decomposition_structure(self):
         rng = np.random.default_rng(5)

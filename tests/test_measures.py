@@ -101,6 +101,8 @@ class TestConstruction:
             BinaryFuzzyMeasure(2, np.array([0, 2, 0, 1]))
         with pytest.raises(ValidationError):
             RealFuzzyMeasure(2, np.array([0.0, 1.2, 0.0, 1.0]))
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            RealFuzzyMeasure(2, np.array([0.0, np.nan, 0.0, 1.0]))
 
     @pytest.mark.parametrize("kind", [BinaryFuzzyMeasure, RealFuzzyMeasure])
     def test_values_must_be_one_dimensional(self, kind):
@@ -277,6 +279,11 @@ class TestEnumeration:
             enumerate_all(10)
         with pytest.raises(CapError, match="S=10"):
             count_all(10)
+
+    @pytest.mark.parametrize("source_count", [0, -1, "3", True, 2.0])
+    def test_count_all_refuses_what_enumerate_all_refuses(self, source_count):
+        with pytest.raises(ValidationError, match="source_count"):
+            count_all(source_count)
 
 
 class TestMinimalWinningCoalitions:

@@ -98,6 +98,22 @@ class TestHandCase:
         out = objective(FIRST_SOURCE_ONLY, ds)
         assert [c.selected_set for c in out.per_bag] == [0, 0]
 
+    @pytest.mark.parametrize("kind", [BinaryFuzzyMeasure, RealFuzzyMeasure])
+    def test_selected_set_at_the_padded_edge(self, kind):
+        # bags of 3 and 5 sets, padded to 4 and 8 by repeating the last set,
+        # reach their extreme only at that last set; a bag of 3 whose first
+        # and last sets tie selects the first
+        g = kind(2, FIRST_SOURCE_ONLY.values)
+        sets = lambda *xs: [np.array([[x, 0.5]]) for x in xs]
+        ds = Dataset(2, (
+            Bag(0, sets(0.1, 0.2, 0.7)),
+            Bag(1, sets(0.1, 0.3, 0.2, 0.4, 0.8)),
+            Bag(1, sets(0.6, 0.2, 0.6)),
+        ))
+        out = objective(g, ds)
+        assert [c.selected_set for c in out.per_bag] == [2, 4, 0]
+        assert [sel for _, sel in naive_breakdown(g.values, ds)] == [2, 4, 0]
+
     def test_perfect_fit_is_exactly_zero(self):
         # all-zero instances fuse to 0 and all-one instances fuse to 1,
         # with no rounding, for every valid measure
@@ -399,7 +415,7 @@ class TestManyBlocks:
         pre = prepare(ds)
         # more than one block of rows, and of sets in some walk group
         assert ds.n_instances * 8 > _BLOCK
-        assert max(walk.size for _, walk, _ in pre.walks) > _BLOCK
+        assert max(walk.size for _, _, walk, _ in pre.set_groups) > _BLOCK
         # one sort, kept in blocks: each row's sources by falling confidence,
         # ties by ascending source
         assert pre.order.dtype == np.uint8
@@ -498,7 +514,7 @@ class TestBoundedMemory:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert pre.walks
+            assert pre.set_groups
             assert peak - held <= ds.n_instances * self.S + 2 * 2**20
 
     def test_float_path_beyond_the_returned_arrays_is_bounded(self, datasets):
