@@ -25,6 +25,15 @@ JSON schema (UTF-8, plain decimal numbers):
 
 `instance_truth` carries evaluation-only per-instance labels; training
 never reads it.
+
+JSON I/O holds arrays, not trees. `save_dataset` writes the bytes of
+`json.dumps(dataset_to_dict(ds))` a block of bags at a time, one C-encoder
+call a block. `load_dataset` decodes the file through an object hook that
+packs each bag as it closes into a float64 rows array and its set sizes,
+when every row is a list of floats of one length; `Dataset(...)` packs its
+`CandidateSet` arrays the same way. Any bag that does not pack is checked
+as JSON-shaped lists, with the same diagnostics, and the width and range
+checks run once, on the whole matrix.
 """
 
 from __future__ import annotations
@@ -33,9 +42,11 @@ import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
+from .choquet import _blocks
 from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
@@ -100,10 +111,12 @@ class Dataset:
     truth nested like them; the loader and the generator build the columns in bulk."""
 
     def __init__(self, source_count, bags, instance_truth=None):
+        # sets of two widths cannot pack; as lists they get the loader's diagnostics
         bags = [
             {
                 "label": bag.label,
-                "candidate_sets": [cs.instances.tolist() for cs in bag.candidate_sets],
+                "candidate_sets": _pack(list(bag.candidate_sets))
+                or [cs.instances.tolist() for cs in bag.candidate_sets],
             }
             for bag in bags
         ]
@@ -161,50 +174,117 @@ def _locate(k: int, set_offsets: np.ndarray, bag_offsets: np.ndarray) -> str:
     return f"bag {b}, candidate set {s - bag_offsets[b]}, instance {k - set_offsets[s]}"
 
 
+def _bag_blocks(offsets: np.ndarray, budget: int) -> list[slice]:
+    """Slices of whole bags that cover them in order, given `offsets` of
+    their items (sets or rows): each block starts at the bag that holds item
+    k * budget, so it holds fewer than `budget` items besides its first
+    bag's."""
+    starts = np.searchsorted(offsets, np.arange(0, offsets[-1], budget), side="right") - 1
+    return [slice(a, b) for a, b in pairwise([*dict.fromkeys(starts.tolist()), len(offsets) - 1])]
+
+
+class _PackedSets(NamedTuple):
+    """A bag's candidate sets as one float64 (rows, width) array and the set
+    sizes. Its repr is that of the nested lists it stands for, so a
+    diagnostic that shows one reads as it would for the lists."""
+
+    rows: np.ndarray
+    sizes: tuple
+
+    def __repr__(self) -> str:
+        return repr(_nest(self.rows.tolist(), _offsets(self.sizes).tolist()))
+
+
+def _pack(sets) -> _PackedSets | None:
+    """A bag's candidate sets packed, if they are a non-empty list of
+    non-empty lists of rows that are lists of floats of one length, or of
+    `CandidateSet`s of one width; else None. Never raises."""
+    if type(sets) is not list or not sets:
+        return None
+    kinds = set(map(type, sets))
+    if kinds == {CandidateSet}:  # each a non-empty 2-D float64 array
+        if len({cs.instances.shape[1] for cs in sets}) > 1:
+            return None
+        return _PackedSets(np.concatenate([cs.instances for cs in sets]), tuple(map(len, sets)))
+    # each check is one pass in C: the decoder calls this once a bag
+    if kinds != {list} or not all(sets):
+        return None
+    rows = list(chain.from_iterable(sets))
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {float}:
+        return None
+    return _PackedSets(np.array(rows), tuple(map(len, sets)))
+
+
+def _pack_bag(obj: dict) -> dict:
+    """`json` object hook: an object's candidate_sets packed as it closes,
+    where `_pack` can; any other object is returned as it is."""
+    if "candidate_sets" in obj:
+        packed = _pack(obj["candidate_sets"])
+        if packed is not None:
+            obj["candidate_sets"] = packed
+    return obj
+
+
+def _float_rows(rows: list) -> np.ndarray | None:
+    """Rows of ints and floats of one length as a float64 matrix, else None;
+    the float64 cast alone would also take strings, booleans and nulls."""
+    try:
+        X = np.array(rows, dtype=np.float64)
+        if X.ndim == 2 and set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            return X
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
 def _parse(source_count, bags, truth) -> tuple:
-    """Check JSON-shaped bags one by one, then all instance rows as one array.
+    """Check JSON-shaped bags one by one, packing each where `_pack` can,
+    then all instance rows as one array.
 
     Returns the columns: source count, matrix, offsets, labels and truth."""
     source_count = _check_source_count(source_count)
     if not isinstance(bags, list) or not bags:
         raise ValidationError("bags must be a non-empty list")
-    rows, labels, set_sizes, sets_per_bag = [], [], [], []
+    # per bag, its packed rows, or the rows as they are where it did not pack
+    pieces, labels, set_sizes, sets_per_bag = [], [], [], []
     for b, bag in enumerate(bags):
         if not isinstance(bag, dict) or not {"label", "candidate_sets"} <= bag.keys():
             raise ValidationError(f"bag {b}: expected label and candidate_sets fields")
         label, sets = bag["label"], bag["candidate_sets"]
         if not _is_bit(label):
             raise ValidationError(f"bag {b}: label must be the integer 0 or 1, got {label!r}")
-        if not isinstance(sets, list) or not sets:
-            raise ValidationError(f"bag {b}: candidate_sets must be a non-empty list")
-        for c, set_rows in enumerate(sets):
-            if not isinstance(set_rows, list) or not set_rows:
-                raise ValidationError(f"bag {b}, candidate set {c}: must be a non-empty list")
-            rows.extend(set_rows)
-            set_sizes.append(len(set_rows))
+        packed = sets if isinstance(sets, _PackedSets) else _pack(sets)
+        if packed is None:
+            if not isinstance(sets, list) or not sets:
+                raise ValidationError(f"bag {b}: candidate_sets must be a non-empty list")
+            for c, set_rows in enumerate(sets):
+                if not isinstance(set_rows, list) or not set_rows:
+                    raise ValidationError(f"bag {b}, candidate set {c}: must be a non-empty list")
+            packed = list(chain.from_iterable(sets)), tuple(map(len, sets))
+        rows, sizes = packed
+        pieces.append(rows)
+        set_sizes.extend(sizes)
+        sets_per_bag.append(len(sizes))
         labels.append(label)
-        sets_per_bag.append(len(sets))
     set_offsets, bag_offsets = _offsets(set_sizes), _offsets(sets_per_bag)
 
-    try:
-        X = np.array(rows, dtype=np.float64)
-        # the float64 cast would also take strings, booleans and nulls
-        ok = (
-            X.ndim == 2
-            and X.shape[1] == source_count
-            and set(map(type, chain.from_iterable(rows))) <= {int, float}
-            and _in_unit_interval(X)
-        )
-    except (TypeError, ValueError, OverflowError):
+    arrays = [p if isinstance(p, np.ndarray) else _float_rows(p) for p in pieces]
+    try:  # a None, from rows that did not convert, or two widths fail here
+        X = np.concatenate(arrays)
+        ok = X.shape[1] == source_count and _in_unit_interval(X)
+    except ValueError:
         ok = False
     if not ok:
-        k = next(k for k, row in enumerate(rows) if not (
+        rows = chain.from_iterable(p.tolist() if isinstance(p, np.ndarray) else p for p in pieces)
+        k, row = next((k, row) for k, row in enumerate(rows) if not (
             isinstance(row, list) and len(row) == source_count
             and all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in row)
         ))
         raise ValidationError(
             f"{_locate(k, set_offsets, bag_offsets)}: expected a list of "
-            f"{source_count} numbers in [0, 1], got {rows[k]!r:.80}"
+            f"{source_count} numbers in [0, 1], got {row!r:.80}"
         )
     if truth is not None:
         truth = _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets)
@@ -234,20 +314,37 @@ def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> 
 # JSON I/O
 
 
-def dataset_to_dict(ds: Dataset) -> dict:
-    def nest(flat: list) -> list:
-        sets = [flat[a:b] for a, b in pairwise(ds.set_offsets.tolist())]
-        return [sets[a:b] for a, b in pairwise(ds.bag_offsets.tolist())]
+def _nest(flat: list, *levels: list) -> list:
+    """A flat list split by each level of offsets in turn: rows into
+    candidate sets, then sets into bags."""
+    for offsets in levels:
+        flat = [flat[a:b] for a, b in pairwise(offsets)]
+    return flat
 
-    obj = {
-        "source_count": ds.source_count,
-        "bags": [
-            {"label": label, "candidate_sets": sets}
-            for label, sets in zip(ds.labels().tolist(), nest(ds.instance_matrix().tolist()))
-        ],
-    }
-    if ds.flat_truth() is not None:
-        obj["instance_truth"] = nest(ds.flat_truth().tolist())
+
+def _nested(ds: Dataset, column: np.ndarray, bags: slice) -> list:
+    """The rows of `column`, a per-instance array, in the bags `bags`, as
+    nested lists: one per bag, holding one per candidate set."""
+    sets = ds.bag_offsets[bags.start : bags.stop + 1]
+    rows = ds.set_offsets[sets[0] : sets[-1] + 1]
+    return _nest(
+        column[rows[0] : rows[-1]].tolist(), (rows - rows[0]).tolist(), (sets - sets[0]).tolist()
+    )
+
+
+def _bag_dicts(ds: Dataset, X: np.ndarray, bags: slice) -> list:
+    return [
+        {"label": label, "candidate_sets": sets}
+        for label, sets in zip(ds.labels()[bags].tolist(), _nested(ds, X, bags))
+    ]
+
+
+def dataset_to_dict(ds: Dataset) -> dict:
+    every = slice(0, len(ds.labels()))
+    obj = {"source_count": ds.source_count, "bags": _bag_dicts(ds, ds.instance_matrix(), every)}
+    truth = ds.flat_truth()
+    if truth is not None:
+        obj["instance_truth"] = _nested(ds, truth, every)
     return obj
 
 
@@ -262,17 +359,40 @@ def dataset_from_dict(obj: dict) -> Dataset:
     )
 
 
+# confidences in a block of `save_dataset`: while the C encoder runs, a
+# block holds about 150 bytes a confidence (0.6 MiB) as Python objects and text
+_WRITE_BLOCK = 1 << 12
+
+
 def save_dataset(path, ds: Dataset) -> None:
-    # json.dumps runs the C encoder, which json.dump never does; same bytes
-    text = json.dumps(dataset_to_dict(ds))
+    """Write `json.dumps(dataset_to_dict(ds))` and a newline, byte for byte,
+    a block of bags at a time, so no tree or text of the whole dataset is
+    formed. Each block is one `json.dumps` call, which runs the C encoder
+    (`json.dump` never does), and its list brackets are dropped."""
+    blocks = _bag_blocks(ds.set_offsets[ds.bag_offsets], _WRITE_BLOCK // ds.source_count)
+    X, truth = ds.instance_matrix(), ds.flat_truth()
+
+    def write_list(fh, items) -> None:
+        fh.write("[")
+        for i, bags in enumerate(blocks):
+            fh.write(", " if i else "")
+            fh.write(json.dumps(items(bags))[1:-1])
+        fh.write("]")
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(f'{{"source_count": {ds.source_count}, "bags": ')
+        write_list(fh, lambda bags: _bag_dicts(ds, X, bags))
+        if truth is not None:
+            fh.write(', "instance_truth": ')
+            write_list(fh, lambda bags: _nested(ds, truth, bags))
+        fh.write("}\n")
 
 
 def load_dataset(path) -> Dataset:
-    """Parse and validate a dataset file; diagnostics carry bag/set/instance indices."""
-    return dataset_from_dict(_read_json(path))
+    """Parse and validate a dataset file; diagnostics carry bag/set/instance
+    indices. Each bag's candidate sets are packed as the decoder closes the
+    bag (see `_pack`), so the whole file is never held as Python floats."""
+    return dataset_from_dict(_read_json(path, object_hook=_pack_bag))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +549,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         above += np.left_shift(X[:, i] >= 0.5, i, dtype=np.intp)
     truth_labels = truth.values.astype(np.int8)[above]
     if spec.noise_sigma > 0:
-        noise = rng.normal(0.0, spec.noise_sigma, X.shape)
-        noise += X
-        X = np.clip(noise, 0.0, 1.0, out=noise)
+        # drawn and added a block of rows at a time: the same draws as one
+        # call, and no second (N, S) array
+        for rows in _blocks(len(X), S):
+            block = X[rows]
+            block += rng.normal(0.0, spec.noise_sigma, block.shape)
+            np.clip(block, 0.0, 1.0, out=block)
     return Dataset._from_columns(S, X, set_offsets, bag_offsets, labels, truth_labels)

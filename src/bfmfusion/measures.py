@@ -585,11 +585,13 @@ def save_measure(path, measure: Measure) -> None:
         fh.write("\n")
 
 
-def _read_json(path):
-    """Parse a JSON input file; malformed text is a ValidationError naming the file."""
+def _read_json(path, object_hook=None):
+    """Parse a JSON input file, passing each decoded object through
+    `object_hook` if one is given; malformed text is a ValidationError
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as e:
             raise ValidationError(f"{path}: not valid JSON: {e}") from e
 

@@ -10,18 +10,21 @@ every positive bag has a matching fused to exactly 1.
 
 `prepare` factors out everything measure-independent (the candidate sets
 by size, one record a group with their rows and threshold walks, and the
-bags by set count) so that evaluating many value tables against one
-dataset, as the optimizer does, costs one pass for all of them. It sorts
-the rows once with `choquet._source_order`, keeps each row's source order
-as one byte a source, and builds the walks from it; a real-valued stack
-reads its levels and prefixes from the same order with
+bags in blocks of about 2048 candidate sets, each block with its sets' run
+of every group and its bags by set count) so that evaluating many value
+tables against one dataset, as the optimizer does, costs one pass for all
+of them. It sorts the rows once with `choquet._source_order`, keeps each
+row's source order as one byte a source, and builds the walks from it; a
+real-valued stack reads its levels and prefixes from the same order with
 `choquet._decompose`, as fusion does, a block of candidate sets at a time,
 so no second sorted form is held.
 `objective` and the optimizer share one evaluator, `_evaluate`, which
 takes the tables as a column stack in the optimizer's population layout:
 binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
 (coalition c at byte c >> 3, bit 7 - (c & 7); see `measures._pack`), real
-ones as a (2**S, P) float64 stack.
+ones as a (2**S, P) float64 stack. It reads the set extremes of one block
+of bags at a time and reduces them to those bags' contributions, so beyond
+the (n_bags, P) contributions it holds one block's extremes.
 
 A binary table never needs CI itself, only each candidate set's extreme.
 Under a binary measure g a row's CI is its level at its first winning
@@ -41,13 +44,14 @@ CI from `choquet._choquet` by the level-difference sum.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .choquet import _BLOCK, _blocks, _choquet, _decompose, _prefix_masks, _source_order
-from .data import Dataset
+from .data import Dataset, _bag_blocks
 from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _coalition_bits, _pack
 
 
@@ -93,9 +97,30 @@ class PreparedData:
                              # the U coalitions the walks read
     set_groups: tuple        # one record a size group of candidate sets: its sets,
                              # their instance rows and threshold walks, see _walks
-    bag_groups: tuple        # bags by candidate-set count, see _size_groups
+    blocks: tuple            # the bags in blocks of about _BLOCK_SETS candidate
+                             # sets, in order, see _Block
     set_signs: np.ndarray    # (n_sets, 1) the sign of each candidate set's bag
     labels: np.ndarray       # per bag, 0 or 1
+
+
+# candidate sets in a block of bags: their extremes under 64 tables are
+# 1 MiB, 4 * _BLOCK float64 values. Twice that, the buffer and the
+# contributions of a call on the `evaluate-large` recipe outgrew glibc's heap
+# trim threshold (twice the largest block it has unmapped, there the data
+# matrix), so every call gave its pages back and faulted them in again
+_BLOCK_SETS = 4 * _BLOCK // 64
+
+
+class _Block(NamedTuple):
+    """Whole bags that `_evaluate` reduces together."""
+
+    sets: slice         # their candidate sets
+    set_groups: tuple   # each size group's run of those sets, as in
+                        # PreparedData.set_groups but with the sets' positions
+                        # in the block for set indices; rows, walks and levels
+                        # are views
+    bag_groups: tuple   # the bags by candidate-set count, see _size_groups:
+                        # bag indices, rows of positions in the block
 
 
 def _size_groups(offsets: np.ndarray) -> tuple:
@@ -110,16 +135,6 @@ def _size_groups(offsets: np.ndarray) -> tuple:
         for e in np.flatnonzero(np.bincount(exps))
         for segs in [np.flatnonzero(exps == e)]
     )
-
-
-def _segment_reduce(ufunc: np.ufunc, x: np.ndarray, groups: tuple) -> np.ndarray:
-    """`ufunc` over each segment of the rows of x, as an (n_segs, ...) array,
-    in blocks of segments of one size."""
-    out = np.empty((sum(len(segs) for segs, _ in groups),) + x.shape[1:], x.dtype)
-    for segs, rows in groups:
-        for b in _blocks(len(segs), rows.shape[1] * (x.size // len(x))):
-            out[segs[b]] = ufunc.reduce(x[rows[b]], axis=1)
-    return out
 
 
 def _walks(
@@ -167,6 +182,26 @@ def _walks(
     return tuple(out)
 
 
+def _plan(bag_offsets: np.ndarray, set_groups: tuple) -> tuple:
+    """The `_Block`s of whole bags of about `_BLOCK_SETS` candidate sets.
+    The sets of a block are a range, and `segs` is sorted, so each size
+    group holds them as one run of its columns."""
+    blocks = []
+    for bags in _bag_blocks(bag_offsets, _BLOCK_SETS):
+        first, stop = bag_offsets[bags.start], bag_offsets[bags.stop]
+        runs = []
+        for segs, rows, walk, levels in set_groups:
+            lo, hi = np.searchsorted(segs, [first, stop])
+            if hi > lo:
+                runs.append((segs[lo:hi] - first, rows[lo:hi], walk[:, lo:hi], levels[lo:hi]))
+        bag_groups = tuple(
+            (segs + bags.start, rows)
+            for segs, rows in _size_groups(bag_offsets[bags.start : bags.stop + 1] - first)
+        )
+        blocks.append(_Block(slice(first, stop), tuple(runs), bag_groups))
+    return tuple(blocks)
+
+
 def prepare(data: Dataset) -> PreparedData:
     """Compile a dataset for evaluation. Rows are sorted in blocks and their
     order kept as one byte a source (`choquet._source_order`), then each set
@@ -188,13 +223,14 @@ def prepare(data: Dataset) -> PreparedData:
     rank = present.astype(np.int32)
     np.cumsum(rank, out=rank)
     rank -= 1
+    set_groups = _walks(data.set_offsets, X, order, rank, set_signs, len(coalitions[0]))
     return PreparedData(
         source_count=data.source_count,
         instances=X,
         order=order,
         coalitions=coalitions,
-        set_groups=_walks(data.set_offsets, X, order, rank, set_signs, len(coalitions[0])),
-        bag_groups=_size_groups(data.bag_offsets),
+        set_groups=set_groups,
+        blocks=_plan(data.bag_offsets, set_groups),
         set_signs=set_signs[:, None],
         labels=labels,
     )
@@ -211,16 +247,23 @@ class _Evaluation(NamedTuple):
     negative: np.ndarray       # (P,) negative-bag term
     positive: np.ndarray       # (P,) positive-bag term
     contributions: np.ndarray  # (P, n_bags)
-    set_extreme: np.ndarray    # (P, n_sets) min CI of a negative set, max CI of a positive one
-    bag_extreme: np.ndarray    # (P, n_bags) largest set extreme in the bag
 
     @property
     def total(self) -> np.ndarray:
         return self.negative + self.positive
 
 
-def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
-    """(n_sets, P) set extremes of a bitset stack of binary tables.
+def _block_buffers(prepared: PreparedData, p: int) -> Iterator[tuple]:
+    """Each block with an (n_sets_block, P) float64 view of one buffer, so a
+    block's extremes are written over the last block's."""
+    buffer = np.empty((max(b.sets.stop - b.sets.start for b in prepared.blocks), p))
+    for block in prepared.blocks:
+        yield block, buffer[: block.sets.stop - block.sets.start]
+
+
+def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> Iterator[tuple]:
+    """Each block and its (n_sets_block, P) set extremes under a bitset
+    stack of binary tables.
 
     The coalitions the walks read are gathered as byte rows, masked to
     their bits and packed 64 columns to a word, and word U + i
@@ -245,80 +288,94 @@ def _walk_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
     # one row per word of columns, so each gather below is a 1-D take
     doubled = np.ascontiguousarray(np.concatenate([packed, ~packed]).T)
     shifts = np.arange(8, dtype=np.uint64)[:, None, None]
-    out = np.empty((len(prepared.set_signs), p))
-    for segs, _, walk, levels in prepared.set_groups:
-        length = walk.shape[0]
-        bits = max(1, (length - 1).bit_length())
-        for sets in _blocks(len(segs), max(length * n_words, p)):
-            block = walk[:, sets]
-            n = block.shape[1]
-            # hit[w, t, k]: word w of the tables at pair t of set k, then
-            # OR-accumulated along the walk and complemented, so that each
-            # step of both runs over whole rows of sets
-            hit = np.empty((n_words, length, n), np.uint64)
-            for w in range(n_words):
-                np.take(doubled[w], block, out=hit[w])
-            np.bitwise_or.accumulate(hit, axis=1, out=hit)
-            np.invert(hit, out=hit)
-            planes = np.empty((bits, n, n_words), np.uint64)
-            for b in range(bits):
-                np.bitwise_xor.reduce(hit[:, (1 << b) - 1 :: 1 << b], axis=1, out=planes[b].T)
-            # flat index of each walk's level at j, 8 bits of j at a time
-            at = np.arange(sets.start * length, (sets.start + n) * length, length)[:, None]
-            for low in range(0, bits, 8):
-                spread = np.unpackbits(planes[low : low + 8].view(np.uint8), axis=-1)
-                spread = spread.view(np.uint64)
-                spread <<= shifts[: len(spread)]
-                j = np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:, :p]
-                at = at + (np.left_shift(j, low, dtype=np.intp) if low else j)
-            out[segs[sets]] = levels.ravel()[at]
-    return out
+    for block, out in _block_buffers(prepared, p):
+        for segs, _, walk, levels in block.set_groups:
+            length = walk.shape[0]
+            bits = max(1, (length - 1).bit_length())
+            for sets in _blocks(len(segs), max(length * n_words, p)):
+                steps = walk[:, sets]
+                n = steps.shape[1]
+                # hit[w, t, k]: word w of the tables at pair t of set k, then
+                # OR-accumulated along the walk and complemented, so that each
+                # step of both runs over whole rows of sets
+                hit = np.empty((n_words, length, n), np.uint64)
+                for w in range(n_words):
+                    np.take(doubled[w], steps, out=hit[w])
+                np.bitwise_or.accumulate(hit, axis=1, out=hit)
+                np.invert(hit, out=hit)
+                planes = np.empty((bits, n, n_words), np.uint64)
+                for b in range(bits):
+                    np.bitwise_xor.reduce(
+                        hit[:, (1 << b) - 1 :: 1 << b], axis=1, out=planes[b].T
+                    )
+                # flat index of each walk's level at j, 8 bits of j at a time
+                at = np.arange(sets.start * length, (sets.start + n) * length, length)[:, None]
+                for low in range(0, bits, 8):
+                    spread = np.unpackbits(planes[low : low + 8].view(np.uint8), axis=-1)
+                    spread = spread.view(np.uint64)
+                    spread <<= shifts[: len(spread)]
+                    j = np.bitwise_or.reduce(spread, axis=0).view(np.uint8)[:, :p]
+                    at = at + (np.left_shift(j, low, dtype=np.intp) if low else j)
+                out[segs[sets]] = levels.ravel()[at]
+        yield block, out
 
 
-def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> np.ndarray:
-    """(n_sets, P) set extremes of a float64 stack. For a block of candidate
-    sets at a time, as in `_walks`, each row is decomposed from the prepared
-    `order`, its levels negated in a negative set, and `_choquet` reads
-    their CI; each set's maximum is taken at once, so no (N, P) array is
+def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> Iterator[tuple]:
+    """Each block and its (n_sets_block, P) set extremes under a float64
+    stack. For a few candidate sets at a time, as in `_walks`, each row is
+    decomposed from the prepared `order`, its levels negated in a negative
+    set, and `_choquet` reads their CI; each set's maximum is taken at once, so no (N, P) array is
     formed. Negating a level is exact, so that maximum is the negated
     minimum of a negative set bit for bit, and the set's sign flips it
     back."""
     s = prepared.source_count
     flat = prepared.instances.ravel()
     p = tables.shape[1]
-    out = np.empty((len(prepared.set_signs), p))
-    for segs, rows, _, _ in prepared.set_groups:
-        size = rows.shape[1]
-        # 8 * _BLOCK elements, 2 MiB, of (P, rows, S) product a block: smaller
-        # blocks pay more per block than they save in cache on small data
-        for b in _blocks(len(segs), size * p * s, 8 * _BLOCK):
-            block = rows[b]
-            masks, levels = _decompose(flat, block, prepared.order[block])
-            levels *= prepared.set_signs[segs[b], :, None]
-            ci = _choquet(tables, masks.reshape(-1, s), levels.reshape(-1, s + 1))
-            out[segs[b]] = ci.reshape(-1, size, p).max(axis=1)
-    out *= prepared.set_signs
-    return out
+    for block, out in _block_buffers(prepared, p):
+        signs = prepared.set_signs[block.sets]
+        for segs, rows, _, _ in block.set_groups:
+            size = rows.shape[1]
+            # 8 * _BLOCK elements, 2 MiB, of (P, rows, S) product a block: smaller
+            # blocks pay more per block than they save in cache on small data
+            for b in _blocks(len(segs), size * p * s, 8 * _BLOCK):
+                chunk = rows[b]
+                masks, levels = _decompose(flat, chunk, prepared.order[chunk])
+                levels *= signs[segs[b], :, None]
+                ci = _choquet(tables, masks.reshape(-1, s), levels.reshape(-1, s + 1))
+                out[segs[b]] = ci.reshape(-1, size, p).max(axis=1)
+        out *= signs
+        yield block, out
+
+
+def _set_extremes(tables: np.ndarray, prepared: PreparedData) -> Iterator[tuple]:
+    """Each block of bags in turn and its (n_sets_block, P) set extremes,
+    written over the last block's: the min CI of a negative set, the max CI
+    of a positive one. A uint8 stack is a bitset stack of binary tables (see
+    `measures._pack`), read off each candidate set's walk (see the module
+    docstring and `_walk_extremes`); a float64 stack gets CI by the
+    level-difference sum (`_real_extremes`)."""
+    if tables.dtype == np.uint8:
+        return _walk_extremes(tables, prepared)
+    return _real_extremes(tables, prepared)
 
 
 def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
-    """Evaluate a column stack of P value tables.
+    """Evaluate a column stack of P value tables (see `_set_extremes`).
 
-    A uint8 stack is a bitset stack of binary tables (see `measures._pack`),
-    read off each candidate set's walk (see the module docstring and
-    `_walk_extremes`); a float64 stack gets CI by the level-difference sum
-    (see `_real_extremes`). Bags are reduced to the largest of their set
-    extremes. A negative bag contributes the square of its largest set
-    minimum; a positive bag contributes (its largest set maximum - 1)^2,
-    which is the smallest shortfall because (x - 1)^2 falls on [0, 1].
+    A block of bags at a time, each bag is reduced to the largest of its
+    set extremes, so no (n_sets, P) array is formed. A negative bag
+    contributes the square of its largest set minimum; a positive bag
+    contributes (its largest set maximum - 1)^2, which is the smallest
+    shortfall because (x - 1)^2 falls on [0, 1].
     """
-    if tables.dtype == np.uint8:
-        set_extreme = _walk_extremes(tables, prepared)
-    else:
-        set_extreme = _real_extremes(tables, prepared)
-    bag_extreme = _segment_reduce(np.maximum, set_extreme, prepared.bag_groups)
+    p = tables.shape[1]
+    contributions = np.empty((len(prepared.labels), p))
+    for block, extremes in _set_extremes(tables, prepared):
+        for segs, rows in block.bag_groups:
+            for b in _blocks(len(segs), rows.shape[1] * p):
+                contributions[segs[b]] = np.maximum.reduce(extremes[rows[b]], axis=1)
     # x - 0 is x, so a negative bag's contribution is its extreme squared
-    contributions = bag_extreme - prepared.labels[:, None]
+    contributions -= prepared.labels[:, None]
     np.square(contributions, out=contributions)
     # one masked reduction a term: for P >= 2 it adds each table's bags left
     # to right; a single table's runs of bags are each summed pairwise
@@ -326,7 +383,7 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
     return _Evaluation(
         np.add.reduce(contributions, axis=0, where=neg),
         np.add.reduce(contributions, axis=0, where=~neg),
-        contributions.T, set_extreme.T, bag_extreme.T,
+        contributions.T,
     )
 
 
@@ -335,12 +392,15 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     prepared = _prepared(data)
     _check_measure(measure, prepared.source_count)
     tables = measure.values[:, None]
-    ev = _evaluate(_pack(tables) if isinstance(measure, BinaryFuzzyMeasure) else tables, prepared)
+    if isinstance(measure, BinaryFuzzyMeasure):
+        tables = _pack(tables)
+    ev = _evaluate(tables, prepared)
     # the first set in its bag to reach the bag's extreme: argmax takes the
     # first maximum, and a bag's padding repeats its last set only after it
     selected = np.empty(len(prepared.labels), np.intp)
-    for segs, rows in prepared.bag_groups:
-        selected[segs] = np.argmax(ev.set_extreme[0][rows], axis=1)
+    for block, extremes in _set_extremes(tables, prepared):
+        for segs, rows in block.bag_groups:
+            selected[segs] = np.argmax(extremes[rows, 0], axis=1)
     per_bag = tuple(
         BagContribution(b, float(c), int(sel))
         for b, (c, sel) in enumerate(zip(ev.contributions[0], selected))

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from bfmfusion import (
     sample_random_real,
 )
 from bfmfusion.measures import _pack
-from bfmfusion.objective import _BLOCK, _evaluate
+from bfmfusion.objective import _BLOCK, _evaluate, _set_extremes
 from oracles import naive_breakdown, naive_choquet, naive_objective
 
 # CI reduces to the first coordinate under this measure, which makes the
@@ -39,6 +40,11 @@ def as_stack(tables):
     """The stack `_evaluate` takes for a (2**S, P) stack of value tables:
     binary (uint8) tables as a bitset stack, real ones as they are."""
     return _pack(tables) if tables.dtype == np.uint8 else tables
+
+
+def set_extremes(stack, prepared):
+    """(P, n_sets) set extremes of a stack, every block of bags' in turn."""
+    return np.concatenate([extremes.copy() for _, extremes in _set_extremes(stack, prepared)]).T
 
 
 def stack_totals(measures, prepared):
@@ -199,10 +205,14 @@ class TestBinaryMaxMin:
         tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
         binary = _evaluate(_pack(tables), pre)
         summed = _evaluate(tables.astype(np.float64), pre)
-        for field in ("total", "contributions", "set_extreme", "bag_extreme"):
+        for field in ("total", "contributions"):
             np.testing.assert_allclose(
                 getattr(binary, field), getattr(summed, field), rtol=0, atol=1e-12
             )
+        sets = [set_extremes(_pack(tables), pre), set_extremes(tables.astype(np.float64), pre)]
+        bags = [np.maximum.reduceat(x, ds.bag_offsets[:-1], axis=1) for x in sets]
+        for binary_extremes, summed_extremes in (sets, bags):
+            np.testing.assert_allclose(binary_extremes, summed_extremes, rtol=0, atol=1e-12)
         for table, total in zip(tables.T, binary.total):
             assert total == pytest.approx(naive_objective(table, ds), abs=1e-12)
 
@@ -250,9 +260,10 @@ class TestThresholdWalk:
         tables = np.stack(
             [sample_random(s, float(rng.random()), rng).values for _ in range(p)], axis=1
         )
-        ev = _evaluate(_pack(tables), prepare(ds))
+        pre = prepare(ds)
+        ev = _evaluate(_pack(tables), pre)
         sets = [(bag.label, cset) for bag in ds.bags for cset in bag.candidate_sets]
-        for table, extremes, total in zip(tables.T, ev.set_extreme, ev.total):
+        for table, extremes, total in zip(tables.T, set_extremes(_pack(tables), pre), ev.total):
             for (label, cset), extreme in zip(sets, extremes):
                 cis = [naive_choquet(h, table) for h in cset.instances]
                 assert extreme == (min(cis) if label == 0 else max(cis))
@@ -272,8 +283,9 @@ class TestThresholdWalk:
         expected = max(cis) if label else min(cis)
         passed = rows > expected if label else rows < expected
         assert passed.sum() >= 256  # every one of them comes before the hit
-        ev = _evaluate(_pack(np.repeat(table[:, None], 65, axis=1)), prepare(ds))
-        assert (ev.set_extreme[:, 0] == expected).all()
+        stack, pre = _pack(np.repeat(table[:, None], 65, axis=1)), prepare(ds)
+        ev = _evaluate(stack, pre)
+        assert (set_extremes(stack, pre)[:, 0] == expected).all()
         assert (ev.total == naive_objective(table, ds)).all()
 
     def test_memory_does_not_grow_with_the_table(self):
@@ -295,9 +307,10 @@ class TestThresholdWalk:
         assert ev.total[0] == pytest.approx(naive_objective(table, ds), abs=1e-12)
 
     def test_memory_beyond_the_returned_arrays_is_bounded(self):
-        # the walk and the bag reduction run in blocks, and the term sums
-        # are masked reductions that copy no bags, so beyond the returned
-        # arrays memory stays bounded as the bags grow from 600 to 9,600
+        # the walk and the bag reduction run a block of bags at a time, and
+        # the term sums are masked reductions that copy no bags, so beyond
+        # the returned arrays memory stays bounded as the bags grow from 600
+        # to 9,600 (1.6 to 2.1 MiB measured with numpy 2.4)
         s, p = 10, 64
         rng = np.random.default_rng(71)
         bags = tuple(
@@ -490,9 +503,9 @@ class TestManyBlocks:
 class TestBoundedMemory:
     """tracemalloc bounds at about 3,000 and 50,000 instances. Measured with
     numpy 2.4: prepare's peak above its held bytes and N * S was 0.75 and
-    0.63 MiB, the float path's peak above its returned arrays 3.76 and 0.06
-    MiB (2 MiB blocks of product, and their gather), and what it still held
-    above them 3.0 and 1.1 KiB."""
+    0.63 MiB, the float path's peak above its returned arrays 3.06 and 3.46
+    MiB (a block of set extremes, 1 MiB at 50,000 instances, beside 2 MiB
+    blocks of weighted gather), and what it still held above them 0.6 KiB."""
 
     S, P = 10, 64
 
@@ -596,6 +609,31 @@ class TestBatchPaths:
                 for c in contributions[bags_of_term].tolist():
                     running += c
                 assert float(term) == running
+
+
+class TestBagBlocks:
+    """`_evaluate` reduces a block of bags at a time: with many blocks, a bag
+    larger than a block among them, it gives the same bits as with one."""
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+    @pytest.mark.parametrize("block_sets", [1, 5, 100])
+    def test_many_blocks_equal_one(self, monkeypatch, binary, block_sets):
+        ds = skewed_dataset(4)
+        rng = np.random.default_rng(block_sets)
+        measures = [
+            sample_random(4, 0.5, rng) if binary else sample_random_real(4, rng) for _ in range(70)
+        ]
+        stack = as_stack(np.stack([m.values for m in measures], axis=1))
+        one = prepare(ds)
+        monkeypatch.setattr(sys.modules["bfmfusion.objective"], "_BLOCK_SETS", block_sets)
+        many = prepare(ds)
+        assert len(one.blocks) == 1 and len(many.blocks) > 1
+        assert max(np.diff(ds.bag_offsets)) > 5  # bags larger than the smaller blocks
+        for got, want in zip(_evaluate(stack, many), _evaluate(stack, one)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(set_extremes(stack, many), set_extremes(stack, one))
+        for m in measures[:4]:
+            assert objective(m, many) == objective(m, one)
 
 
 class TestPreparedReuse:
