@@ -8,23 +8,23 @@ of CI - 1)^2. The total is the plain sum over bags. Zero total means every
 negative candidate set can be explained by a fully suppressed matching and
 every positive bag has a matching fused to exactly 1.
 
-`prepare` factors out everything measure-independent (the candidate sets
-by size, one record a group with their rows and threshold walks, and the
-bags in blocks of about 2048 candidate sets, each block with its sets' run
-of every group and its bags by set count) so that evaluating many value
-tables against one dataset, as the optimizer does, costs one pass for all
-of them. It sorts the rows once with `choquet._source_order`, keeps each
-row's source order as one byte a source, and builds the walks from it; a
-real-valued stack reads its levels and prefixes from the same order with
-`choquet._decompose`, as fusion does, a block of candidate sets at a time,
-so no second sorted form is held.
+`prepare` factors out everything measure-independent (the bags in blocks
+of about 2048 candidate sets, each block built whole: its candidate sets by
+size, one record a group with their rows and threshold walks, and its bags
+by set count) so that evaluating many value tables against one dataset, as
+the optimizer does, costs one pass for all of them. It sorts the rows once
+with `choquet._source_order`, keeps each row's source order as one byte a
+source, and builds the walks from it; a real-valued stack reads its levels
+and prefixes from the same order with `choquet._decompose`, as fusion does,
+a block of candidate sets at a time, so no second sorted form is held.
 `objective` and the optimizer share one evaluator, `_evaluate`, which
 takes the tables as a column stack in the optimizer's population layout:
 binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
 (coalition c at byte c >> 3, bit 7 - (c & 7); see `measures._pack`), real
 ones as a (2**S, P) float64 stack. It reads the set extremes of one block
 of bags at a time and reduces them to those bags' contributions, so beyond
-the (n_bags, P) contributions it holds one block's extremes.
+the (n_bags, P) contributions it holds one block's extremes; `objective`
+reads each bag's selected set from the same pass.
 
 A binary table never needs CI itself, only each candidate set's extreme.
 Under a binary measure g a row's CI is its level at its first winning
@@ -95,10 +95,8 @@ class PreparedData:
                              # ties by ascending source
     coalitions: tuple        # byte rows and bit masks (see measures._coalition_bits) of
                              # the U coalitions the walks read
-    set_groups: tuple        # one record a size group of candidate sets: its sets,
-                             # their instance rows and threshold walks, see _walks
     blocks: tuple            # the bags in blocks of about _BLOCK_SETS candidate
-                             # sets, in order, see _Block
+                             # sets, in order, each with its sets' walks, see _Block
     set_signs: np.ndarray    # (n_sets, 1) the sign of each candidate set's bag
     labels: np.ndarray       # per bag, 0 or 1
 
@@ -115,10 +113,9 @@ class _Block(NamedTuple):
     """Whole bags that `_evaluate` reduces together."""
 
     sets: slice         # their candidate sets
-    set_groups: tuple   # each size group's run of those sets, as in
-                        # PreparedData.set_groups but with the sets' positions
-                        # in the block for set indices; rows, walks and levels
-                        # are views
+    set_groups: tuple   # one record a size group of those sets, see _walks:
+                        # set indices are positions in the block, rows the
+                        # dataset's instance rows
     bag_groups: tuple   # the bags by candidate-set count, see _size_groups:
                         # bag indices, rows of positions in the block
 
@@ -182,31 +179,11 @@ def _walks(
     return tuple(out)
 
 
-def _plan(bag_offsets: np.ndarray, set_groups: tuple) -> tuple:
-    """The `_Block`s of whole bags of about `_BLOCK_SETS` candidate sets.
-    The sets of a block are a range, and `segs` is sorted, so each size
-    group holds them as one run of its columns."""
-    blocks = []
-    for bags in _bag_blocks(bag_offsets, _BLOCK_SETS):
-        first, stop = bag_offsets[bags.start], bag_offsets[bags.stop]
-        runs = []
-        for segs, rows, walk, levels in set_groups:
-            lo, hi = np.searchsorted(segs, [first, stop])
-            if hi > lo:
-                runs.append((segs[lo:hi] - first, rows[lo:hi], walk[:, lo:hi], levels[lo:hi]))
-        bag_groups = tuple(
-            (segs + bags.start, rows)
-            for segs, rows in _size_groups(bag_offsets[bags.start : bags.stop + 1] - first)
-        )
-        blocks.append(_Block(slice(first, stop), tuple(runs), bag_groups))
-    return tuple(blocks)
-
-
 def prepare(data: Dataset) -> PreparedData:
     """Compile a dataset for evaluation. Rows are sorted in blocks and their
-    order kept as one byte a source (`choquet._source_order`), then each set
-    group's walks are built a block of sets at a time; no (N, S) mask or
-    level array is formed."""
+    order kept as one byte a source (`choquet._source_order`), then each
+    block of bags is built whole: its sets' walks, a few sets at a time, and
+    its bags by set count; no (N, S) mask or level array is formed."""
     X = data.instance_matrix()
     s = X.shape[1]
     labels = data.labels()
@@ -223,14 +200,22 @@ def prepare(data: Dataset) -> PreparedData:
     rank = present.astype(np.int32)
     np.cumsum(rank, out=rank)
     rank -= 1
-    set_groups = _walks(data.set_offsets, X, order, rank, set_signs, len(coalitions[0]))
+    offsets, blocks = data.bag_offsets, []
+    for bags in _bag_blocks(offsets, _BLOCK_SETS):
+        sets = slice(offsets[bags.start], offsets[bags.stop])
+        set_offsets = data.set_offsets[sets.start : sets.stop + 1]
+        bag_groups = _size_groups(offsets[bags.start : bags.stop + 1] - sets.start)
+        blocks.append(_Block(
+            sets,
+            _walks(set_offsets, X, order, rank, set_signs[sets], len(coalitions[0])),
+            tuple((segs + bags.start, rows) for segs, rows in bag_groups),
+        ))
     return PreparedData(
         source_count=data.source_count,
         instances=X,
         order=order,
         coalitions=coalitions,
-        set_groups=set_groups,
-        blocks=_plan(data.bag_offsets, set_groups),
+        blocks=tuple(blocks),
         set_signs=set_signs[:, None],
         labels=labels,
     )
@@ -359,14 +344,18 @@ def _set_extremes(tables: np.ndarray, prepared: PreparedData) -> Iterator[tuple]
     return _real_extremes(tables, prepared)
 
 
-def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
+def _evaluate(
+    tables: np.ndarray, prepared: PreparedData, selected: np.ndarray | None = None,
+) -> _Evaluation:
     """Evaluate a column stack of P value tables (see `_set_extremes`).
 
-    A block of bags at a time, each bag is reduced to the largest of its
-    set extremes, so no (n_sets, P) array is formed. A negative bag
-    contributes the square of its largest set minimum; a positive bag
-    contributes (its largest set maximum - 1)^2, which is the smallest
-    shortfall because (x - 1)^2 falls on [0, 1].
+    In one pass, a block of bags at a time, each bag is reduced to the
+    largest of its set extremes, so no (n_sets, P) array is formed. A
+    negative bag contributes the square of its largest set minimum; a
+    positive bag contributes (its largest set maximum - 1)^2, which is the
+    smallest shortfall because (x - 1)^2 falls on [0, 1]. Given an
+    (n_bags,) `selected`, it also writes there each bag's first set to
+    reach its extreme under the first table.
     """
     p = tables.shape[1]
     contributions = np.empty((len(prepared.labels), p))
@@ -374,6 +363,12 @@ def _evaluate(tables: np.ndarray, prepared: PreparedData) -> _Evaluation:
         for segs, rows in block.bag_groups:
             for b in _blocks(len(segs), rows.shape[1] * p):
                 contributions[segs[b]] = np.maximum.reduce(extremes[rows[b]], axis=1)
+                if selected is not None:
+                    # argmax takes the first maximum, and a bag's padding
+                    # repeats its last set only after it. A gather of its own
+                    # frees the reduce's at once: held to the next chunk, it
+                    # took `search`'s glibc heap from 6k to 28k page faults
+                    selected[segs[b]] = np.argmax(extremes[rows[b], 0], axis=1)
     # x - 0 is x, so a negative bag's contribution is its extreme squared
     contributions -= prepared.labels[:, None]
     np.square(contributions, out=contributions)
@@ -394,13 +389,8 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     tables = measure.values[:, None]
     if isinstance(measure, BinaryFuzzyMeasure):
         tables = _pack(tables)
-    ev = _evaluate(tables, prepared)
-    # the first set in its bag to reach the bag's extreme: argmax takes the
-    # first maximum, and a bag's padding repeats its last set only after it
     selected = np.empty(len(prepared.labels), np.intp)
-    for block, extremes in _set_extremes(tables, prepared):
-        for segs, rows in block.bag_groups:
-            selected[segs] = np.argmax(extremes[rows, 0], axis=1)
+    ev = _evaluate(tables, prepared, selected)
     per_bag = tuple(
         BagContribution(b, float(c), int(sel))
         for b, (c, sel) in enumerate(zip(ev.contributions[0], selected))

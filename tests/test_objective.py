@@ -428,7 +428,7 @@ class TestManyBlocks:
         pre = prepare(ds)
         # more than one block of rows, and of sets in some walk group
         assert ds.n_instances * 8 > _BLOCK
-        assert max(walk.size for _, _, walk, _ in pre.set_groups) > _BLOCK
+        assert max(walk.size for b in pre.blocks for _, _, walk, _ in b.set_groups) > _BLOCK
         # one sort, kept in blocks: each row's sources by falling confidence,
         # ties by ascending source
         assert pre.order.dtype == np.uint8
@@ -527,7 +527,7 @@ class TestBoundedMemory:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert pre.set_groups
+            assert all(block.set_groups for block in pre.blocks)
             assert peak - held <= ds.n_instances * self.S + 2 * 2**20
 
     def test_float_path_beyond_the_returned_arrays_is_bounded(self, datasets):
@@ -634,6 +634,50 @@ class TestBagBlocks:
         assert np.array_equal(set_extremes(stack, many), set_extremes(stack, one))
         for m in measures[:4]:
             assert objective(m, many) == objective(m, one)
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+    @pytest.mark.parametrize("block_sets", [1, 5, 100])
+    def test_tied_selected_sets_equal_oracle(self, monkeypatch, binary, block_sets):
+        # confidences from a few levels, as in tied_dataset, so sets of a bag
+        # tie at its extreme and the first of them must be selected
+        rng = np.random.default_rng(block_sets)
+        s = 3
+        pool = np.array([0.0, 1.0, 0.5, rng.random(), rng.random()])
+        ds = Dataset(s, tuple(
+            Bag(b % 2, [rng.choice(pool, (int(rng.integers(1, 4)), s)) for _ in range(k)])
+            for b, k in enumerate(rng.integers(1, 9, size=60))
+        ))
+        measures = [
+            sample_random(s, 0.5, rng) if binary else sample_random_real(s, rng) for _ in range(4)
+        ]
+        one = prepare(ds)
+        monkeypatch.setattr(sys.modules["bfmfusion.objective"], "_BLOCK_SETS", block_sets)
+        many = prepare(ds)
+        assert len(one.blocks) == 1 and len(many.blocks) > 1
+        tied_bags = 0
+        for m in measures:
+            expected = [sel for _, sel in naive_breakdown(m.values, ds)]
+            for pre in (many, one):
+                assert [c.selected_set for c in objective(m, pre).per_bag] == expected
+            extremes = set_extremes(as_stack(m.values[:, None]), one)[0]
+            for bag in np.split(extremes, ds.bag_offsets[1:-1]):
+                tied_bags += np.count_nonzero(bag == bag.max()) > 1
+        assert tied_bags
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+    def test_objective_makes_one_pass(self, monkeypatch, binary):
+        # the selected sets are read in the pass that gives the contributions
+        passes = []
+
+        def counting(tables, prepared):
+            passes.append(1)
+            return _set_extremes(tables, prepared)
+
+        monkeypatch.setattr(sys.modules["bfmfusion.objective"], "_set_extremes", counting)
+        pre = prepare(skewed_dataset(4))
+        rng = np.random.default_rng(5)
+        objective(sample_random(4, 0.5, rng) if binary else sample_random_real(4, rng), pre)
+        assert len(passes) == 1
 
 
 class TestPreparedReuse:
