@@ -59,7 +59,6 @@ from .metrics import (
     score,
 )
 from .objective import (
-    BagContribution,
     ObjectiveBreakdown,
     PreparedData,
     objective,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AxiomViolation",
     "Bag",
-    "BagContribution",
     "BinaryFuzzyMeasure",
     "CandidateSet",
     "CapError",

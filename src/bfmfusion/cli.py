@@ -188,11 +188,8 @@ def cmd_train(args) -> int:
     if isinstance(result.best_measure, BinaryFuzzyMeasure):
         print(f"minimal winning coalitions: {_antichain_text(result.best_measure)}")
     if args.explain:
-        for bag in breakdown.per_bag:
-            print(
-                f"  bag {bag.bag_index}: contribution {bag.contribution:.6g} "
-                f"from candidate set {bag.selected_set}"
-            )
+        for b, (c, sel) in enumerate(zip(breakdown.contributions, breakdown.selected_sets)):
+            print(f"  bag {b}: contribution {c:.6g} from candidate set {sel}")
     print(f"wrote {args.out}")
     return 0
 

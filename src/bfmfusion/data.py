@@ -30,10 +30,10 @@ JSON I/O holds arrays, not trees. `save_dataset` writes the bytes of
 `json.dumps(dataset_to_dict(ds))` a block of bags at a time, one C-encoder
 call a block. `load_dataset` decodes the file through an object hook that
 packs each bag as it closes into a float64 rows array and its set sizes,
-when every row is a list of floats of one length; `Dataset(...)` packs its
-`CandidateSet` arrays the same way. Any bag that does not pack is checked
-as JSON-shaped lists, with the same diagnostics, and the width and range
-checks run once, on the whole matrix.
+when every row is a list of floats of one length. Any bag that does not
+pack is checked as JSON-shaped lists, with the same diagnostics, and the
+width and range checks run once, on the whole matrix, as they do on the
+`CandidateSet` arrays of a hand-made `Dataset(...)`.
 """
 
 from __future__ import annotations
@@ -107,20 +107,19 @@ class Bag:
 
 
 class Dataset:
-    """Labeled bags stored as columns. The constructor takes hand-made `Bag`s and
-    truth nested like them; the loader and the generator build the columns in bulk."""
+    """Labeled bags stored as columns. The constructor takes hand-made `Bag`s, in
+    any iterable, and truth nested like them, and checks their arrays as the
+    loader checks rows; the loader and the generator build the columns in bulk."""
 
     def __init__(self, source_count, bags, instance_truth=None):
-        # sets of two widths cannot pack; as lists they get the loader's diagnostics
-        bags = [
-            {
-                "label": bag.label,
-                "candidate_sets": _pack(list(bag.candidate_sets))
-                or [cs.instances.tolist() for cs in bag.candidate_sets],
-            }
-            for bag in bags
-        ]
-        self._set_columns(*_parse(source_count, bags, instance_truth))
+        source_count, bags = _check_source_count(source_count), list(bags)
+        if not bags:
+            raise ValidationError("bags must be a non-empty list")
+        sets = [cs.instances for bag in bags for cs in bag.candidate_sets]
+        self._set_columns(*_columns(
+            source_count, sets, list(map(len, sets)), [len(bag.candidate_sets) for bag in bags],
+            [bag.label for bag in bags], instance_truth,
+        ))
 
     @classmethod
     def _from_columns(cls, *columns) -> "Dataset":
@@ -196,18 +195,11 @@ class _PackedSets(NamedTuple):
 
 
 def _pack(sets) -> _PackedSets | None:
-    """A bag's candidate sets packed, if they are a non-empty list of
-    non-empty lists of rows that are lists of floats of one length, or of
-    `CandidateSet`s of one width; else None. Never raises."""
-    if type(sets) is not list or not sets:
-        return None
-    kinds = set(map(type, sets))
-    if kinds == {CandidateSet}:  # each a non-empty 2-D float64 array
-        if len({cs.instances.shape[1] for cs in sets}) > 1:
-            return None
-        return _PackedSets(np.concatenate([cs.instances for cs in sets]), tuple(map(len, sets)))
+    """A bag's JSON candidate sets packed, if they are a non-empty list of
+    non-empty lists of rows that are lists of floats of one length; else
+    None. Never raises."""
     # each check is one pass in C: the decoder calls this once a bag
-    if kinds != {list} or not all(sets):
+    if type(sets) is not list or set(map(type, sets)) != {list} or not all(sets):
         return None
     rows = list(chain.from_iterable(sets))
     if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
@@ -268,8 +260,15 @@ def _parse(source_count, bags, truth) -> tuple:
         set_sizes.extend(sizes)
         sets_per_bag.append(len(sizes))
         labels.append(label)
-    set_offsets, bag_offsets = _offsets(set_sizes), _offsets(sets_per_bag)
+    return _columns(source_count, pieces, set_sizes, sets_per_bag, labels, truth)
 
+
+def _columns(source_count, pieces, set_sizes, sets_per_bag, labels, truth) -> tuple:
+    """The columns of bags from their rows in flatten order, each piece a
+    float64 array or a list of JSON rows, their set sizes and counts, labels
+    and nested truth. The width and range checks run once, on the whole
+    matrix; only if they fail are the rows walked, to name the first bad one."""
+    set_offsets, bag_offsets = _offsets(set_sizes), _offsets(sets_per_bag)
     arrays = [p if isinstance(p, np.ndarray) else _float_rows(p) for p in pieces]
     try:  # a None, from rows that did not convert, or two widths fail here
         X = np.concatenate(arrays)

@@ -587,12 +587,12 @@ def save_measure(path, measure: Measure) -> None:
 
 def _read_json(path, object_hook=None):
     """Parse a JSON input file, passing each decoded object through
-    `object_hook` if one is given; malformed text is a ValidationError
-    naming the file."""
+    `object_hook` if one is given; malformed text, bytes that are not UTF-8
+    and nesting too deep to decode are a ValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_hook=object_hook)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ValidationError(f"{path}: not valid JSON: {e}") from e
 
 

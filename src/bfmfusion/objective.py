@@ -56,18 +56,12 @@ from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _coalition_bi
 
 
 @dataclass(frozen=True)
-class BagContribution:
-    bag_index: int
-    contribution: float
-    selected_set: int  # candidate set realizing the outer max/min, first index on ties
-
-
-@dataclass(frozen=True)
 class ObjectiveBreakdown:
     total: float
     negative_term: float
     positive_term: float
-    per_bag: tuple[BagContribution, ...]
+    contributions: tuple[float, ...]  # per bag, in bag order
+    selected_sets: tuple[int, ...]    # per bag, the first set to reach its extreme
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,12 +69,8 @@ class ObjectiveBreakdown:
             "negative_term": self.negative_term,
             "positive_term": self.positive_term,
             "per_bag": [
-                {
-                    "bag_index": c.bag_index,
-                    "contribution": c.contribution,
-                    "selected_set": c.selected_set,
-                }
-                for c in self.per_bag
+                {"bag_index": b, "contribution": c, "selected_set": sel}
+                for b, (c, sel) in enumerate(zip(self.contributions, self.selected_sets))
             ],
         }
 
@@ -391,11 +381,9 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
         tables = _pack(tables)
     selected = np.empty(len(prepared.labels), np.intp)
     ev = _evaluate(tables, prepared, selected)
-    per_bag = tuple(
-        BagContribution(b, float(c), int(sel))
-        for b, (c, sel) in enumerate(zip(ev.contributions[0], selected))
-    )
     neg, pos = float(ev.negative[0]), float(ev.positive[0])
     return ObjectiveBreakdown(
-        total=neg + pos, negative_term=neg, positive_term=pos, per_bag=per_bag
+        total=neg + pos, negative_term=neg, positive_term=pos,
+        contributions=tuple(ev.contributions[0].tolist()),
+        selected_sets=tuple(selected.tolist()),
     )

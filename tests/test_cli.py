@@ -211,11 +211,18 @@ class TestTrain:
         code = main(["train", "--data", str(dataset_path), "--mode", "bfm",
                      "--out", str(out), "--explain"])
         assert code == 0
-        assert "bag 0: contribution" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
         payload = json.loads(out.read_text())
         explanation = payload["explanation"]
         assert explanation["total"] == 0.0
         assert len(explanation["per_bag"]) == 16
+        # one stdout line a bag, in bag order, formatted from its JSON entry
+        assert [bag["bag_index"] for bag in explanation["per_bag"]] == list(range(16))
+        assert [line for line in stdout.splitlines() if line.startswith("  bag ")] == [
+            f"  bag {bag['bag_index']}: contribution {bag['contribution']:.6g} "
+            f"from candidate set {bag['selected_set']}"
+            for bag in explanation["per_bag"]
+        ]
 
     def test_exhaustive_mode(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "result.json"
@@ -641,6 +648,7 @@ def assert_documented_exit(args):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code
 
 
 # Garbage command-line values with no decimal digit, so none parses as a
@@ -649,34 +657,51 @@ NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6
 SMALL_INTS = st.integers(-3, 4).map(str)
 
 
+# each command that reads a JSON input file, "{in}", and a valid document for it
+INPUT_COMMANDS = pytest.mark.parametrize(
+    "argv, valid",
+    [
+        (["fuse-eval", "--data", "{in}", "--naive", "min", "--out", "{out}"], DATASET_DOC),
+        (["train", "--data", "{in}", "--mode", "bfm", "--max-generations", "1",
+          "--out", "{out}"], DATASET_DOC),
+        (["synth", "--spec", "{in}", "--out", "{out}"], SPEC_DOC),
+        (["fuse-eval", "--data", "{data}", "--measure", "{in}", "--out", "{out}"],
+         MEASURE_DOC),
+    ],
+    ids=["fuse-eval", "train", "synth", "fuse-eval-measure"],
+)
+
+
+def run_on_input(argv, tmp, content: bytes):
+    """`assert_documented_exit` on `argv` with `content` as its input file,
+    beside a valid dataset for the command that reads a measure."""
+    path = Path(tmp) / "input.json"
+    path.write_bytes(content)
+    data_path = Path(tmp) / "data.json"
+    data_path.write_text(json.dumps(DATASET_DOC))
+    return assert_documented_exit(
+        [a.format(**{"in": path, "data": data_path, "out": Path(tmp) / "out"}) for a in argv]
+    )
+
+
 class TestFuzzedInput:
     """Any JSON value as an input file ends in a documented exit code, never a traceback."""
 
-    @pytest.mark.parametrize(
-        "argv, valid",
-        [
-            (["fuse-eval", "--data", "{in}", "--naive", "min", "--out", "{out}"], DATASET_DOC),
-            (["train", "--data", "{in}", "--mode", "bfm", "--max-generations", "1",
-              "--out", "{out}"], DATASET_DOC),
-            (["synth", "--spec", "{in}", "--out", "{out}"], SPEC_DOC),
-            (["fuse-eval", "--data", "{data}", "--measure", "{in}", "--out", "{out}"],
-             MEASURE_DOC),
-        ],
-        ids=["fuse-eval", "train", "synth", "fuse-eval-measure"],
-    )
+    @INPUT_COMMANDS
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_exit_code_and_one_error_line(self, argv, valid, data):
         value = data.draw(json_values(st.integers()) | mutated(valid))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "input.json"
-            path.write_text(json.dumps(value))
-            data_path = Path(tmp) / "data.json"  # a valid dataset beside a fuzzed measure
-            data_path.write_text(json.dumps(DATASET_DOC))
-            assert_documented_exit(
-                [a.format(**{"in": path, "data": data_path, "out": Path(tmp) / "out"})
-                 for a in argv]
-            )
+            run_on_input(argv, tmp, json.dumps(value).encode())
+
+    @INPUT_COMMANDS
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe", b"[" * 200_000], ids=["not-utf8", "nested-200000"]
+    )
+    def test_undecodable_file_is_one_error(self, tmp_path, argv, valid, content):
+        # the decoder raises UnicodeDecodeError and RecursionError on these
+        assert run_on_input(argv, tmp_path, content) == 1
 
     @given(
         sources=st.lists(st.integers(2, 4).map(str), min_size=1, max_size=2).map(",".join)

@@ -370,11 +370,19 @@ class TestLoaderOracle:
 
 
 class TestHandMadePacking:
-    """`Dataset(...)` packs its `CandidateSet` arrays as the loader packs rows."""
+    """`Dataset(...)` builds the loader's columns from its `CandidateSet`
+    arrays, with the loader's row check and diagnostics."""
 
     def test_columns_equal_the_dict_round_trip(self):
         for ds in (small_dataset(), ragged_dataset()):
             assert_same_columns(ds, dataset_from_dict(dataset_to_dict(ds)))
+
+    def test_one_shot_iterator_of_bags(self):
+        ds = ragged_dataset()
+        truth = dataset_to_dict(ds)["instance_truth"]
+        assert_same_columns(
+            Dataset(2, (bag for bag in ds.bags), truth), Dataset(2, tuple(ds.bags), truth)
+        )
 
     @pytest.mark.parametrize("rows, message", [
         ([[0.5, 1.5]], "bag 1, candidate set 1, instance 0: expected a list of 2 numbers in"

@@ -90,19 +90,19 @@ class TestHandCase:
 
     def test_selected_sets(self):
         out = objective(FIRST_SOURCE_ONLY, hand_dataset())
-        neg, pos = out.per_bag
+        (neg, pos), (neg_set, pos_set) = out.contributions, out.selected_sets
         # neg: max(min(0.4, 0.6)^2, 0.2^2) comes from the first set
-        assert (neg.bag_index, neg.selected_set) == (0, 0)
-        assert neg.contribution == pytest.approx(0.16, abs=1e-12)
+        assert neg_set == 0
+        assert neg == pytest.approx(0.16, abs=1e-12)
         # pos: min((0.9-1)^2, (0.5-1)^2) comes from the first set
-        assert (pos.bag_index, pos.selected_set) == (1, 0)
-        assert pos.contribution == pytest.approx(0.01, abs=1e-12)
+        assert pos_set == 0
+        assert pos == pytest.approx(0.01, abs=1e-12)
 
     def test_tie_selects_first_index(self):
         same = np.array([[0.3, 0.3]])
         ds = Dataset(2, (Bag(0, [same, same.copy()]), Bag(1, [same, same.copy()])))
         out = objective(FIRST_SOURCE_ONLY, ds)
-        assert [c.selected_set for c in out.per_bag] == [0, 0]
+        assert list(out.selected_sets) == [0, 0]
 
     @pytest.mark.parametrize("kind", [BinaryFuzzyMeasure, RealFuzzyMeasure])
     def test_selected_set_at_the_padded_edge(self, kind):
@@ -117,7 +117,7 @@ class TestHandCase:
             Bag(1, sets(0.6, 0.2, 0.6)),
         ))
         out = objective(g, ds)
-        assert [c.selected_set for c in out.per_bag] == [2, 4, 0]
+        assert list(out.selected_sets) == [2, 4, 0]
         assert [sel for _, sel in naive_breakdown(g.values, ds)] == [2, 4, 0]
 
     def test_perfect_fit_is_exactly_zero(self):
@@ -176,9 +176,9 @@ class TestOracleAgreement:
         g = sample_random(s, 0.5, rng) if binary else sample_random_real(s, rng)
         out = objective(g, ds)
         expected = naive_breakdown(g.values, ds)
-        assert [c.selected_set for c in out.per_bag] == [sel for _, sel in expected]
-        for c, (contribution, _) in zip(out.per_bag, expected):
-            assert c.contribution == pytest.approx(contribution, abs=1e-12)
+        assert list(out.selected_sets) == [sel for _, sel in expected]
+        for c, (contribution, _) in zip(out.contributions, expected):
+            assert c == pytest.approx(contribution, abs=1e-12)
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
@@ -189,8 +189,8 @@ class TestOracleAgreement:
         out = objective(g, ds)
         assert out.total >= 0.0
         assert out.total == out.negative_term + out.positive_term
-        for c in out.per_bag:
-            assert 0.0 <= c.contribution <= 1.0
+        for c in out.contributions:
+            assert 0.0 <= c <= 1.0
 
 
 class TestBinaryMaxMin:
@@ -373,7 +373,7 @@ class TestSkewedSizes:
             assert total == pytest.approx(naive_objective(m.values, ds), abs=1e-12)
         out = objective(measures[0], ds)
         expected = naive_breakdown(measures[0].values, ds)
-        assert [c.selected_set for c in out.per_bag] == [sel for _, sel in expected]
+        assert list(out.selected_sets) == [sel for _, sel in expected]
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
     def test_evaluate_matches_oracle(self, binary):
@@ -479,7 +479,7 @@ class TestManyBlocks:
         for m, total, contributions in zip(measures, ev.total, ev.contributions):
             single = objective(m, pre)
             assert total == single.total
-            assert contributions.tolist() == [c.contribution for c in single.per_bag]
+            assert contributions.tolist() == list(single.contributions)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
     def test_fusion_and_training_agree_bitwise(self, s):
@@ -496,7 +496,7 @@ class TestManyBlocks:
         ds = Dataset._from_columns(s, X, offsets, offsets.copy(), labels, None)
         for g in (sample_random(s, 0.5, rng), sample_random_real(s, rng)):
             expected = (choquet_batch(X, g) - labels) ** 2
-            got = np.array([c.contribution for c in objective(g, ds).per_bag])
+            got = np.array(objective(g, ds).contributions)
             assert np.array_equal(got, expected)
 
 
@@ -658,7 +658,7 @@ class TestBagBlocks:
         for m in measures:
             expected = [sel for _, sel in naive_breakdown(m.values, ds)]
             for pre in (many, one):
-                assert [c.selected_set for c in objective(m, pre).per_bag] == expected
+                assert list(objective(m, pre).selected_sets) == expected
             extremes = set_extremes(as_stack(m.values[:, None]), one)[0]
             for bag in np.split(extremes, ds.bag_offsets[1:-1]):
                 tied_bags += np.count_nonzero(bag == bag.max()) > 1
