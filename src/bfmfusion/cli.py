@@ -41,6 +41,7 @@ from .errors import CapError, ValidationError
 from .measures import (
     BinaryFuzzyMeasure,
     _read_json,
+    _write_json,
     from_minimal_coalitions,
     load_measure,
     measure_to_antichain_dict,
@@ -76,12 +77,6 @@ def _claim(force: bool, *paths) -> None:
     for path in paths:
         if not force and Path(path).exists():
             raise ValidationError(f"{path} exists; pass --force to overwrite")
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _ea_config(args, seed: int) -> EAConfig:

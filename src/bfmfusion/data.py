@@ -13,8 +13,9 @@ a read-only (N, S) float64 `instance_matrix()`; `set_offsets` (set k holds
 instances set_offsets[k]:set_offsets[k + 1]) and `bag_offsets` (bag b
 holds sets bag_offsets[b]:bag_offsets[b + 1]); int8 bag `labels()`; and
 optional int8 per-instance `flat_truth()`, shape (N,). The columns are
-validated once, by whole-array checks; a diagnostic finds the bag,
-candidate set and instance of a bad row from the offsets. `Bag` and
+validated once, by whole-array checks. `_address` reads the bag,
+candidate set and instance of a row, or of each of an array of rows,
+from the offsets, for diagnostics and fusion CSV rows. `Bag` and
 `CandidateSet` build hand-made datasets and serve as read-only views.
 
 JSON schema (UTF-8, plain decimal numbers):
@@ -166,11 +167,17 @@ def _offsets(sizes) -> np.ndarray:
     return offsets
 
 
+def _address(k, set_offsets: np.ndarray, bag_offsets: np.ndarray) -> tuple:
+    """(bag, candidate set in its bag, instance in its set) of instance
+    index k, or of each index in an array of them."""
+    s = np.searchsorted(set_offsets, k, side="right") - 1
+    b = np.searchsorted(bag_offsets, s, side="right") - 1
+    return b, s - bag_offsets[b], k - set_offsets[s]
+
+
 def _locate(k: int, set_offsets: np.ndarray, bag_offsets: np.ndarray) -> str:
     """'bag b, candidate set c, instance i' of instance k."""
-    s = int(np.searchsorted(set_offsets, k, side="right")) - 1
-    b = int(np.searchsorted(bag_offsets, s, side="right")) - 1
-    return f"bag {b}, candidate set {s - bag_offsets[b]}, instance {k - set_offsets[s]}"
+    return "bag {}, candidate set {}, instance {}".format(*_address(k, set_offsets, bag_offsets))
 
 
 def _bag_blocks(offsets: np.ndarray, budget: int) -> list[slice]:
@@ -456,16 +463,10 @@ class SynthSpec:
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:
-    return {
-        "source_count": spec.source_count,
-        "n_pos_bags": spec.n_pos_bags,
-        "n_neg_bags": spec.n_neg_bags,
-        "sets_per_bag": list(spec.sets_per_bag),
-        "instances_per_set": list(spec.instances_per_set),
-        "noise_sigma": spec.noise_sigma,
-        "truth_measure": measure_to_dict(spec.truth_measure),
-        "rng_seed": spec.rng_seed,
-    }
+    """The fields in declared order: ranges as lists, the measure as its dict."""
+    out = {field.name: getattr(spec, field.name) for field in fields(SynthSpec)}
+    ranges = {name: list(value) for name, value in out.items() if isinstance(value, tuple)}
+    return {**out, **ranges, "truth_measure": measure_to_dict(spec.truth_measure)}
 
 
 def spec_from_dict(obj: dict) -> SynthSpec:

@@ -274,18 +274,13 @@ def _check_measure(measure: Measure, source_count: int) -> None:
 
 def minimum_measure(source_count: int) -> BinaryFuzzyMeasure:
     """Only the full coalition wins; Choquet fusion degenerates to min."""
-    source_count = _check_source_count(source_count)
-    values = np.zeros(1 << source_count, dtype=np.uint8)
-    values[-1] = 1
-    return BinaryFuzzyMeasure(source_count, values)
+    return from_minimal_coalitions(source_count, [])
 
 
 def maximum_measure(source_count: int) -> BinaryFuzzyMeasure:
     """Every non-empty coalition wins; Choquet fusion degenerates to max."""
-    source_count = _check_source_count(source_count)
-    values = np.ones(1 << source_count, dtype=np.uint8)
-    values[0] = 0
-    return BinaryFuzzyMeasure(source_count, values)
+    singletons = [1 << i for i in range(_check_source_count(source_count))]
+    return from_minimal_coalitions(source_count, singletons)
 
 
 def from_minimal_coalitions(source_count: int, coalitions: Iterable) -> BinaryFuzzyMeasure:
@@ -521,14 +516,12 @@ def minimal_winning_coalitions(measure: BinaryFuzzyMeasure) -> list[tuple[int, .
 # Antichain form: {"source_count": S, "minimal_winning": [[i, j, ...], ...]}
 # (binary measures only). Binary values serialize as JSON integers, real
 # values as JSON numbers; loading infers the kind from the value types.
+# `_read_json` reads every JSON input; `_write_json` writes every output but datasets.
 
 
 def measure_to_dict(measure: Measure) -> dict:
-    if isinstance(measure, BinaryFuzzyMeasure):
-        values = [int(x) for x in measure.values]
-    else:
-        values = [float(x) for x in measure.values]
-    return {"source_count": measure.source_count, "values": values}
+    # a uint8 table lists as ints, a float64 one as floats
+    return {"source_count": measure.source_count, "values": measure.values.tolist()}
 
 
 def measure_to_antichain_dict(measure: BinaryFuzzyMeasure) -> dict:
@@ -580,8 +573,13 @@ def measure_from_dict(obj) -> Measure:
 
 
 def save_measure(path, measure: Measure) -> None:
+    _write_json(path, measure_to_dict(measure))
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write an output file: `payload` indented by 2, keys sorted, and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measure_to_dict(measure), fh, indent=2)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

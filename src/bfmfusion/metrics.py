@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .choquet import choquet_batch
-from .data import Dataset
+from .data import Dataset, _address
 from .errors import ValidationError
 from .measures import Measure, measure_to_dict
 
@@ -78,13 +78,8 @@ def fuse_naive(data: Dataset, mode: str) -> FusionMap:
     """Elementwise min/max/mean across sources, as fixed baselines."""
     if mode not in NAIVE_MODES:
         raise ValidationError(f"unknown naive mode {mode!r}; expected one of {NAIVE_MODES}")
-    x = data.instance_matrix()
-    if mode == "min":
-        scores = x.min(axis=1)
-    elif mode == "max":
-        scores = x.max(axis=1)
-    else:
-        scores = x.mean(axis=1)
+    # each mode names the ndarray reduction it applies across sources
+    scores = getattr(data.instance_matrix(), mode)(axis=1)
     return FusionMap(scores, {"mode": mode})
 
 
@@ -160,14 +155,8 @@ def fusion_rows(data: Dataset, fmap: FusionMap) -> Iterator[tuple]:
         raise ValidationError(
             f"map has {len(fmap)} scores, dataset has {data.n_instances} instances"
         )
-    set_sizes, sets_per_bag = np.diff(data.set_offsets), np.diff(data.bag_offsets)
-    set_index = np.arange(len(set_sizes)) - np.repeat(data.bag_offsets[:-1], sets_per_bag)
-    columns = [
-        np.repeat(np.repeat(np.arange(len(sets_per_bag)), sets_per_bag), set_sizes),
-        np.repeat(set_index, set_sizes),
-        np.arange(data.n_instances) - np.repeat(data.set_offsets[:-1], set_sizes),
-        fmap.scores,
-    ]
+    address = _address(np.arange(data.n_instances), data.set_offsets, data.bag_offsets)
+    columns = [*address, fmap.scores]
     if data.flat_truth() is not None:
         columns.append(data.flat_truth())
     return zip(*(column.tolist() for column in columns))

@@ -25,7 +25,7 @@ the columns with one sort; the stack is never transposed.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -55,8 +55,9 @@ from .rng import substream
 class EAConfig:
     """Evolutionary search settings.
 
-    The elite_count best columns of the population carry over; every other
-    column is a child of a rank-selected parent. With probability
+    The elite_count best columns of the population carry over, at least one
+    and fewer than population_size, so the best table found is never lost;
+    every other column is a child of a rank-selected parent. With probability
     small_mutation_rate the child is a small mutation: one coalition
     flipped, raised with its supersets or lowered with its subsets (the
     real baseline redraws one value inside its monotonicity interval).
@@ -88,8 +89,8 @@ class EAConfig:
             raise ValidationError("rng_seed must be >= 0")
         if self.population_size < 2:
             raise ValidationError("population_size must be at least 2")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ValidationError("elite_count must be in [0, population_size)")
+        if not 1 <= self.elite_count < self.population_size:
+            raise ValidationError("elite_count must be in [1, population_size)")
         if not 0 <= self.small_mutation_rate <= 1:
             raise ValidationError("small_mutation_rate must lie in [0, 1]")
         if self.max_generations < 1 or self.stall_generations < 1:
@@ -113,14 +114,9 @@ class TrainResult:
     terminated_by: str  # converged | stalled | max_generations | time_cap
 
     def to_json_dict(self) -> dict:
-        out = {
-            "best_measure": measure_to_dict(self.best_measure),
-            "best_objective": self.best_objective,
-            "generations_run": self.generations_run,
-            "wall_time_seconds": self.wall_time_seconds,
-            "objective_trace": list(self.objective_trace),
-            "terminated_by": self.terminated_by,
-        }
+        out = {field.name: getattr(self, field.name) for field in fields(self)}
+        out["best_measure"] = measure_to_dict(self.best_measure)
+        out["objective_trace"] = list(self.objective_trace)
         if isinstance(self.best_measure, BinaryFuzzyMeasure):
             out["best_measure_minimal_winning"] = measure_to_antichain_dict(
                 self.best_measure

@@ -256,6 +256,16 @@ class TestTrain:
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_no_elite_refused(self, dataset_path, tmp_path, capsys):
+        # with no elite the best table found could be bred away
+        out = tmp_path / "result.json"
+        code = main(["train", "--data", str(dataset_path), "--mode", "bfm",
+                     "--elite-count", "0", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: elite_count must be in [1, ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_exhaustive_refuses_large_source_count(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         big = Dataset(6, (Bag(0, [rng.random((2, 6))]), Bag(1, [rng.random((2, 6))])))

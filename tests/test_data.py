@@ -85,6 +85,10 @@ class TestModelValidation:
         ds = Dataset(2, (Bag(np.int64(1), rows), Bag(np.uint8(0), rows)))
         assert ds.labels().tolist() == [1, 0]
 
+    def test_candidate_set_length_counts_instances(self):
+        assert len(CandidateSet(np.zeros((3, 2)))) == 3
+        assert len(CandidateSet([0.5, 0.5])) == 1  # one row lifted to a matrix
+
     def test_instances_beyond_two_dimensions(self):
         with pytest.raises(ValidationError, match="2-D"):
             CandidateSet(np.zeros((2, 2, 2)))
@@ -246,6 +250,14 @@ class TestSerialization:
     def test_spec_round_trip(self):
         spec = spec3(sigma=0.1)
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_spec_dict_keys_and_values(self):
+        # fields in declared order: a spec file written without sorted keys keeps its bytes
+        assert json.dumps(spec_to_dict(spec3(sigma=0.1))) == (
+            '{"source_count": 3, "n_pos_bags": 6, "n_neg_bags": 6, "sets_per_bag": [2, 3], '
+            '"instances_per_set": [2, 4], "noise_sigma": 0.1, "truth_measure": '
+            '{"source_count": 3, "values": [0, 0, 0, 1, 0, 1, 0, 1]}, "rng_seed": 11}'
+        )
 
 
 def assert_same_columns(got, want):

@@ -394,8 +394,11 @@ class TestSerialization:
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "measure.json"
-        save_measure(p, PAPER_STYLE)
-        assert load_measure(p) == PAPER_STYLE
+        for g in (PAPER_STYLE, sample_random_real(3, 5)):
+            save_measure(p, g)
+            # the file's bytes are pinned, not only what it reads back as
+            assert p.read_text(encoding="utf-8") == json.dumps(measure_to_dict(g), indent=2) + "\n"
+            assert load_measure(p) == g
         p.write_text(json.dumps(measure_to_antichain_dict(PAPER_STYLE)))
         assert json.loads(p.read_text())["minimal_winning"] == [[1, 2], [1, 3]]
         assert load_measure(p) == PAPER_STYLE
@@ -422,6 +425,20 @@ class TestMeasureSemantics:
         assert PAPER_STYLE[0b011] == 1
         assert PAPER_STYLE[{0, 1}] == 1
         assert PAPER_STYLE[(1, 2)] == 0
+
+    def test_repr_lists_minimal_winning_coalitions(self):
+        assert repr(PAPER_STYLE) == "BinaryFuzzyMeasure(S=3, minimal_winning=[(0, 1), (0, 2)])"
+
+    def test_repr_of_a_wrong_length_table_shows_its_length(self):
+        # no antichain to list: the table does not cover the lattice
+        assert repr(BinaryFuzzyMeasure(3, np.array([0, 1]))) == "BinaryFuzzyMeasure(S=3, len=2)"
+
+    def test_real_repr(self):
+        assert repr(sample_random_real(4, 0)) == "RealFuzzyMeasure(S=4)"
+
+    @pytest.mark.parametrize("g", [PAPER_STYLE, sample_random_real(4, 0)], ids=["binary", "real"])
+    def test_len_is_the_table_length(self, g):
+        assert len(g) == 1 << g.source_count
 
     def test_eq_and_hash(self):
         a = minimum_measure(2)

@@ -104,6 +104,7 @@ class TestConfigValidation:
             {"fitness_tolerance": True},
             {"time_cap_seconds": "1"},
             {"time_cap_seconds": True},
+            {"elite_count": 0},  # with no elite the best table found can be lost
         ],
     )
     def test_rejects(self, kwargs):
