@@ -3,9 +3,9 @@
 A measure assigns a weight to every subset (coalition) of the S fusion
 sources. Subsets are encoded as bitmasks: bit i set means source i is in
 the coalition, so subset containment is plain bitwise containment and the
-value table is a flat array of length 2**S indexed by bitmask. Stacks of
-binary tables in bulk, as training holds them, are bitsets of 8
-coalitions a byte (see `_pack`).
+value table is a flat array of exactly 2**S entries indexed by bitmask.
+Binary tables in bulk are bitsets of 8 coalitions a byte (see `_pack`),
+the layout of the repair move, `_children`, and of the enumeration.
 
 Sources are indexed from 0 throughout the Python API: a coalition goes in
 as a bitmask or an iterable of source indices and comes out as a tuple of
@@ -95,10 +95,6 @@ def _check_source_count(source_count: int) -> int:
     return source_count
 
 
-def _masks(source_count: int) -> np.ndarray:
-    return np.arange(1 << source_count, dtype=np.uint32)
-
-
 def _as_mask(subset, source_count: int) -> int:
     """The one subset parser: a bitmask, or an iterable of 0-based source
     indices. A bool is neither; anything else raises ValidationError."""
@@ -139,12 +135,20 @@ class _MeasureBase:
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.source_count, self.values.tobytes()))
 
+    def _store(self, values: np.ndarray) -> None:
+        """Keep `values` read-only as the table, refused unless 2**S long."""
+        n = 1 << self.source_count
+        if len(values) != n:
+            raise ValidationError(f"values length {len(values)} != 2**{self.source_count} = {n}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
 
 @dataclass(frozen=True, eq=False)
 class BinaryFuzzyMeasure(_MeasureBase):
     """A {0,1}-valued set function on the 2**S subset lattice.
 
-    The constructor checks only value domain and representation limits;
+    The constructor checks the value domain and the table length, 2**S;
     axiom conformance is `validate`'s job so that invalid tables can still
     be built and diagnosed.
     """
@@ -157,22 +161,19 @@ class BinaryFuzzyMeasure(_MeasureBase):
         values = np.asarray(self.values)
         if values.ndim != 1:
             raise ValidationError(f"values must be 1-D, got shape {values.shape}")
-        if values.size and not np.isin(values, (0, 1)).all():
+        if not np.isin(values, (0, 1)).all():
             raise ValidationError("binary measure values must all be 0 or 1")
-        values = values.astype(np.uint8)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        self._store(values.astype(np.uint8))
 
     def __repr__(self) -> str:
-        if len(self.values) != 1 << self.source_count:
-            return f"BinaryFuzzyMeasure(S={self.source_count}, len={len(self.values)})"
         coalitions = minimal_winning_coalitions(self)
         return f"BinaryFuzzyMeasure(S={self.source_count}, minimal_winning={coalitions})"
 
 
 @dataclass(frozen=True, eq=False)
 class RealFuzzyMeasure(_MeasureBase):
-    """A [0,1]-valued set function on the 2**S subset lattice."""
+    """A [0,1]-valued set function on the 2**S subset lattice; the
+    constructor checks the value range and the table length, 2**S."""
 
     source_count: int
     values: np.ndarray
@@ -184,9 +185,7 @@ class RealFuzzyMeasure(_MeasureBase):
             raise ValidationError(f"values must be 1-D, got shape {values.shape}")
         if not _in_unit_interval(values):
             raise ValidationError("real measure values must all lie in [0, 1]")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        self._store(values.copy())
 
     def __repr__(self) -> str:
         return f"RealFuzzyMeasure(S={self.source_count})"
@@ -227,14 +226,10 @@ def validate(measure: Measure) -> ValidityReport:
     """Check the three measure axioms; report each violated axiom once.
 
     The monotonicity check covers all (A, A | {i}) covering pairs, which is
-    equivalent to full pairwise monotonicity, in O(S * 2**S). A wrong table
-    length is a structural problem, not an axiom violation, and raises.
+    equivalent to full pairwise monotonicity, in O(S * 2**S). The table
+    length needs no check: a measure of the wrong length cannot be built.
     """
     n = 1 << measure.source_count
-    if len(measure.values) != n:
-        raise ValidationError(
-            f"values length {len(measure.values)} != 2**{measure.source_count} = {n}"
-        )
     v = measure.values
     violations = []
     if v[0] != 0:
@@ -257,8 +252,8 @@ def validate(measure: Measure) -> ValidityReport:
 
 
 def _check_measure(measure: Measure, source_count: int) -> None:
-    """Refuse a measure over other than `source_count` sources, with a wrong
-    table length, or breaking an axiom: evaluation and fusion assume none."""
+    """Refuse a measure over other than `source_count` sources or breaking
+    an axiom: evaluation, fusion and the antichain form assume neither."""
     if measure.source_count != source_count:
         raise ValidationError(
             f"measure covers {measure.source_count} sources, expected {source_count}"
@@ -306,8 +301,8 @@ def set_with_repair(
     """Set one coalition's value and repair monotonicity by closure.
 
     Setting to 1 also raises every superset; setting to 0 also lowers every
-    subset. The empty and full coalitions are pinned by the axioms and may
-    not be targeted.
+    subset; nothing else changes. This is the search's move, `_children`.
+    The empty and full coalitions are pinned and may not be targeted.
     """
     mask = _as_mask(subset, measure.source_count)
     if mask == 0 or mask == (1 << measure.source_count) - 1:
@@ -316,13 +311,9 @@ def set_with_repair(
         )
     if not _is_bit(bit):
         raise ValidationError(f"bit must be 0 or 1, got {bit!r}")
-    masks = _masks(measure.source_count)
-    values = measure.values.copy()
-    if bit == 1:
-        values[(masks & mask) == mask] = 1
-    else:
-        values[(masks | mask) == mask] = 0
-    return BinaryFuzzyMeasure(measure.source_count, values)
+    s, table = measure.source_count, _pack(measure.values[:, None])
+    move = np.array([0]), np.array([mask]), np.array([bit == 1])
+    return BinaryFuzzyMeasure(s, _unpack(_children(table, *move, table[:, :0], s), s)[:, 0])
 
 
 def sample_random(
@@ -377,15 +368,6 @@ def _coalition_bits(coalitions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coalitions >> 3, (0x80 >> (coalitions & 7)).astype(np.uint8)
 
 
-def _at_complements(stack: np.ndarray, source_count: int) -> np.ndarray:
-    """A new bitset stack whose coalition c holds coalition full ^ c of
-    `stack`: the coalitions in reverse order, bytes and bits reversed."""
-    out = np.take(_REVERSED, stack[::-1])
-    if source_count < 3:
-        out <<= 8 - (1 << source_count)  # back above the padding bits
-    return out
-
-
 def _close_up(stack: np.ndarray, source_count: int) -> np.ndarray:
     """Upward closure, in place, of every column of a bitset stack of
     tables on `source_count` sources: a coalition wins when any subset of
@@ -402,6 +384,36 @@ def _close_up(stack: np.ndarray, source_count: int) -> np.ndarray:
         pairs = np.reshape(stack, (n >> i + 1, 2, cols << i), copy=False)
         pairs[:, 1] |= pairs[:, 0]
     return stack
+
+
+def _children(stack, columns, coalitions, raised, fresh, source_count: int) -> np.ndarray:
+    """The repair move: a new bitset stack, built with one upward closure.
+    Column columns[k] of `stack` has coalition coalitions[k] raised with its
+    supersets where raised[k] holds, else lowered with its subsets; raised
+    children come first, each kind in input order. Then come the closures
+    of the seed columns of the bitset stack `fresh`, both ends pinned. A
+    raised child is parent | up(c), a lowered one parent & ~down(c)."""
+    n = 1 << source_count
+    by_kind = np.argsort(~raised, kind="stable")
+    coalitions, columns = coalitions[by_kind], columns[by_kind]
+    ups, flips = np.count_nonzero(raised), len(coalitions)
+    seeds = np.zeros((len(stack), flips + fresh.shape[1]), dtype=np.uint8)
+    row, bit = _coalition_bits(np.r_[coalitions[:ups], (n - 1) ^ coalitions[ups:]])
+    seeds[row, np.arange(flips)] = bit
+    seeds[:, flips:] = fresh
+    # below S = 3 the low 8 - n bits of the one byte are padding and stay 0
+    seeds[0, flips:] &= 0x7F & 0xFF << 8 - min(n, 8)
+    seeds[(n - 1) >> 3, flips:] |= 0x80 >> ((n - 1) & 7)
+    up = _close_up(seeds, source_count)
+    kin = stack[:, columns]
+    up[:, :ups] |= kin[:, :ups]
+    # down(c) is up(full ^ c) at the complements: coalitions, bytes and bits reversed
+    down = np.take(_REVERSED, up[::-1, ups:flips])
+    if n < 8:
+        down <<= 8 - n  # back above the padding bits
+    np.invert(down, out=down)
+    np.bitwise_and(kin[:, ups:], down, out=up[:, ups:flips])
+    return up
 
 
 def _closure(table: np.ndarray, source_count: int) -> np.ndarray:
@@ -435,7 +447,7 @@ def _random_real_table(u: np.ndarray) -> np.ndarray:
     """The tables behind `sample_random_real` for a (2**S, C) stack of
     uniforms, one column per table, built one cardinality layer at a time."""
     source_count = len(u).bit_length() - 1
-    masks = _masks(source_count)
+    masks = np.arange(1 << source_count)
     bits = 1 << np.arange(source_count)
     card = np.bitwise_count(masks)
     values = np.zeros_like(u)
@@ -456,28 +468,34 @@ def enumerate_all(source_count: int) -> Iterator[BinaryFuzzyMeasure]:
     because the count grows roughly like 2**C(S, S//2).
     """
     source_count = _check_source_count(source_count)
-    return (BinaryFuzzyMeasure(source_count, table) for table in _all_tables(source_count).T)
+    tables = _unpack(_all_tables(source_count), source_count)
+    return (BinaryFuzzyMeasure(source_count, table) for table in tables.T)
 
 
 def _all_tables(source_count: int) -> np.ndarray:
-    """Every valid binary table on S sources as the columns of one uint8
-    (2**S, count) stack, sorted as bytes.
+    """Every valid binary table on S sources as the columns of one bitset
+    stack, sorted as bytes.
 
-    Built by doubling: a monotone table on one more source is a pair
-    (f0, f1) of monotone tables with f0 <= f1 everywhere, f1 read where the
-    new source is in. Pairs come out in row-major order, so byte order
-    holds at every step; last, the endpoints are pinned.
+    Built by doubling on 2**S-bit uint64 words, coalition 0 the high bit,
+    so words compare as the tables' bytes do: a monotone table on one more
+    source is a pair (f0, f1) of monotone tables with f0 <= f1 everywhere,
+    f1 read where the new source is in, the word f0 << 2**i | f1. Pairs
+    come out in row-major order, so the order holds at every step; last,
+    the endpoints are pinned.
     """
     if source_count > ENUMERATION_CAP:
         raise CapError(
             f"enumeration of S={source_count} refused (cap {ENUMERATION_CAP}): "
             f"there are {_estimate_count(source_count)} valid measures"
         )
-    tables = np.array([[0], [1]], dtype=np.uint8)
-    for _ in range(source_count):
-        low, high = np.nonzero(~(tables[:, None] > tables[None]).any(axis=2))
-        tables = np.concatenate([tables[low], tables[high]], axis=1)
-    return np.ascontiguousarray(tables[(tables[:, 0] == 0) & (tables[:, -1] == 1)].T)
+    n, words = 1 << source_count, np.array([0, 1], dtype=np.uint64)
+    for i in range(source_count):
+        low, high = np.nonzero(words[:, None] & ~words[None] == 0)
+        words = words[low] << (1 << i) | words[high]
+    words = words[(words >> n - 1 == 0) & (words & 1 == 1)] << 64 - n
+    # the big-endian bytes of each word, coalition 0 first: np.packbits order
+    stack = words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, : -(-n // 8)]
+    return np.ascontiguousarray(stack.T)
 
 
 def count_all(source_count: int) -> int:
@@ -528,6 +546,7 @@ def measure_to_antichain_dict(measure: BinaryFuzzyMeasure) -> dict:
     # JSON numbers sources from 1 (display convention); the API is 0-based
     if not isinstance(measure, BinaryFuzzyMeasure):
         raise ValidationError("the antichain form exists only for binary measures")
+    _check_measure(measure, measure.source_count)  # an invalid table would load back changed
     return {
         "source_count": measure.source_count,
         "minimal_winning": [[i + 1 for i in c] for c in minimal_winning_coalitions(measure)],

@@ -36,10 +36,9 @@ from .measures import (
     Measure,
     RealFuzzyMeasure,
     _all_tables,
-    _at_complements,
     _check_integer,
     _check_real,
-    _close_up,
+    _children,
     _coalition_bits,
     _pack,
     _random_real_table,
@@ -142,37 +141,17 @@ class _BinaryOps:
     def breed(self, pop, parents, small, rng):
         """Children of the columns `parents` of pop as a bitset stack: a
         small mutation where `small` holds, else a fresh table, in blocks
-        raised, lowered, fresh. One call draws every flipped coalition and
-        one every fresh field, as random bytes in bitset layout; one upward
-        closure of a seed stack builds every child. A flipped coalition idx
-        is raised, parent | up(idx), or lowered, parent & ~down(idx), where
-        down(idx) is up(full ^ idx) read at the complements; a fresh table
-        is up(Bernoulli(0.5) field)."""
-        n = 1 << self.source_count
-        idx = rng.integers(1, n - 1, size=np.count_nonzero(small))
+        raised, lowered, fresh, built by `measures._children`. One call
+        draws every flipped coalition and one every fresh field, as random
+        bytes in bitset layout; a fresh table is the closure of its field,
+        a Bernoulli(0.5) draw."""
+        idx = rng.integers(1, (1 << self.source_count) - 1, size=np.count_nonzero(small))
         fields = rng.integers(0, 256, size=(len(pop), len(small) - len(idx)), dtype=np.uint8)
         # a coalition that loses in its parent is raised, one that wins is lowered
         kin = parents[small]
         row, bit = _coalition_bits(idx)
-        lit = (pop[row, kin] & bit) != 0
-        by_kind = np.argsort(lit, kind="stable")
-        idx, kin = idx[by_kind], kin[by_kind]
-        raised, flips = np.count_nonzero(~lit), len(idx)
-        seeds = np.zeros((len(pop), len(small)), dtype=np.uint8)
-        row, bit = _coalition_bits(np.r_[idx[:raised], (n - 1) ^ idx[raised:]])
-        seeds[row, np.arange(flips)] = bit
-        # a fresh table pins both ends; below S = 3 the low 8 - n bits of
-        # its one byte are padding and stay 0
-        fields[0] &= 0x7F & 0xFF << 8 - min(n, 8)
-        fields[(n - 1) >> 3] |= 0x80 >> ((n - 1) & 7)
-        seeds[:, flips:] = fields
-        up = _close_up(seeds, self.source_count)
-        kin = pop[:, kin]
-        up[:, :raised] |= kin[:, :raised]
-        down = _at_complements(up[:, raised:flips], self.source_count)
-        np.invert(down, out=down)
-        np.bitwise_and(kin[:, raised:], down, out=up[:, raised:flips])
-        return up
+        raised = (pop[row, kin] & bit) == 0
+        return _children(pop, kin, idx, raised, fields, self.source_count)
 
     @staticmethod
     def order(pop, js):
@@ -336,7 +315,7 @@ def train_exhaustive(data: Dataset | PreparedData) -> TrainResult:
     """
     t0 = time.perf_counter()
     s = data.source_count
-    tables = _pack(_all_tables(s))
+    tables = _all_tables(s)
     prepared = _prepared(data)
     js = np.concatenate([
         _evaluate(tables[:, i : i + 512], prepared).total

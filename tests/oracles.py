@@ -118,6 +118,17 @@ def naive_upward_closure(table) -> list[int]:
     return out
 
 
+def naive_set_with_repair(table, c: int, bit: int) -> list[int]:
+    """Coalition c of a {0,1} table set to bit, with every superset of c
+    when bit is 1 and every subset of c when bit is 0, by scanning all
+    coalitions; the rest of the table is left as it is."""
+    out = [int(v) for v in table]
+    for b in range(len(table)):
+        if (bit == 1 and b & c == c) or (bit == 0 and b & c == b):
+            out[b] = bit
+    return out
+
+
 def naive_minimal_winning(table) -> list[int]:
     """Bitmasks of the winning coalitions of which no proper subset wins,
     by scanning all pairs."""

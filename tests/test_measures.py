@@ -27,11 +27,12 @@ from bfmfusion import (
     set_with_repair,
     validate,
 )
-from bfmfusion.measures import _close_up, _minimal, _pack, _unpack
+from bfmfusion.measures import _all_tables, _children, _close_up, _minimal, _pack, _unpack
 from oracles import (
     brute_force_tables,
     naive_first_covering_violation,
     naive_minimal_winning,
+    naive_set_with_repair,
     naive_upward_closure,
 )
 
@@ -212,6 +213,34 @@ class TestSetWithRepair:
         assert out[subset] == bit
         assert validate(out).ok
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("monotone", [True, False], ids=["valid", "non_monotone"])
+    def test_matches_oracle_everywhere(self, s, monotone):
+        rng = np.random.default_rng(s)
+        for _ in range(3):
+            if monotone:
+                g = sample_random(s, rng.uniform(0.1, 0.9), rng)
+            else:  # any bits, ends included: only c and its supersets or subsets change
+                g = BinaryFuzzyMeasure(s, (rng.random(1 << s) < 0.5).astype(np.uint8))
+            for c in range(1, (1 << s) - 1):
+                for bit in (0, 1):
+                    expected = naive_set_with_repair(g.values.tolist(), c, bit)
+                    assert set_with_repair(g, c, bit).values.tolist() == expected
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(2, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_one_flip_neighbourhood_matches_oracle(self, seed, s):
+        # every coalition of one table flipped, as a one-flip descent asks:
+        # the children come raised first, so argsort(~raised) maps them back
+        g = sample_random(s, 0.5, seed)
+        t, coalitions = _pack(g.values[:, None]), np.arange(1, (1 << s) - 1)
+        raised = g.values[coalitions] == 0  # a losing coalition is raised, a winning one lowered
+        got = _unpack(_children(t, np.zeros_like(coalitions), coalitions, raised, t[:, :0], s), s)
+        assert got.shape == (1 << s, len(coalitions))
+        for column, k in zip(got.T, np.argsort(~raised, kind="stable")):
+            c, bit = int(coalitions[k]), int(raised[k])
+            assert column.tolist() == naive_set_with_repair(g.values.tolist(), c, bit)
+
 
 class TestSampling:
     @given(seed=st.integers(0, 10_000), s=st.integers(1, 8), density=st.floats(0.05, 0.95))
@@ -262,6 +291,24 @@ class TestEnumeration:
     def test_serialization_order(self, s):
         tables = [g.values.tobytes() for g in enumerate_all(s)]
         assert all(a < b for a, b in zip(tables, tables[1:]))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_packed_layout(self, s):
+        stack, n = _all_tables(s), 1 << s
+        assert stack.dtype == np.uint8 and stack.flags.c_contiguous
+        if s <= 4:
+            tables = np.array(sorted(brute_force_tables(s), key=bytes), dtype=np.uint8)
+            assert np.array_equal(stack, np.packbits(tables.T, axis=0))
+        else:  # 2**30 candidates are too many to scan: check what pins the set instead
+            tables = np.unpackbits(stack, axis=0, count=n).T
+            assert len(tables) == count_all(s)
+            assert all(bytes(a) < bytes(b) for a, b in zip(tables, tables[1:]))
+            assert (tables[:, 0] == 0).all() and (tables[:, -1] == 1).all()
+            subset = np.array([[a & b == a for b in range(n)] for a in range(n)])
+            # monotone: no coalition a wins while a superset b of it loses
+            assert not (subset & (tables[:, :, None] > tables[:, None, :])).any()
+        if s < 3:  # one byte, its low 8 - 2**S bits padding
+            assert not (stack & (1 << 8 - n) - 1).any()
 
     def test_cap_refusal(self):
         with pytest.raises(CapError) as exc:
@@ -372,6 +419,11 @@ class TestSerialization:
                 {"source_count": 2, "values": [0, 1, 1, 1], "minimal_winning": [[1, 2]]}
             )
 
+    def test_antichain_form_of_an_invalid_measure_refused(self):
+        # [[1]] would load back as the valid [0, 1, 0, 1]
+        with pytest.raises(ValidationError, match="measure is invalid: "):
+            measure_to_antichain_dict(BinaryFuzzyMeasure(2, [0, 1, 0, 0]))
+
     def test_antichain_form_of_a_real_measure_refused(self):
         with pytest.raises(ValidationError, match="only for binary measures"):
             measure_to_antichain_dict(sample_random_real(2, 1))
@@ -429,9 +481,11 @@ class TestMeasureSemantics:
     def test_repr_lists_minimal_winning_coalitions(self):
         assert repr(PAPER_STYLE) == "BinaryFuzzyMeasure(S=3, minimal_winning=[(0, 1), (0, 2)])"
 
-    def test_repr_of_a_wrong_length_table_shows_its_length(self):
-        # no antichain to list: the table does not cover the lattice
-        assert repr(BinaryFuzzyMeasure(3, np.array([0, 1]))) == "BinaryFuzzyMeasure(S=3, len=2)"
+    @pytest.mark.parametrize("kind", [BinaryFuzzyMeasure, RealFuzzyMeasure])
+    def test_a_short_table_is_refused_when_built(self, kind):
+        # read as a smaller lattice it would give a wrong antichain or IndexError
+        with pytest.raises(ValidationError, match=r"^values length 2 != 2\*\*3 = 8$"):
+            kind(3, [0, 1])
 
     def test_real_repr(self):
         assert repr(sample_random_real(4, 0)) == "RealFuzzyMeasure(S=4)"

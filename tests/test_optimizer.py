@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfmfusion import (
-    BinaryFuzzyMeasure,
     CapError,
     EAConfig,
     SynthSpec,
@@ -22,7 +21,6 @@ from bfmfusion import (
     minimum_measure,
     objective,
     sample_random_real,
-    set_with_repair,
     train_bfm,
     train_exhaustive,
     train_real_fm,
@@ -35,6 +33,7 @@ from oracles import (
     naive_random_real_table,
     naive_ranking,
     naive_real_redraw,
+    naive_set_with_repair,
     naive_upward_closure,
 )
 
@@ -374,9 +373,8 @@ class TestBatchedMoves:
         blocks = {"raised": [], "lowered": [], "fresh": []}
         for parent, coalition in zip(parents[small], idx.tolist()):
             lit = pop[coalition, parent]
-            parent_measure = BinaryFuzzyMeasure(s, pop[:, parent])
-            child = set_with_repair(parent_measure, coalition, 0 if lit else 1).values
-            blocks["lowered" if lit else "raised"].append(child.tolist())
+            child = naive_set_with_repair(pop[:, parent].tolist(), coalition, 0 if lit else 1)
+            blocks["lowered" if lit else "raised"].append(child)
         for field in fields.T:
             table = np.unpackbits(field)[:n].tolist()
             table[0], table[-1] = 0, 1
