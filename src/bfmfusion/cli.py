@@ -5,7 +5,6 @@ Subcommands wire the library into reproducible runs:
 * synth      generate a synthetic dataset from a spec file
 * train      learn a measure from a dataset (binary EA, exhaustive, or real EA)
 * fuse-eval  apply a measure (or naive baseline) and score against truth
-* bench      timing comparison of binary vs real training across source counts
 
 Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 cap refusal
 or a run out of memory.
@@ -16,21 +15,16 @@ and the tool version, so outputs are traceable to their inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .data import (
-    SynthSpec,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -42,7 +36,6 @@ from .measures import (
     BinaryFuzzyMeasure,
     _read_json,
     _write_json,
-    from_minimal_coalitions,
     load_measure,
     measure_to_antichain_dict,
     measure_to_dict,
@@ -57,10 +50,8 @@ from .metrics import (
 )
 from .objective import objective, prepare
 from .optimizer import EAConfig, train_bfm, train_exhaustive, train_real_fm
-from .rng import substream
 
 TRAIN_MODES = ("bfm", "bfm-exhaustive", "real")
-BENCH_ALGORITHMS = ("bfm", "real")
 
 
 def _config_hash(obj: dict) -> str:
@@ -88,14 +79,8 @@ def _ea_config(args, seed: int) -> EAConfig:
     return EAConfig(**kwargs)
 
 
-def _add_ea_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("search settings (defaults per EAConfig)")
-    g.add_argument("--population-size", type=int)
-    g.add_argument("--elite-count", type=int)
-    g.add_argument("--small-mutation-rate", type=float)
-    g.add_argument("--max-generations", type=int)
-    g.add_argument("--stall-generations", type=int)
-    g.add_argument("--fitness-tolerance", type=float)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -145,8 +130,9 @@ def cmd_train(args) -> int:
         # the scan visits every measure once, so no search setting applies
         for field in fields(EAConfig):
             if getattr(args, field.name, None) is not None:
-                flag = "--" + field.name.replace("_", "-")
-                raise ValidationError(f"{flag} does not apply to --mode bfm-exhaustive")
+                raise ValidationError(
+                    f"{_flag(field.name)} does not apply to --mode bfm-exhaustive"
+                )
     data = load_dataset(args.data)
     cfg = _ea_config(args, args.seed)
     _claim(args.force, args.out)
@@ -240,179 +226,6 @@ def cmd_fuse_eval(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- bench
-
-
-def bench_dataset_spec(source_count: int, seed: int = 0) -> SynthSpec:
-    """Deterministic benchmark dataset recipe for one source count.
-
-    Truth is an antichain of up to 3 distinct coalitions of size ceil(S/2)
-    (equal cardinality, so minimality is automatic). Noise is 0 so the
-    binary search can terminate by exact convergence. Bag count grows with
-    S so evaluation work scales with the source count.
-    """
-    if source_count < 2:
-        raise ValidationError("benchmark needs at least 2 sources")
-    rng = substream(seed, "bench", source_count)
-    size = (source_count + 1) // 2
-    # small S may not have 3 distinct coalitions of this size
-    want = min(3, math.comb(source_count, size))
-    coalitions: set[frozenset[int]] = set()
-    while len(coalitions) < want:
-        coalitions.add(frozenset(int(i) for i in rng.permutation(source_count)[:size]))
-    truth = from_minimal_coalitions(source_count, sorted(coalitions, key=sorted))
-    return SynthSpec(
-        source_count=source_count,
-        n_pos_bags=2 * source_count,
-        n_neg_bags=2 * source_count,
-        sets_per_bag=(2, 3),
-        instances_per_set=(3, 4),
-        noise_sigma=0.0,
-        truth_measure=truth,
-        rng_seed=int(rng.integers(2**31)),
-    )
-
-
-def run_benchmark(
-    source_counts: Sequence[int],
-    repeats: int,
-    cap_seconds: float,
-    seed: int = 0,
-    algorithms: Sequence[str] = BENCH_ALGORITHMS,
-    base_cfg: Optional[EAConfig] = None,
-) -> dict:
-    """Run the timing comparison; returns a records dict (no I/O).
-
-    Per source count one dataset is generated, then each algorithm trains
-    `repeats` times with per-repeat seeds. Wall time covers the optimizer
-    loop only, not dataset generation or I/O. Runs stopped by the time cap
-    are marked censored; a censored run that finished zero generations is
-    additionally flagged cap_too_small.
-    """
-    if repeats < 1:
-        raise ValidationError("repeats must be at least 1")
-    if any(s < 2 for s in source_counts):
-        raise ValidationError("every source count must be at least 2")
-    unknown = set(algorithms) - set(BENCH_ALGORITHMS)
-    if unknown:
-        raise ValidationError(f"unknown benchmark algorithms: {sorted(unknown)}")
-    base = base_cfg if base_cfg is not None else EAConfig()
-
-    trainers = {"bfm": train_bfm, "real": train_real_fm}
-    runs = []
-    for s in source_counts:
-        data = generate_synthetic(bench_dataset_spec(s, seed))
-        for algorithm in algorithms:
-            for rep in range(repeats):
-                cfg = replace(
-                    base, rng_seed=seed * 1000 + rep, time_cap_seconds=cap_seconds
-                )
-                result = trainers[algorithm](data, cfg)
-                censored = result.terminated_by == "time_cap"
-                runs.append(
-                    {
-                        "source_count": s,
-                        "algorithm": algorithm,
-                        "repeat": rep,
-                        "seconds": result.wall_time_seconds,
-                        "best_objective": result.best_objective,
-                        "generations_run": result.generations_run,
-                        "terminated_by": result.terminated_by,
-                        "censored": censored,
-                        "cap_too_small": censored and result.generations_run == 0,
-                    }
-                )
-    return {
-        "source_counts": list(source_counts),
-        "repeats": repeats,
-        "cap_seconds": cap_seconds,
-        "seed": seed,
-        "algorithms": list(algorithms),
-        "config": base.to_json_dict(),
-        "runs": runs,
-    }
-
-
-def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), sd
-
-
-def _bench_cell(records: list, metric: str, cap_seconds: float) -> str:
-    if any(r["censored"] for r in records) and metric == "seconds":
-        return f">{cap_seconds:g}s"
-    mean, sd = _mean_sd([r[metric] for r in records])
-    return f"{mean:.3g}({sd:.2g})"
-
-
-def bench_table(records: dict) -> list[list[str]]:
-    """Pivot run records into rows: algorithm x metric, one column per S."""
-    counts = records["source_counts"]
-    header = ["algorithm", "metric"] + [f"S={s}" for s in counts]
-    rows = [header]
-    for algorithm in records["algorithms"]:
-        for metric, label in (("seconds", "time_seconds"), ("best_objective", "best_objective")):
-            row = [algorithm, label]
-            for s in counts:
-                cell_runs = [
-                    r
-                    for r in records["runs"]
-                    if r["algorithm"] == algorithm and r["source_count"] == s
-                ]
-                row.append(_bench_cell(cell_runs, metric, records["cap_seconds"]))
-            rows.append(row)
-    return rows
-
-
-def cmd_bench(args) -> int:
-    try:
-        source_counts = [int(x) for x in args.sources.split(",") if x.strip() != ""]
-    except ValueError as e:
-        raise ValidationError(f"--sources must be comma-separated integers: {e}") from e
-    if not source_counts:
-        raise ValidationError("--sources must name at least one source count")
-
-    base = _ea_config(args, args.seed)
-    runs_path = Path(args.out).with_suffix(".runs.json")
-    _claim(args.force, args.out, runs_path)
-    records = run_benchmark(
-        source_counts,
-        repeats=args.repeats,
-        cap_seconds=args.cap_seconds,
-        seed=args.seed,
-        base_cfg=base,
-    )
-    records["provenance"] = _provenance(
-        args.seed,
-        {
-            "sources": source_counts,
-            "repeats": args.repeats,
-            "cap_seconds": args.cap_seconds,
-            "config": base.to_json_dict(),
-        },
-    )
-
-    for r in records["runs"]:
-        if r["cap_too_small"]:
-            print(
-                f"warning: cap {args.cap_seconds}s too small for one generation "
-                f"(algorithm {r['algorithm']}, S={r['source_count']}, repeat {r['repeat']})",
-                file=sys.stderr,
-            )
-
-    table = bench_table(records)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(table)
-    _write_json(runs_path, records)
-
-    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    print(f"wrote {args.out} and {runs_path}")
-    return 0
-
-
 # ---------------------------------------------------------------- parser
 
 
@@ -440,8 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include and print the per-bag objective breakdown of the result",
     )
-    p.add_argument("--time-cap-seconds", type=float, dest="time_cap_seconds")
-    _add_ea_flags(p)
+    g = p.add_argument_group("search settings (defaults per EAConfig)")
+    for field in fields(EAConfig):
+        # rng_seed is set by --seed; annotations are strings under postponed evaluation
+        if field.name != "rng_seed":
+            g.add_argument(_flag(field.name), type=int if field.type in (int, "int") else float)
     _add_common_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -453,16 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _add_common_flags(p)
     p.set_defaults(func=cmd_fuse_eval)
-
-    p = sub.add_parser("bench", help="binary vs real training time comparison")
-    p.add_argument("--sources", required=True, help="comma-separated source counts")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--cap-seconds", type=float, default=120.0, dest="cap_seconds")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="timing table CSV output path")
-    _add_ea_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

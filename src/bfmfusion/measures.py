@@ -157,8 +157,11 @@ class BinaryFuzzyMeasure(_MeasureBase):
     values: np.ndarray
 
     def __post_init__(self):
+        values = self.values
+        # unset until stored, so a measure refused here shows no structure
+        object.__setattr__(self, "values", None)
         object.__setattr__(self, "source_count", _check_source_count(self.source_count))
-        values = np.asarray(self.values)
+        values = np.asarray(values)
         if values.ndim != 1:
             raise ValidationError(f"values must be 1-D, got shape {values.shape}")
         if not np.isin(values, (0, 1)).all():
@@ -166,6 +169,8 @@ class BinaryFuzzyMeasure(_MeasureBase):
         self._store(values.astype(np.uint8))
 
     def __repr__(self) -> str:
+        if self.values is None:
+            return f"BinaryFuzzyMeasure(S={self.source_count!r}, table not stored)"
         coalitions = minimal_winning_coalitions(self)
         return f"BinaryFuzzyMeasure(S={self.source_count}, minimal_winning={coalitions})"
 

@@ -16,7 +16,6 @@ _STREAM_CODES = {
     "synth": 0,
     "init": 1,
     "mutation": 2,
-    "bench": 3,
 }
 
 

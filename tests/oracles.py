@@ -10,8 +10,6 @@ from __future__ import annotations
 import itertools
 import struct
 
-import numpy as np
-
 
 def brute_force_tables(source_count: int):
     """Every {0,1} table with pinned endpoints that is monotone, by scanning

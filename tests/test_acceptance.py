@@ -28,8 +28,8 @@ from bfmfusion import (
     score,
     train_bfm,
     train_exhaustive,
+    train_real_fm,
 )
-from bfmfusion.cli import run_benchmark
 from oracles import brute_force_tables, naive_objective, pair_count_auc
 
 PLANTED = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
@@ -172,21 +172,53 @@ def test_4_planted_antichain_recovery(capsys):
     )
 
 
+def _timing_dataset(source_count):
+    """Noise-free data around up to 3 planted coalitions of size ceil(S/2).
+
+    Equal sizes make the coalitions minimal, no noise lets the binary search
+    stop by exact convergence, and the bag count grows with S so evaluation
+    work grows with the source count.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(3, source_count)))
+    size = (source_count + 1) // 2
+    coalitions = set()
+    # small S may not have 3 distinct coalitions of this size
+    while len(coalitions) < min(3, math.comb(source_count, size)):
+        coalitions.add(frozenset(int(i) for i in rng.permutation(source_count)[:size]))
+    truth = from_minimal_coalitions(source_count, sorted(coalitions, key=sorted))
+    return generate_synthetic(
+        SynthSpec(
+            source_count=source_count,
+            n_pos_bags=2 * source_count,
+            n_neg_bags=2 * source_count,
+            sets_per_bag=(2, 3),
+            instances_per_set=(3, 4),
+            noise_sigma=0.0,
+            truth_measure=truth,
+            rng_seed=int(rng.integers(2**31)),
+        )
+    )
+
+
 def test_5_binary_training_speed_advantage(capsys):
     budget = 1800.0
     cap = 120.0
     counts = (6, 8, 10, 12)
     t0 = time.perf_counter()
-    bfm = run_benchmark(counts, repeats=5, cap_seconds=cap, algorithms=("bfm",))
-    real = run_benchmark([8], repeats=5, cap_seconds=cap, algorithms=("real",))
 
-    def mean_seconds(records, s):
-        times = [r["seconds"] for r in records["runs"] if r["source_count"] == s]
-        return float(np.mean(times))
+    def runs(trainer, source_count):
+        data = _timing_dataset(source_count)
+        return [trainer(data, EAConfig(rng_seed=rep, time_cap_seconds=cap)) for rep in range(5)]
 
-    bfm_means = [mean_seconds(bfm, s) for s in counts]
-    real_mean = mean_seconds(real, 8)
-    censored = any(r["censored"] for r in bfm["runs"] + real["runs"])
+    bfm = [runs(train_bfm, s) for s in counts]
+    real = runs(train_real_fm, 8)
+
+    def mean_seconds(results):
+        return float(np.mean([r.wall_time_seconds for r in results]))
+
+    bfm_means = [mean_seconds(results) for results in bfm]
+    real_mean = mean_seconds(real)
+    censored = any(r.terminated_by == "time_cap" for results in bfm + [real] for r in results)
     faster = bfm_means[counts.index(8)] < real_mean
     trend = all(a <= b for a, b in zip(bfm_means, bfm_means[1:]))
     elapsed = time.perf_counter() - t0

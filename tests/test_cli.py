@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
+import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +22,11 @@ from bfmfusion import (
     minimum_measure,
     save_dataset,
     save_measure,
-    validate,
 )
-from bfmfusion.cli import _config_hash, bench_dataset_spec, bench_table, main, run_benchmark
-from bfmfusion.data import generate_synthetic, spec_to_dict
+from bfmfusion.cli import _config_hash, _ea_config, build_parser, main
 from bfmfusion.measures import measure_to_dict
 
+ROOT = Path(__file__).resolve().parents[1]
 TRUTH = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
 
 
@@ -67,6 +69,16 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_readme_documents_each_subcommand_and_train_flag(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        cli = readme[readme.index("## CLI"):readme.index("## JSON formats")]
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert re.findall(r"^### `bfmfusion (\S+)`$", cli, re.M) == list(subparsers.choices)
+        flags = [flag for action in subparsers.choices["train"]._actions
+                 for flag in action.option_strings if flag.startswith("--") and flag != "--help"]
+        assert [flag for flag in flags if not re.search(re.escape(flag) + r"(?![\w-])", cli)] == []
 
 
 class TestSynth:
@@ -256,6 +268,20 @@ class TestTrain:
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_every_search_setting_parses_with_its_type(self):
+        # each EAConfig field but rng_seed, which --seed sets, is a train flag
+        settable = [f for f in fields(EAConfig) if f.name != "rng_seed"]
+        given = {f.name: f.default + 1 if f.type == "int" else 0.25 for f in settable}
+        argv = ["train", "--data", "d.json", "--mode", "bfm", "--out", "r.json"]
+        for name, value in given.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        args = build_parser().parse_args(argv)
+        cfg = _ea_config(args, args.seed)
+        for f in settable:
+            value = getattr(cfg, f.name)
+            assert value == given[f.name]
+            assert type(value) is (int if f.type == "int" else float)
+
     def test_no_elite_refused(self, dataset_path, tmp_path, capsys):
         # with no elite the best table found could be bred away
         out = tmp_path / "result.json"
@@ -290,23 +316,18 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize(
-        "command",
-        [["train", "--mode", "bfm"], ["train", "--mode", "real"],
-         ["bench", "--sources", "3", "--repeats", "1"]],
-        ids=["bfm", "real", "bench"],
-    )
-    def test_out_of_memory_exits_3(self, command, dataset_path, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["bfm", "real"])
+    def test_out_of_memory_exits_3(self, mode, dataset_path, tmp_path, capsys):
         # 10**15 columns exceed the address space, so the first population
         # allocation fails at once instead of growing
-        out = tmp_path / "r.csv"
-        data = ["--data", str(dataset_path)] if command[0] == "train" else []
-        code = main(command + data + ["--population-size", str(10**15), "--out", str(out)])
+        out = tmp_path / "r.json"
+        code = main(["train", "--mode", mode, "--data", str(dataset_path),
+                     "--population-size", str(10**15), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("refused: ") and err.count("\n") == 1
         assert "Traceback" not in err
-        assert not out.exists() and not out.with_suffix(".runs.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["bfm", "real"])
     def test_single_source_exits_1(self, mode, tmp_path, capsys):
@@ -661,12 +682,6 @@ def assert_documented_exit(args):
     return code
 
 
-# Garbage command-line values with no decimal digit, so none parses as a
-# number, and small integers around the valid range
-NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
-SMALL_INTS = st.integers(-3, 4).map(str)
-
-
 # each command that reads a JSON input file, "{in}", and a valid document for it
 INPUT_COMMANDS = pytest.mark.parametrize(
     "argv, valid",
@@ -712,150 +727,3 @@ class TestFuzzedInput:
     def test_undecodable_file_is_one_error(self, tmp_path, argv, valid, content):
         # the decoder raises UnicodeDecodeError and RecursionError on these
         assert run_on_input(argv, tmp_path, content) == 1
-
-    @given(
-        sources=st.lists(st.integers(2, 4).map(str), min_size=1, max_size=2).map(",".join)
-        | st.lists(SMALL_INTS | NO_DIGITS, max_size=3).map(",".join),
-        repeats=st.sampled_from(["1", "2"]) | st.integers(-2, 0).map(str) | NO_DIGITS,
-        cap=st.floats(0.001, 2).map(str)
-        | st.sampled_from(["1e-9", "0", "-1", "nan", "inf"])
-        | NO_DIGITS,
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bench_arguments(self, sources, repeats, cap):
-        # source counts stay at 4 or below, so a valid draw runs in well under a second
-        with tempfile.TemporaryDirectory() as tmp:
-            assert_documented_exit(
-                ["bench", f"--sources={sources}", f"--repeats={repeats}",
-                 f"--cap-seconds={cap}", "--out", str(Path(tmp) / "bench.csv"),
-                 "--population-size", "6", "--elite-count", "1",
-                 "--max-generations", "3", "--stall-generations", "2"]
-            )
-
-
-class TestBenchRecipe:
-    def test_small_source_counts_terminate(self):
-        # S=2 only has two singleton coalitions; the recipe must not demand 3
-        spec = bench_dataset_spec(2)
-        assert spec.source_count == 2
-        assert validate(spec.truth_measure).ok
-
-    def test_three_coalitions_when_available(self):
-        spec = bench_dataset_spec(6)
-        winning = spec.truth_measure
-        from bfmfusion import minimal_winning_coalitions
-
-        coalitions = minimal_winning_coalitions(winning)
-        assert len(coalitions) == 3
-        assert all(len(c) == 3 for c in coalitions)
-
-    def test_deterministic(self):
-        assert spec_to_dict(bench_dataset_spec(5)) == spec_to_dict(bench_dataset_spec(5))
-        assert bench_dataset_spec(5, seed=1) != bench_dataset_spec(5, seed=2)
-
-    def test_rejects_single_source(self):
-        from bfmfusion import ValidationError
-
-        with pytest.raises(ValidationError):
-            bench_dataset_spec(1)
-
-
-class TestBenchmark:
-    QUICK = dict(population_size=12, elite_count=2, max_generations=6,
-                 stall_generations=3)
-
-    def test_records_structure(self):
-        records = run_benchmark([3], repeats=2, cap_seconds=60,
-                                base_cfg=EAConfig(**self.QUICK))
-        assert len(records["runs"]) == 4  # 2 algorithms x 2 repeats
-        run = records["runs"][0]
-        assert set(run) == {
-            "source_count", "algorithm", "repeat", "seconds", "best_objective",
-            "generations_run", "terminated_by", "censored", "cap_too_small",
-        }
-        assert not any(r["censored"] for r in records["runs"])
-
-    def test_table_shape(self):
-        records = run_benchmark([2, 3], repeats=2, cap_seconds=60,
-                                base_cfg=EAConfig(**self.QUICK))
-        table = bench_table(records)
-        assert table[0] == ["algorithm", "metric", "S=2", "S=3"]
-        assert [r[:2] for r in table[1:]] == [
-            ["bfm", "time_seconds"], ["bfm", "best_objective"],
-            ["real", "time_seconds"], ["real", "best_objective"],
-        ]
-
-    def test_censoring_marks_cells(self):
-        records = run_benchmark([3], repeats=1, cap_seconds=1e-6,
-                                base_cfg=EAConfig(**self.QUICK))
-        assert all(r["censored"] and r["cap_too_small"] for r in records["runs"])
-        table = bench_table(records)
-        assert table[1][2] == ">1e-06s"
-
-    def test_validation(self):
-        from bfmfusion import ValidationError
-
-        with pytest.raises(ValidationError):
-            run_benchmark([3], repeats=0, cap_seconds=60)
-        with pytest.raises(ValidationError):
-            run_benchmark([1, 3], repeats=1, cap_seconds=60)
-        with pytest.raises(ValidationError):
-            run_benchmark([3], repeats=1, cap_seconds=60, algorithms=("bfm", "magic"))
-
-    def test_cli_end_to_end(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--sources", "2,3", "--repeats", "2",
-                     "--cap-seconds", "30", "--out", str(out),
-                     "--population-size", "12", "--elite-count", "2",
-                     "--max-generations", "6", "--stall-generations", "3"])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "S=2" in printed and "wrote" in printed
-
-        rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[0] == ["algorithm", "metric", "S=2", "S=3"]
-        assert len(rows) == 5
-        records = json.loads((tmp_path / "bench.runs.json").read_text())
-        assert len(records["runs"]) == 8
-        assert records["provenance"]["version"]
-
-    def test_cap_too_small_warns(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--sources", "3", "--repeats", "1",
-                     "--cap-seconds", "0.000001", "--out", str(out),
-                     "--population-size", "12", "--elite-count", "2",
-                     "--max-generations", "6", "--stall-generations", "3"])
-        assert code == 0
-        assert "too small" in capsys.readouterr().err
-
-    def test_bad_sources(self, tmp_path, capsys):
-        code = main(["bench", "--sources", "6,x", "--repeats", "1",
-                     "--out", str(tmp_path / "b.csv")])
-        assert code == 1
-        assert "comma-separated" in capsys.readouterr().err
-
-    def test_empty_sources(self, tmp_path, capsys):
-        code = main(["bench", "--sources", ",", "--repeats", "1",
-                     "--out", str(tmp_path / "b.csv")])
-        assert code == 1
-
-    def test_overwrite_refused(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        args = ["bench", "--sources", "2", "--repeats", "1", "--cap-seconds", "30",
-                "--out", str(out), "--population-size", "12", "--elite-count", "2",
-                "--max-generations", "4", "--stall-generations", "2"]
-        assert main(args) == 0
-        runs_before = (tmp_path / "bench.runs.json").read_bytes()
-        assert main(args) == 1
-        # the refusal happens before either file is rewritten
-        assert (tmp_path / "bench.runs.json").read_bytes() == runs_before
-        assert main(args + ["--force"]) == 0
-
-    def test_existing_out_refused_before_running(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("bfmfusion.cli.run_benchmark", must_not_run)
-        out = tmp_path / "bench.csv"
-        out.write_text("")
-        code = main(["bench", "--sources", "2", "--repeats", "1", "--out", str(out)])
-        assert code == 1
-        assert "--force" in capsys.readouterr().err
-        assert not (tmp_path / "bench.runs.json").exists()

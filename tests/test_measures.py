@@ -487,6 +487,16 @@ class TestMeasureSemantics:
         with pytest.raises(ValidationError, match=r"^values length 2 != 2\*\*3 = 8$"):
             kind(3, [0, 1])
 
+    @pytest.mark.parametrize("values", [[0, 1], [0, 1, 2]], ids=["short", "non-bit"])
+    def test_a_refused_measure_prints_no_structure(self, values):
+        # pytest and debuggers print the half-built measure of the refusing frame
+        with pytest.raises(ValidationError) as refused:
+            BinaryFuzzyMeasure(3, np.array(values))
+        tb = refused.value.__traceback__
+        while tb.tb_frame.f_code.co_name != "__post_init__":
+            tb = tb.tb_next
+        assert repr(tb.tb_frame.f_locals["self"]) == "BinaryFuzzyMeasure(S=3, table not stored)"
+
     def test_real_repr(self):
         assert repr(sample_random_real(4, 0)) == "RealFuzzyMeasure(S=4)"
 

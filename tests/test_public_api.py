@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -33,3 +34,23 @@ def test_readme_quickstart_runs():
     )
     assert run.returncode == 0, run.stderr
     assert antichain in run.stdout.splitlines()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export, so it is the one module left out
+    unused = []
+    for path in sorted((ROOT / "src" / "bfmfusion").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unused += [
+                    f"{path.name}: {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert unused == []
