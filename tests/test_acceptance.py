@@ -172,7 +172,7 @@ def test_4_planted_antichain_recovery(capsys):
     )
 
 
-def _timing_dataset(source_count):
+def timing_spec(source_count):
     """Noise-free data around up to 3 planted coalitions of size ceil(S/2).
 
     Equal sizes make the coalitions minimal, no noise lets the binary search
@@ -186,17 +186,15 @@ def _timing_dataset(source_count):
     while len(coalitions) < min(3, math.comb(source_count, size)):
         coalitions.add(frozenset(int(i) for i in rng.permutation(source_count)[:size]))
     truth = from_minimal_coalitions(source_count, sorted(coalitions, key=sorted))
-    return generate_synthetic(
-        SynthSpec(
-            source_count=source_count,
-            n_pos_bags=2 * source_count,
-            n_neg_bags=2 * source_count,
-            sets_per_bag=(2, 3),
-            instances_per_set=(3, 4),
-            noise_sigma=0.0,
-            truth_measure=truth,
-            rng_seed=int(rng.integers(2**31)),
-        )
+    return SynthSpec(
+        source_count=source_count,
+        n_pos_bags=2 * source_count,
+        n_neg_bags=2 * source_count,
+        sets_per_bag=(2, 3),
+        instances_per_set=(3, 4),
+        noise_sigma=0.0,
+        truth_measure=truth,
+        rng_seed=int(rng.integers(2**31)),
     )
 
 
@@ -207,7 +205,7 @@ def test_5_binary_training_speed_advantage(capsys):
     t0 = time.perf_counter()
 
     def runs(trainer, source_count):
-        data = _timing_dataset(source_count)
+        data = generate_synthetic(timing_spec(source_count))
         return [trainer(data, EAConfig(rng_seed=rep, time_cap_seconds=cap)) for rep in range(5)]
 
     bfm = [runs(train_bfm, s) for s in counts]

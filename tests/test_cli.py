@@ -70,6 +70,13 @@ class TestTopLevel:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_retired_bench_is_a_usage_error(self, capsys):
+        # perfbench times the trainers; the CLI no longer has a bench subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sources", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_readme_documents_each_subcommand_and_train_flag(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         cli = readme[readme.index("## CLI"):readme.index("## JSON formats")]
@@ -682,6 +689,13 @@ def assert_documented_exit(args):
     return code
 
 
+# Garbage command-line values with no decimal digit, so none parses as a
+# number, and small integers and reals around the valid ranges
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+SMALL_INTS = st.integers(-3, 4).map(str)
+SMALL_REALS = st.floats(-0.5, 2).map(str) | st.sampled_from(["1e-9", "0", "-1", "nan", "inf"])
+
+
 # each command that reads a JSON input file, "{in}", and a valid document for it
 INPUT_COMMANDS = pytest.mark.parametrize(
     "argv, valid",
@@ -727,3 +741,23 @@ class TestFuzzedInput:
     def test_undecodable_file_is_one_error(self, tmp_path, argv, valid, content):
         # the decoder raises UnicodeDecodeError and RecursionError on these
         assert run_on_input(argv, tmp_path, content) == 1
+
+    @pytest.mark.parametrize("mode", ["bfm", "real"])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_search_flags(self, mode, data):
+        # counts stay at 4 or below, so a valid draw trains in well under a second
+        given = {"seed": data.draw(SMALL_INTS)}
+        for f in fields(EAConfig):
+            if f.name != "rng_seed":
+                given[f.name] = data.draw(SMALL_INTS if f.type == "int" else SMALL_REALS)
+        # at most one value that is no number, so most draws reach the search
+        garbage = data.draw(st.none() | st.sampled_from(sorted(given)))
+        if garbage:
+            given[garbage] = data.draw(NO_DIGITS)
+        argv = ["train", "--mode", mode]
+        argv += [f"--{name.replace('_', '-')}={value}" for name, value in given.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.json"
+            path.write_text(json.dumps(DATASET_DOC))
+            assert_documented_exit(argv + ["--data", str(path), "--out", str(Path(tmp) / "out")])

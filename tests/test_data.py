@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -27,6 +28,7 @@ from bfmfusion import (
     spec_to_dict,
 )
 from bfmfusion import data as data_module
+from test_acceptance import timing_spec
 
 TRUTH3 = from_minimal_coalitions(3, [{0, 1}, {0, 2}])
 
@@ -674,3 +676,31 @@ class TestGenerator:
         assert not np.allclose(clean.instance_matrix(), noisy.instance_matrix())
         # labels computed pre-noise: identical across the two
         assert np.array_equal(clean.flat_truth(), noisy.flat_truth())
+
+
+class TestTimingRecipe:
+    """Acceptance test 5's datasets. The digests are those of the data the
+    retired `bfmfusion bench` recipe generated, so test 5 times the same work."""
+
+    @pytest.mark.parametrize(
+        "s, digest",
+        [(6, "946c3d7624de8364"), (8, "f5f2e60bc3f6f93a"), (10, "761e2d4d730096fd"),
+         (12, "d8fdf7d8eae961a5")],
+    )
+    def test_same_data_as_the_bench_recipe(self, s, digest):
+        ds = generate_synthetic(timing_spec(s))
+        h = hashlib.sha256()
+        for column in (ds.instance_matrix(), ds.set_offsets, ds.bag_offsets, ds.labels(),
+                       ds.flat_truth()):
+            h.update(column.tobytes())
+        assert h.hexdigest()[:16] == digest
+
+    def test_small_source_counts_terminate(self):
+        # S=2 only has two singleton coalitions; the recipe must not demand 3
+        spec = timing_spec(2)
+        assert minimal_winning_coalitions(spec.truth_measure) == [(0,), (1,)]
+
+    def test_three_coalitions_when_available(self):
+        coalitions = minimal_winning_coalitions(timing_spec(6).truth_measure)
+        assert len(coalitions) == 3
+        assert all(len(c) == 3 for c in coalitions)

@@ -146,6 +146,13 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="unknown rng stream 'nope'"):
             substream(0, "nope")
 
+    @pytest.mark.parametrize("name, code", [("synth", 0), ("init", 1), ("mutation", 2)])
+    def test_stream_code_is_fixed(self, name, code):
+        # a renumbered stream would change every draw made from it
+        want = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(code, 4)))
+        assert substream(7, name, 4).integers(2**62, size=4).tolist() == \
+            want.integers(2**62, size=4).tolist()
+
 
 class TestTraceShape:
     def test_non_increasing_and_final(self):
