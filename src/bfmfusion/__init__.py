@@ -10,7 +10,7 @@ Typical flow: build or load a `Dataset`, call `train_bfm` to learn a
 `score` to evaluate them against instance-level truth.
 """
 
-from .choquet import choquet_batch, choquet_integral, choquet_maxmin
+from .choquet import choquet_batch, choquet_maxmin
 from .data import (
     Bag,
     CandidateSet,
@@ -71,7 +71,6 @@ from .optimizer import (
     train_exhaustive,
     train_real_fm,
 )
-from .rng import substream
 
 __version__ = "0.1.0"
 
@@ -98,7 +97,6 @@ __all__ = [
     "ValidationError",
     "ValidityReport",
     "choquet_batch",
-    "choquet_integral",
     "choquet_maxmin",
     "count_all",
     "dataset_from_dict",
@@ -127,7 +125,6 @@ __all__ = [
     "set_with_repair",
     "spec_from_dict",
     "spec_to_dict",
-    "substream",
     "train_bfm",
     "train_exhaustive",
     "train_real_fm",

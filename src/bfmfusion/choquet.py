@@ -129,20 +129,11 @@ def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:
     return out
 
 
-def choquet_integral(h, measure: Measure) -> float:
-    """Choquet integral of one confidence vector; result is in [min h, max h].
-
-    Out-of-range confidences are rejected rather than clamped: silent
-    clamping would hide upstream normalization bugs.
-    """
-    return float(choquet_batch([h], measure)[0])
-
-
 def choquet_maxmin(h, measure: BinaryFuzzyMeasure) -> float:
     """Max over winning coalitions of the min confidence inside the coalition.
 
-    Equivalent to `choquet_integral` for binary measures; kept as a
-    brute-force oracle over the full subset scan.
+    Equal to `choquet_batch` of the one row h for binary measures; kept as
+    a brute-force oracle over the full subset scan.
     """
     if not isinstance(measure, BinaryFuzzyMeasure):
         raise ValidationError("the max-min form is defined for binary measures only")

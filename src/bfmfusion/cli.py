@@ -8,8 +8,9 @@ Subcommands wire the library into reproducible runs:
 
 Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 cap refusal
 or a run out of memory.
-Every persisted artifact embeds the seed, a hash of the run configuration,
-and the tool version, so outputs are traceable to their inputs.
+The synth manifest, the train result and score.json embed the seed (null in
+score.json), a hash of the run configuration and the tool version; the
+dataset, fusion.csv and roc.csv carry none of these.
 """
 
 from __future__ import annotations
@@ -70,17 +71,13 @@ def _claim(force: bool, *paths) -> None:
             raise ValidationError(f"{path} exists; pass --force to overwrite")
 
 
-def _ea_config(args, seed: int) -> EAConfig:
-    kwargs = {"rng_seed": seed}
-    for field in fields(EAConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            kwargs[field.name] = value
-    return EAConfig(**kwargs)
+def _ea_config(args) -> EAConfig:
+    given = {f.name: getattr(args, f.name) for f in fields(EAConfig)}
+    return EAConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
+    return "--" + name.removeprefix("rng_").replace("_", "-")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -128,18 +125,16 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     if args.mode == "bfm-exhaustive":
         # the scan visits every measure once, so no search setting applies
-        for field in fields(EAConfig):
-            if getattr(args, field.name, None) is not None:
-                raise ValidationError(
-                    f"{_flag(field.name)} does not apply to --mode bfm-exhaustive"
-                )
+        given = [f.name for f in fields(EAConfig) if getattr(args, f.name) is not None]
+        if given:
+            raise ValidationError(f"{_flag(given[0])} does not apply to --mode bfm-exhaustive")
     data = load_dataset(args.data)
-    cfg = _ea_config(args, args.seed)
+    cfg = _ea_config(args)
     _claim(args.force, args.out)
     # one compilation serves the training and the explanation
     prepared = prepare(data)
 
-    run_config = {"mode": args.mode, "seed": args.seed}
+    run_config = {"mode": args.mode, "seed": cfg.rng_seed}
     if args.mode == "bfm-exhaustive":
         # the scan reads no search setting, so none is recorded or hashed
         result, config = train_exhaustive(prepared), None
@@ -153,11 +148,11 @@ def cmd_train(args) -> int:
     payload = {
         "command": "train",
         "mode": args.mode,
-        "seed": args.seed,
+        "seed": cfg.rng_seed,
         "config": config,
         "data_path": str(args.data),
         "result": result.to_json_dict(),
-        "provenance": _provenance(args.seed, run_config),
+        "provenance": _provenance(cfg.rng_seed, run_config),
     }
     if args.explain:
         breakdown = objective(result.best_measure, prepared)
@@ -246,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn a measure from a dataset")
     p.add_argument("--data", required=True, help="dataset JSON path")
     p.add_argument("--mode", required=True, choices=TRAIN_MODES)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="result JSON output path")
     p.add_argument(
         "--explain",
@@ -255,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g = p.add_argument_group("search settings (defaults per EAConfig)")
     for field in fields(EAConfig):
-        # rng_seed is set by --seed; annotations are strings under postponed evaluation
-        if field.name != "rng_seed":
-            g.add_argument(_flag(field.name), type=int if field.type in (int, "int") else float)
+        # rng_seed is spelled --seed; annotations are strings under postponed evaluation
+        g.add_argument(_flag(field.name), dest=field.name,
+                       type=int if field.type in (int, "int") else float)
     _add_common_flags(p)
     p.set_defaults(func=cmd_train)
 

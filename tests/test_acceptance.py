@@ -16,7 +16,7 @@ from bfmfusion import (
     Dataset,
     EAConfig,
     SynthSpec,
-    choquet_integral,
+    choquet_batch,
     choquet_maxmin,
     enumerate_all,
     from_minimal_coalitions,
@@ -62,7 +62,7 @@ def test_1_aggregation_equivalence(capsys):
         s = int(rng.integers(2, 7))
         g = sample_random(s, float(rng.uniform(0.2, 0.8)), rng)
         h = rng.random(s)
-        max_dev = max(max_dev, abs(choquet_integral(h, g) - choquet_maxmin(h, g)))
+        max_dev = max(max_dev, abs(choquet_batch([h], g)[0] - choquet_maxmin(h, g)))
     elapsed = time.perf_counter() - t0
     _report(
         capsys,

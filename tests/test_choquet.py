@@ -10,7 +10,6 @@ from bfmfusion import (
     RealFuzzyMeasure,
     ValidationError,
     choquet_batch,
-    choquet_integral,
     choquet_maxmin,
     enumerate_all,
     from_minimal_coalitions,
@@ -37,25 +36,25 @@ def decompose(X):
 class TestHandCases:
     def test_worked_example(self):
         h = [0.2, 0.9, 0.5]
-        assert choquet_integral(h, PAPER_STYLE) == pytest.approx(0.2, abs=1e-15)
+        assert choquet_batch([h], PAPER_STYLE)[0] == pytest.approx(0.2, abs=1e-15)
         assert choquet_maxmin(h, PAPER_STYLE) == pytest.approx(0.2, abs=1e-15)
 
     def test_max_degeneracy(self):
         h = [0.3, 0.7, 0.1]
-        assert choquet_integral(h, maximum_measure(3)) == pytest.approx(0.7, abs=1e-12)
+        assert choquet_batch([h], maximum_measure(3))[0] == pytest.approx(0.7, abs=1e-12)
         assert choquet_maxmin(h, maximum_measure(3)) == 0.7
 
     def test_min_degeneracy(self):
         h = [0.3, 0.7, 0.1]
         # single-term sum: exact
-        assert choquet_integral(h, minimum_measure(3)) == 0.1
+        assert choquet_batch([h], minimum_measure(3))[0] == 0.1
         assert choquet_maxmin(h, minimum_measure(3)) == 0.1
 
     def test_constant_preservation_all_measures(self):
         for s in (2, 3, 4):
             for g in enumerate_all(s):
                 for c in (0.0, 0.25, 1.0):
-                    assert choquet_integral([c] * s, g) == pytest.approx(c, abs=1e-12)
+                    assert choquet_batch([[c] * s], g)[0] == pytest.approx(c, abs=1e-12)
 
 
 class TestOracleAgreement:
@@ -65,7 +64,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(seed)
         g = sample_random(s, float(rng.uniform(0.2, 0.8)), rng)
         h = random_instance(rng, s)
-        assert abs(choquet_integral(h, g) - choquet_maxmin(h, g)) <= 1e-12
+        assert abs(choquet_batch([h], g)[0] - choquet_maxmin(h, g)) <= 1e-12
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
@@ -73,7 +72,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(seed)
         g = sample_random(s, 0.5, rng)
         h = random_instance(rng, s)
-        assert choquet_integral(h, g) == pytest.approx(
+        assert choquet_batch([h], g)[0] == pytest.approx(
             naive_choquet(h, g.values), abs=1e-12
         )
 
@@ -83,7 +82,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(seed)
         g = sample_random_real(s, rng)
         h = random_instance(rng, s)
-        assert choquet_integral(h, g) == pytest.approx(
+        assert choquet_batch([h], g)[0] == pytest.approx(
             naive_choquet(h, g.values), abs=1e-12
         )
 
@@ -95,7 +94,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         g = sample_random_real(s, rng) if seed % 2 else sample_random(s, 0.5, rng)
         h = random_instance(rng, s)
-        ci = choquet_integral(h, g)
+        ci = choquet_batch([h], g)[0]
         assert h.min() - 1e-12 <= ci <= h.max() + 1e-12
 
     @given(seed=st.integers(0, 2**31 - 1), s=st.integers(2, 5), data=st.data())
@@ -108,14 +107,14 @@ class TestProperties:
         bump = data.draw(st.floats(0.0, float(1.0 - h[i])))
         h2 = h.copy()
         h2[i] = h[i] + bump
-        assert choquet_integral(h2, g) >= choquet_integral(h, g) - 1e-12
+        assert choquet_batch([h2], g)[0] >= choquet_batch([h], g)[0] - 1e-12
 
     def test_tie_order_invariance(self):
         # equal confidences contribute zero-width differences
         g = PAPER_STYLE
-        assert choquet_integral([0.5, 0.5, 0.5], g) == 0.5
+        assert choquet_batch([[0.5, 0.5, 0.5]], g)[0] == 0.5
         h = [0.4, 0.4, 0.9]
-        assert choquet_integral(h, g) == pytest.approx(
+        assert choquet_batch([h], g)[0] == pytest.approx(
             naive_choquet(h, g.values), abs=1e-15
         )
 
@@ -123,15 +122,15 @@ class TestProperties:
 class TestValidation:
     def test_out_of_range_rejected_not_clamped(self):
         with pytest.raises(ValidationError):
-            choquet_integral([0.2, 1.3, 0.5], PAPER_STYLE)
+            choquet_batch([[0.2, 1.3, 0.5]], PAPER_STYLE)
         with pytest.raises(ValidationError):
-            choquet_integral([-0.1, 0.3, 0.5], PAPER_STYLE)
+            choquet_batch([[-0.1, 0.3, 0.5]], PAPER_STYLE)
         with pytest.raises(ValidationError):
             choquet_maxmin([0.2, 1.3, 0.5], PAPER_STYLE)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            choquet_integral([0.2, 0.9], PAPER_STYLE)
+            choquet_batch([[0.2, 0.9]], PAPER_STYLE)
         with pytest.raises(ValidationError):
             choquet_maxmin([0.2, 0.9, 0.5, 0.1], PAPER_STYLE)
 
@@ -151,14 +150,12 @@ class TestValidation:
         # {0} wins but the full set loses: the sum form read 0.2 here, and
         # the max-min form would read 0.3
         bad = BinaryFuzzyMeasure(2, [0, 1, 0, 0])
-        for call in (choquet_integral, lambda h, g: choquet_batch([h], g)):
-            with pytest.raises(ValidationError, match="measure is invalid"):
-                call([0.5, 0.3], bad)
+        with pytest.raises(ValidationError, match="measure is invalid"):
+            choquet_batch([[0.5, 0.3]], bad)
 
     def test_short_table_refused(self):
-        for call in (choquet_integral, lambda h, g: choquet_batch([h], g)):
-            with pytest.raises(ValidationError, match="values length"):
-                call([0.5, 0.3], BinaryFuzzyMeasure(2, [0, 1]))
+        with pytest.raises(ValidationError, match="values length"):
+            choquet_batch([[0.5, 0.3]], BinaryFuzzyMeasure(2, [0, 1]))
 
     def test_maxmin_requires_binary(self):
         g = RealFuzzyMeasure(2, np.array([0.0, 0.5, 0.5, 1.0]))
@@ -177,7 +174,7 @@ class TestBatch:
         g = sample_random(4, 0.5, rng)
         batch = choquet_batch(X, g)
         for i in range(40):
-            assert batch[i] == choquet_integral(X[i], g)
+            assert batch[i] == choquet_batch([X[i]], g)[0]
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
     def test_binary_batch_is_maxmin_exactly(self, s):

@@ -262,28 +262,30 @@ class TestTrain:
         "flag, value",
         [("--population-size", "7"), ("--elite-count", "1"), ("--small-mutation-rate", "0.5"),
          ("--max-generations", "3"), ("--stall-generations", "2"),
-         ("--fitness-tolerance", "0.1"), ("--time-cap-seconds", "1e-6")],
+         ("--fitness-tolerance", "0.1"), ("--time-cap-seconds", "1e-6"), ("--seed", "3")],
     )
-    def test_exhaustive_refuses_search_settings(self, flag, value, dataset_path, tmp_path,
-                                                capsys):
-        # the scan would ignore each of them, the time cap included
+    def test_exhaustive_refuses_search_settings(self, flag, value, tmp_path, capsys):
+        # the scan would ignore each of them, the time cap and the seed
+        # included; refused before --data is read, so an absent file is not
+        # reached
         out = tmp_path / "result.json"
-        code = main(["train", "--data", str(dataset_path), "--mode", "bfm-exhaustive",
-                     "--out", str(out), flag, value])
+        code = main(["train", "--data", str(tmp_path / "absent.json"),
+                     "--mode", "bfm-exhaustive", "--out", str(out), flag, value])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert err == f"error: {flag} does not apply to --mode bfm-exhaustive\n"
         assert not out.exists()
 
     def test_every_search_setting_parses_with_its_type(self):
-        # each EAConfig field but rng_seed, which --seed sets, is a train flag
-        settable = [f for f in fields(EAConfig) if f.name != "rng_seed"]
+        # each EAConfig field is a train flag; rng_seed is spelled --seed
+        settable = fields(EAConfig)
         given = {f.name: f.default + 1 if f.type == "int" else 0.25 for f in settable}
         argv = ["train", "--data", "d.json", "--mode", "bfm", "--out", "r.json"]
         for name, value in given.items():
-            argv += ["--" + name.replace("_", "-"), str(value)]
+            flag = "--seed" if name == "rng_seed" else "--" + name.replace("_", "-")
+            argv += [flag, str(value)]
         args = build_parser().parse_args(argv)
-        cfg = _ea_config(args, args.seed)
+        cfg = _ea_config(args)
         for f in settable:
             value = getattr(cfg, f.name)
             assert value == given[f.name]

@@ -203,6 +203,24 @@ class TestSerialization:
         back = load_dataset(p)
         assert dataset_to_dict(back) == dataset_to_dict(ds)
 
+    def test_integer_tokens_load_as_their_float_twin(self, tmp_path):
+        # another writer may spell a whole-number confidence 0 or 1; clipped
+        # noise puts some at both ends here
+        doc = dataset_to_dict(generate_synthetic(spec3(sigma=0.3)))
+        floats = json.dumps(doc)
+        for bag in doc["bags"]:
+            bag["candidate_sets"] = [
+                [[int(v) if v.is_integer() else v for v in row] for row in rows]
+                for rows in bag["candidate_sets"]
+            ]
+        ints = json.dumps(doc)
+        rows = [row for bag in doc["bags"] for rows in bag["candidate_sets"] for row in rows]
+        assert {v for row in rows for v in row if type(v) is int} == {0, 1}
+        (tmp_path / "floats.json").write_text(floats)
+        (tmp_path / "ints.json").write_text(ints)
+        assert_same_columns(load_dataset(tmp_path / "ints.json"),
+                            load_dataset(tmp_path / "floats.json"))
+
     def test_minimal_file(self, tmp_path):
         p = tmp_path / "tiny.json"
         p.write_text(

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -54,3 +55,40 @@ def test_no_module_imports_a_name_it_never_uses():
                     if (alias.asname or alias.name.split(".")[0]) not in used
                 ]
     assert unused == []
+
+
+def test_names_the_benchmark_calls_resolve():
+    # perfbench reaches the package through `bfmfusion.` attribute chains and
+    # through trainer names that each workload's `plan` gives and
+    # bfmfusion.optimizer resolves, so a removal would fail only there
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # as the file does: import bfmfusion.cli
+            for alias in node.names:
+                if alias.name.split(".")[0] == "bfmfusion":
+                    importlib.import_module(alias.name)
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "bfmfusion":
+            chains.add(".".join(parts))
+    assert {"choquet_maxmin", "cli.main", "optimizer"} <= chains
+
+    def missing(obj, chain):
+        for part in chain.split("."):
+            obj = getattr(obj, part, None)
+        return obj is None
+
+    assert sorted(c for c in chains if missing(bfmfusion, c)) == []
+    # plan returns (key, trainer name, dataset key, EAConfig) tuples
+    trainers = {
+        node.elts[1].value
+        for plan in ast.walk(tree) if isinstance(plan, ast.FunctionDef) and plan.name == "plan"
+        for node in ast.walk(plan)
+        if isinstance(node, ast.Tuple) and len(node.elts) == 4
+        and isinstance(node.elts[1], ast.Constant)
+    }
+    assert "train_bfm" in trainers
+    assert sorted(t for t in trainers if not callable(getattr(bfmfusion.optimizer, t, None))) == []
