@@ -128,8 +128,8 @@ def cmd_train(args) -> int:
         given = [f.name for f in fields(EAConfig) if getattr(args, f.name) is not None]
         if given:
             raise ValidationError(f"{_flag(given[0])} does not apply to --mode bfm-exhaustive")
+    cfg = _ea_config(args)  # checked before the data is read
     data = load_dataset(args.data)
-    cfg = _ea_config(args)
     _claim(args.force, args.out)
     # one compilation serves the training and the explanation
     prepared = prepare(data)

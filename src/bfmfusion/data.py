@@ -31,10 +31,11 @@ JSON I/O holds arrays, not trees. `save_dataset` writes the bytes of
 `json.dumps(dataset_to_dict(ds))` a block of bags at a time, one C-encoder
 call a block. `load_dataset` decodes the file through an object hook that
 packs each bag as it closes into a float64 rows array and its set sizes,
-when every row is a list of floats of one length. Any bag that does not
-pack is checked as JSON-shaped lists, with the same diagnostics, and the
-width and range checks run once, on the whole matrix, as they do on the
-`CandidateSet` arrays of a hand-made `Dataset(...)`.
+when every row is a list of ints and floats of one length: `_pack` is the
+one conversion of JSON rows. The width and range checks run once, on the
+whole matrix, as on the `CandidateSet` arrays of a hand-made `Dataset`;
+only a refusal walks the rows as written, and a refused file is read
+again as plain JSON, so the plain reading words every refusal.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ class Dataset:
             raise ValidationError("bags must be a non-empty list")
         sets = [cs.instances for bag in bags for cs in bag.candidate_sets]
         self._set_columns(*_columns(
-            source_count, sets, list(map(len, sets)), [len(bag.candidate_sets) for bag in bags],
-            [bag.label for bag in bags], instance_truth,
+            source_count, sets, sets, list(map(len, sets)),
+            [len(bag.candidate_sets) for bag in bags], [bag.label for bag in bags], instance_truth,
         ))
 
     @classmethod
@@ -190,30 +191,28 @@ def _bag_blocks(offsets: np.ndarray, budget: int) -> list[slice]:
 
 
 class _PackedSets(NamedTuple):
-    """A bag's candidate sets as one float64 (rows, width) array and the set
-    sizes. Its repr is that of the nested lists it stands for, so a
-    diagnostic that shows one reads as it would for the lists."""
+    """A bag's candidate sets as one float64 (rows, width) array and the set sizes."""
 
     rows: np.ndarray
     sizes: tuple
 
-    def __repr__(self) -> str:
-        return repr(_nest(self.rows.tolist(), _offsets(self.sizes).tolist()))
-
 
 def _pack(sets) -> _PackedSets | None:
     """A bag's JSON candidate sets packed, if they are a non-empty list of
-    non-empty lists of rows that are lists of floats of one length; else
-    None. Never raises."""
+    non-empty lists of rows that are lists of ints and floats of one length,
+    none too large for a float64; else None. Never raises."""
     # each check is one pass in C: the decoder calls this once a bag
     if type(sets) is not list or set(map(type, sets)) != {list} or not all(sets):
         return None
     rows = list(chain.from_iterable(sets))
     if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
         return None
-    if set(map(type, chain.from_iterable(rows))) != {float}:
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         return None
-    return _PackedSets(np.array(rows), tuple(map(len, sets)))
+    try:
+        return _PackedSets(np.array(rows, dtype=np.float64), tuple(map(len, sets)))
+    except OverflowError:
+        return None
 
 
 def _pack_bag(obj: dict) -> dict:
@@ -226,18 +225,6 @@ def _pack_bag(obj: dict) -> dict:
     return obj
 
 
-def _float_rows(rows: list) -> np.ndarray | None:
-    """Rows of ints and floats of one length as a float64 matrix, else None;
-    the float64 cast alone would also take strings, booleans and nulls."""
-    try:
-        X = np.array(rows, dtype=np.float64)
-        if X.ndim == 2 and set(map(type, chain.from_iterable(rows))) <= {int, float}:
-            return X
-    except (TypeError, ValueError, OverflowError):
-        pass
-    return None
-
-
 def _parse(source_count, bags, truth) -> tuple:
     """Check JSON-shaped bags one by one, packing each where `_pack` can,
     then all instance rows as one array.
@@ -246,8 +233,7 @@ def _parse(source_count, bags, truth) -> tuple:
     source_count = _check_source_count(source_count)
     if not isinstance(bags, list) or not bags:
         raise ValidationError("bags must be a non-empty list")
-    # per bag, its packed rows, or the rows as they are where it did not pack
-    pieces, labels, set_sizes, sets_per_bag = [], [], [], []
+    arrays, written, labels, set_sizes, sets_per_bag = [], [], [], [], []
     for b, bag in enumerate(bags):
         if not isinstance(bag, dict) or not {"label", "candidate_sets"} <= bag.keys():
             raise ValidationError(f"bag {b}: expected label and candidate_sets fields")
@@ -256,36 +242,39 @@ def _parse(source_count, bags, truth) -> tuple:
             raise ValidationError(f"bag {b}: label must be the integer 0 or 1, got {label!r}")
         packed = sets if isinstance(sets, _PackedSets) else _pack(sets)
         if packed is None:
-            if not isinstance(sets, list) or not sets:
+            if type(sets) is not list or not sets:
                 raise ValidationError(f"bag {b}: candidate_sets must be a non-empty list")
             for c, set_rows in enumerate(sets):
-                if not isinstance(set_rows, list) or not set_rows:
+                if type(set_rows) is not list or not set_rows:
                     raise ValidationError(f"bag {b}, candidate set {c}: must be a non-empty list")
-            packed = list(chain.from_iterable(sets)), tuple(map(len, sets))
+            packed = None, tuple(map(len, sets))
         rows, sizes = packed
-        pieces.append(rows)
+        arrays.append(rows)
+        written.append(rows if packed is sets else sets)  # the decoder's array, or the sets
         set_sizes.extend(sizes)
         sets_per_bag.append(len(sizes))
         labels.append(label)
-    return _columns(source_count, pieces, set_sizes, sets_per_bag, labels, truth)
+    return _columns(source_count, arrays, written, set_sizes, sets_per_bag, labels, truth)
 
 
-def _columns(source_count, pieces, set_sizes, sets_per_bag, labels, truth) -> tuple:
-    """The columns of bags from their rows in flatten order, each piece a
-    float64 array or a list of JSON rows, their set sizes and counts, labels
-    and nested truth. The width and range checks run once, on the whole
-    matrix; only if they fail are the rows walked, to name the first bad one."""
+def _columns(source_count, arrays, written, set_sizes, sets_per_bag, labels, truth) -> tuple:
+    """The columns of bags from their rows in flatten order, as float64
+    `arrays` (None where rows did not pack) and as `written` (float64 arrays
+    or lists of JSON candidate sets); their set sizes and counts, labels and
+    nested truth. The width and range checks run once, on the whole matrix;
+    only if they fail are the rows as written walked, to name the first bad one."""
     set_offsets, bag_offsets = _offsets(set_sizes), _offsets(sets_per_bag)
-    arrays = [p if isinstance(p, np.ndarray) else _float_rows(p) for p in pieces]
-    try:  # a None, from rows that did not convert, or two widths fail here
+    try:  # a None or two widths fail here
         X = np.concatenate(arrays)
         ok = X.shape[1] == source_count and _in_unit_interval(X)
     except ValueError:
         ok = False
     if not ok:
-        rows = chain.from_iterable(p.tolist() if isinstance(p, np.ndarray) else p for p in pieces)
+        rows = chain.from_iterable(
+            w.tolist() if isinstance(w, np.ndarray) else chain.from_iterable(w) for w in written
+        )
         k, row = next((k, row) for k, row in enumerate(rows) if not (
-            isinstance(row, list) and len(row) == source_count
+            type(row) is list and len(row) == source_count
             and all(type(v) in (int, float) and 0.0 <= v <= 1.0 for v in row)
         ))
         raise ValidationError(
@@ -397,8 +386,22 @@ def save_dataset(path, ds: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     """Parse and validate a dataset file; diagnostics carry bag/set/instance
     indices. Each bag's candidate sets are packed as the decoder closes the
-    bag (see `_pack`), so the whole file is never held as Python floats."""
-    return dataset_from_dict(_read_json(path, object_hook=_pack_bag))
+    bag (see `_pack`), so the whole file is never held as Python floats.
+
+    A refused file is read again as plain JSON, the first reading and its
+    traceback dropped, so `dataset_from_dict(json.load(...))` words the
+    refusal; where it does not decode again (a drained pipe), the first
+    refusal, naming the same place, stands."""
+    obj = _read_json(path, object_hook=_pack_bag)
+    try:
+        return dataset_from_dict(obj)
+    except ValidationError as e:
+        obj, refusal = None, e.with_traceback(None)
+    try:
+        obj = _read_json(path)
+    except (ValidationError, OSError):
+        raise refusal from None
+    return dataset_from_dict(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,16 @@ class TestTrain:
         assert err == f"error: {flag} does not apply to --mode bfm-exhaustive\n"
         assert not out.exists()
 
+    def test_search_settings_checked_before_data_is_read(self, tmp_path, capsys):
+        # an absent --data would exit 2; the setting is refused first
+        out = tmp_path / "result.json"
+        code = main(["train", "--data", str(tmp_path / "absent.json"), "--mode", "bfm",
+                     "--population-size", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "population_size" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_every_search_setting_parses_with_its_type(self):
         # each EAConfig field is a train flag; rng_seed is spelled --seed
         settable = fields(EAConfig)
