@@ -65,7 +65,9 @@ def _provenance(seed: Optional[int], config: dict) -> dict:
 
 
 def _claim(force: bool, *paths) -> None:
-    """Refuse, before any work starts, to overwrite an existing output unless forced."""
+    """Refuse to overwrite an existing output unless forced. Subcommands call
+    this after reading their inputs and before any synthesis, training or
+    fusion, so a refused command writes nothing."""
     for path in paths:
         if not force and Path(path).exists():
             raise ValidationError(f"{path} exists; pass --force to overwrite")

@@ -68,12 +68,28 @@ from .rng import substream
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """The plausible matchings for one coarse unit: an (n, S) matrix, n >= 1."""
+    """The plausible matchings for one coarse unit: an (n, S) matrix, n >= 1,
+    float64 where numpy reads it as numbers. Bool, string and other object
+    values are kept as given, so that `Dataset` refuses their rows as the
+    loader refuses such rows, and never reads True as 1.0 or "0.5" as 0.5."""
 
     instances: np.ndarray
 
     def __post_init__(self):
-        instances = np.atleast_2d(np.asarray(self.instances, dtype=np.float64))
+        instances = self.instances
+        if isinstance(instances, np.ndarray) and instances.dtype != object:
+            numbers = instances.dtype.kind in "iuf"
+        else:
+            # numpy reads True, "0.5" and None among numbers as 1.0, 0.5 and
+            # nan, so each value's own type decides
+            instances = np.asarray(instances, dtype=object)
+            numbers = all(
+                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                for v in instances.flat
+            )
+        if numbers:
+            instances = instances.astype(np.float64, copy=False)
+        instances = np.atleast_2d(instances)
         if instances.ndim != 2:
             raise ValidationError(
                 f"instances must form a 2-D matrix, got shape {instances.shape}"
@@ -119,7 +135,8 @@ class Dataset:
             raise ValidationError("bags must be a non-empty list")
         sets = [cs.instances for bag in bags for cs in bag.candidate_sets]
         self._set_columns(*_columns(
-            source_count, sets, sets, list(map(len, sets)),
+            source_count, [x if x.dtype == np.float64 else None for x in sets], sets,
+            list(map(len, sets)),
             [len(bag.candidate_sets) for bag in bags], [bag.label for bag in bags], instance_truth,
         ))
 

@@ -22,9 +22,10 @@ takes the tables as a column stack in the optimizer's population layout:
 binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
 (coalition c at byte c >> 3, bit 7 - (c & 7); see `measures._pack`), real
 ones as a (2**S, P) float64 stack. It reads the set extremes of one block
-of bags at a time and reduces them to those bags' contributions, so beyond
-the (n_bags, P) contributions it holds one block's extremes; `objective`
-reads each bag's selected set from the same pass.
+of bags at a time, reduces them to those bags' contributions and folds
+these into the running negative and positive terms, so its memory follows
+one block of bags and never holds an (n_bags, P) array; `objective` has
+each bag's contribution and selected set written out in the same pass.
 
 A binary table never needs CI itself, only each candidate set's extreme.
 Under a binary measure g a row's CI is its level at its first winning
@@ -92,22 +93,23 @@ class PreparedData:
 
 
 # candidate sets in a block of bags: their extremes under 64 tables are
-# 1 MiB, 4 * _BLOCK float64 values. Twice that, the buffer and the
-# contributions of a call on the `evaluate-large` recipe outgrew glibc's heap
-# trim threshold (twice the largest block it has unmapped, there the data
-# matrix), so every call gave its pages back and faulted them in again
+# 1 MiB, 4 * _BLOCK float64 values, and the block's bags, no more than its
+# sets, fold into the terms through a buffer of at most that size, so what
+# a call holds follows this size and not the number of bags
 _BLOCK_SETS = 4 * _BLOCK // 64
 
 
 class _Block(NamedTuple):
     """Whole bags that `_evaluate` reduces together."""
 
+    bags: slice         # the bags
     sets: slice         # their candidate sets
     set_groups: tuple   # one record a size group of those sets, see _walks:
                         # set indices are positions in the block, rows the
                         # dataset's instance rows
     bag_groups: tuple   # the bags by candidate-set count, see _size_groups:
-                        # bag indices, rows of positions in the block
+                        # bag indices and rows of sets, both positions in the
+                        # block
 
 
 def _size_groups(offsets: np.ndarray) -> tuple:
@@ -131,7 +133,8 @@ def _walks(
     """One record (segs, rows, walk, levels) a size group of candidate sets:
     the set indices and (n_g, G) rows of `_size_groups`, the (G * S, n_g)
     word indices of each set's (instance, prefix) pairs by ascending key,
-    one set per column, and the (n_g, G * S) levels |key| in that order.
+    one set per column, uint16 while the 2U words fit and int32 beyond,
+    and the (n_g, G * S) levels |key| in that order.
 
     Built a block of sets at a time from each row's sources by falling
     confidence, `order`, and each coalition's word, `rank`. A positive set's
@@ -142,10 +145,12 @@ def _walks(
     the empty set, word 0.
     """
     flat = X.ravel()
+    # np.take reads uint16 indices as fast as int32 ones
+    dtype = np.uint16 if 2 * u <= 1 << 16 else np.int32
     out = []
     for segs, rows in _size_groups(set_offsets):
         width = rows.shape[1] * X.shape[1]
-        walk = np.empty((width, len(segs)), np.int32)
+        walk = np.empty((width, len(segs)), dtype)
         levels = np.empty((len(segs), width))
         for b in _blocks(len(segs), width):
             block = rows[b]
@@ -194,11 +199,10 @@ def prepare(data: Dataset) -> PreparedData:
     for bags in _bag_blocks(offsets, _BLOCK_SETS):
         sets = slice(offsets[bags.start], offsets[bags.stop])
         set_offsets = data.set_offsets[sets.start : sets.stop + 1]
-        bag_groups = _size_groups(offsets[bags.start : bags.stop + 1] - sets.start)
         blocks.append(_Block(
-            sets,
+            bags, sets,
             _walks(set_offsets, X, order, rank, set_signs[sets], len(coalitions[0])),
-            tuple((segs + bags.start, rows) for segs, rows in bag_groups),
+            _size_groups(offsets[bags.start : bags.stop + 1] - sets.start),
         ))
     return PreparedData(
         source_count=data.source_count,
@@ -219,9 +223,8 @@ def _prepared(data: Union[Dataset, PreparedData]) -> PreparedData:
 class _Evaluation(NamedTuple):
     """Objective parts for a stack of P value tables."""
 
-    negative: np.ndarray       # (P,) negative-bag term
-    positive: np.ndarray       # (P,) positive-bag term
-    contributions: np.ndarray  # (P, n_bags)
+    negative: np.ndarray  # (P,) negative-bag term
+    positive: np.ndarray  # (P,) positive-bag term
 
     @property
     def total(self) -> np.ndarray:
@@ -335,7 +338,8 @@ def _set_extremes(tables: np.ndarray, prepared: PreparedData) -> Iterator[tuple]
 
 
 def _evaluate(
-    tables: np.ndarray, prepared: PreparedData, selected: np.ndarray | None = None,
+    tables: np.ndarray, prepared: PreparedData,
+    contributions: np.ndarray | None = None, selected: np.ndarray | None = None,
 ) -> _Evaluation:
     """Evaluate a column stack of P value tables (see `_set_extremes`).
 
@@ -343,33 +347,52 @@ def _evaluate(
     largest of its set extremes, so no (n_sets, P) array is formed. A
     negative bag contributes the square of its largest set minimum; a
     positive bag contributes (its largest set maximum - 1)^2, which is the
-    smallest shortfall because (x - 1)^2 falls on [0, 1]. Given an
-    (n_bags,) `selected`, it also writes there each bag's first set to
-    reach its extreme under the first table.
+    smallest shortfall because (x - 1)^2 falls on [0, 1]. Each block's
+    contributions are folded into the running terms, so for P >= 2 no
+    (n_bags, P) array is formed either. Given an (n_bags, P) `contributions`, it also
+    writes each bag's contribution there, and given an (n_bags,)
+    `selected`, each bag's first set to reach its extreme under the first
+    table.
     """
     p = tables.shape[1]
-    contributions = np.empty((len(prepared.labels), p))
+    negative = prepared.labels == 0
+    if p == 1 and contributions is None:
+        # a single table's masked reduction sums each run of its bags
+        # pairwise, which a fold would regroup, so its bags are summed whole
+        contributions = np.empty((len(negative), 1))
+    terms = np.zeros((2, p))
+    # row 0 holds a running term above a block's bags, and a masked reduction
+    # adds the rows in order: for P >= 2, each table's bags left to right, as
+    # one reduction over all the bags would
+    buffer = np.empty((max(b.bags.stop - b.bags.start for b in prepared.blocks) + 1, p))
+    where = np.ones((len(buffer), 1), bool)
     for block, extremes in _set_extremes(tables, prepared):
+        n = block.bags.stop - block.bags.start
+        bags = buffer[1 : n + 1]
         for segs, rows in block.bag_groups:
             for b in _blocks(len(segs), rows.shape[1] * p):
-                contributions[segs[b]] = np.maximum.reduce(extremes[rows[b]], axis=1)
+                bags[segs[b]] = np.maximum.reduce(extremes[rows[b]], axis=1)
                 if selected is not None:
                     # argmax takes the first maximum, and a bag's padding
                     # repeats its last set only after it. A gather of its own
                     # frees the reduce's at once: held to the next chunk, it
                     # took `search`'s glibc heap from 6k to 28k page faults
-                    selected[segs[b]] = np.argmax(extremes[rows[b], 0], axis=1)
-    # x - 0 is x, so a negative bag's contribution is its extreme squared
-    contributions -= prepared.labels[:, None]
-    np.square(contributions, out=contributions)
-    # one masked reduction a term: for P >= 2 it adds each table's bags left
-    # to right; a single table's runs of bags are each summed pairwise
-    neg = (prepared.labels == 0)[:, None]
-    return _Evaluation(
-        np.add.reduce(contributions, axis=0, where=neg),
-        np.add.reduce(contributions, axis=0, where=~neg),
-        contributions.T,
-    )
+                    at = block.bags.start + segs[b]
+                    selected[at] = np.argmax(extremes[rows[b], 0], axis=1)
+        # x - 0 is x, so a negative bag's contribution is its extreme squared
+        bags -= prepared.labels[block.bags, None]
+        np.square(bags, out=bags)
+        if contributions is not None:
+            contributions[block.bags] = bags
+        if p > 1:
+            for term, mask in zip(terms, (negative, ~negative)):
+                buffer[0] = term
+                where[1 : n + 1, 0] = mask[block.bags]
+                np.add.reduce(buffer[: n + 1], axis=0, where=where[: n + 1], out=term)
+    if p == 1:
+        terms = [np.add.reduce(contributions, axis=0, where=m[:, None])
+                 for m in (negative, ~negative)]
+    return _Evaluation(*terms)
 
 
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:
@@ -379,11 +402,12 @@ def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> Objective
     tables = measure.values[:, None]
     if isinstance(measure, BinaryFuzzyMeasure):
         tables = _pack(tables)
+    contributions = np.empty((len(prepared.labels), 1))
     selected = np.empty(len(prepared.labels), np.intp)
-    ev = _evaluate(tables, prepared, selected)
+    ev = _evaluate(tables, prepared, contributions, selected)
     neg, pos = float(ev.negative[0]), float(ev.positive[0])
     return ObjectiveBreakdown(
         total=neg + pos, negative_term=neg, positive_term=pos,
-        contributions=tuple(ev.contributions[0].tolist()),
+        contributions=tuple(contributions[:, 0].tolist()),
         selected_sets=tuple(selected.tolist()),
     )

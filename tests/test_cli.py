@@ -419,6 +419,17 @@ class TestTrain:
                      "--mode", "bfm", "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_data_is_read_before_the_output_is_claimed(self, tmp_path, capsys):
+        # as the README says: the outputs are checked after the inputs are
+        # read, so an absent --data is reported even where --out exists
+        out = tmp_path / "r.json"
+        out.write_text("{}")
+        code = main(["train", "--data", str(tmp_path / "absent.json"),
+                     "--mode", "bfm", "--out", str(out)])
+        assert code == 2
+        assert "--force" not in capsys.readouterr().err
+        assert out.read_text() == "{}"
+
     def test_corrupt_data_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2,")

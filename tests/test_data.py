@@ -503,6 +503,14 @@ class TestHandMadePacking:
                             " numbers in [0, 1], got [0.5, 0.5, 0.5]"),
         ([[0.5]], "bag 1, candidate set 1, instance 0: expected a list of 2 numbers in"
                   " [0, 1], got [0.5]"),
+        # bool, string and object values are refused before any cast, which
+        # would read them as 1.0, 0.5 and nan
+        ([[0.3, 0.4], [True, False]], "bag 1, candidate set 1, instance 1: expected a list"
+                                      " of 2 numbers in [0, 1], got [True, False]"),
+        ([["0.5", "0.25"]], "bag 1, candidate set 1, instance 0: expected a list of 2"
+                            " numbers in [0, 1], got ['0.5', '0.25']"),
+        ([[0.5, None]], "bag 1, candidate set 1, instance 0: expected a list of 2 numbers in"
+                        " [0, 1], got [0.5, None]"),
     ])
     def test_refusals_keep_their_messages(self, rows, message):
         bags = [Bag(0, [[[0.1, 0.2]]]), Bag(1, [[[0.3, 0.4], [0.5, 0.6]], rows])]
@@ -516,6 +524,21 @@ class TestHandMadePacking:
         with pytest.raises(ValidationError) as exc:
             dataset_from_dict({"source_count": 2, "bags": as_lists})
         assert str(exc.value) == message
+
+
+    @pytest.mark.parametrize("rows", [
+        [[True, False]], np.array([[True, False]]), [["0.5", "0.25"]], np.array([["0.5", "0.25"]]),
+        [[0.5, None]], np.array([[0.5, {}]], dtype=object),
+    ], ids=["bool", "bool_array", "string", "string_array", "none", "object_array"])
+    def test_values_that_are_not_numbers_are_refused(self, rows):
+        with pytest.raises(ValidationError, match="^bag 0, candidate set 0, instance 0: expected"):
+            Dataset(2, [Bag(0, [rows]), Bag(1, [[[0.1, 0.2]]])])
+
+    def test_numbers_of_any_int_and_float_type_are_read(self):
+        rows = [[0.5, 1], [np.int64(0), np.float32(0.25)]]
+        for given in (rows, np.array(rows, dtype=object)):
+            ds = Dataset(2, [Bag(0, [given]), Bag(1, [[[0.1, 0.2]]])])
+            assert ds.instance_matrix()[:2].tolist() == [[0.5, 1.0], [0.0, 0.25]]
 
 
 def hand_dataset(rng, s, shapes, truth):

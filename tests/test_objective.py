@@ -47,6 +47,13 @@ def set_extremes(stack, prepared):
     return np.concatenate([extremes.copy() for _, extremes in _set_extremes(stack, prepared)]).T
 
 
+def evaluate(stack, prepared):
+    """`_evaluate` of a stack and its (P, n_bags) bag contributions, which
+    it writes only into an array it is given."""
+    contributions = np.empty((len(prepared.labels), stack.shape[1]))
+    return _evaluate(stack, prepared, contributions), contributions.T
+
+
 def stack_totals(measures, prepared):
     """Objective totals of the measures' tables evaluated as one stack."""
     return _evaluate(as_stack(np.stack([m.values for m in measures], axis=1)), prepared).total
@@ -203,12 +210,10 @@ class TestBinaryMaxMin:
         ds = tied_dataset(rng, s)
         pre = prepare(ds)
         tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(p)], axis=1)
-        binary = _evaluate(_pack(tables), pre)
-        summed = _evaluate(tables.astype(np.float64), pre)
-        for field in ("total", "contributions"):
-            np.testing.assert_allclose(
-                getattr(binary, field), getattr(summed, field), rtol=0, atol=1e-12
-            )
+        binary, binary_bags = evaluate(_pack(tables), pre)
+        summed, summed_bags = evaluate(tables.astype(np.float64), pre)
+        for got, want in ((binary.total, summed.total), (binary_bags, summed_bags)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         sets = [set_extremes(_pack(tables), pre), set_extremes(tables.astype(np.float64), pre)]
         bags = [np.maximum.reduceat(x, ds.bag_offsets[:-1], axis=1) for x in sets]
         for binary_extremes, summed_extremes in (sets, bags):
@@ -306,12 +311,14 @@ class TestThresholdWalk:
         assert peak <= 2**20 // 8  # an eighth of a byte per table row
         assert ev.total[0] == pytest.approx(naive_objective(table, ds), abs=1e-12)
 
-    def test_memory_beyond_the_returned_arrays_is_bounded(self):
+    @pytest.mark.parametrize("p, limit", [(64, 4), (512, 16)])
+    def test_memory_is_bounded_by_a_block_of_bags(self, p, limit):
         # the walk and the bag reduction run a block of bags at a time, and
-        # the term sums are masked reductions that copy no bags, so beyond
-        # the returned arrays memory stays bounded as the bags grow from 600
-        # to 9,600 (1.6 to 2.1 MiB measured with numpy 2.4)
-        s, p = 10, 64
+        # each block's contributions are folded into the terms, so the whole
+        # peak stays bounded as the bags grow from 600 to 9,600 (measured
+        # with numpy 2.4: 1.9 to 2.6 MiB at P=64, 8.9 to 13.7 MiB at P=512,
+        # where an (n_bags, P) contributions array took it to 47.3 MiB)
+        s = 10
         rng = np.random.default_rng(71)
         bags = tuple(
             Bag(b % 2, [rng.random((int(rng.integers(1, 5)), s))
@@ -323,11 +330,11 @@ class TestThresholdWalk:
             pre = prepare(ds)
             tracemalloc.start()
             try:
-                ev = _evaluate(stack, pre)
+                _evaluate(stack, pre)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - sum(a.nbytes for a in ev) <= 4 * 2**20
+            assert peak <= limit * 2**20
 
 
 def skewed_dataset(s):
@@ -384,8 +391,8 @@ class TestSkewedSizes:
             tables = np.stack([sample_random(s, 0.5, rng).values for _ in range(4)], axis=1)
         else:
             tables = np.stack([sample_random_real(s, rng).values for _ in range(2)], axis=1)
-        ev = _evaluate(as_stack(tables), prepare(ds))
-        for table, total, contributions in zip(tables.T, ev.total, ev.contributions):
+        ev, bag_contributions = evaluate(as_stack(tables), prepare(ds))
+        for table, total, contributions in zip(tables.T, ev.total, bag_contributions):
             assert total == pytest.approx(naive_objective(table, ds), abs=1e-12)
             expected = [c for c, _ in naive_breakdown(table, ds)]
             np.testing.assert_allclose(contributions, expected, rtol=0, atol=1e-12)
@@ -473,10 +480,10 @@ class TestManyBlocks:
             RealFuzzyMeasure(8, np.round(sample_random_real(8, rng).values * 8) / 8)
             for _ in range(16)
         ]
-        ev = _evaluate(np.stack([m.values for m in measures], axis=1), pre)
+        ev, bag_contributions = evaluate(np.stack([m.values for m in measures], axis=1), pre)
         for m, total in zip(measures[:3], ev.total):
             assert total == naive_objective(m.values, ds)
-        for m, total, contributions in zip(measures, ev.total, ev.contributions):
+        for m, total, contributions in zip(measures, ev.total, bag_contributions):
             single = objective(m, pre)
             assert total == single.total
             assert contributions.tolist() == list(single.contributions)
@@ -503,9 +510,9 @@ class TestManyBlocks:
 class TestBoundedMemory:
     """tracemalloc bounds at about 3,000 and 50,000 instances. Measured with
     numpy 2.4: prepare's peak above its held bytes and N * S was 0.75 and
-    0.63 MiB, the float path's peak above its returned arrays 3.06 and 3.46
-    MiB (a block of set extremes, 1 MiB at 50,000 instances, beside 2 MiB
-    blocks of weighted gather), and what it still held above them 0.6 KiB."""
+    0.63 MiB, the float path's whole peak 3.36 and 3.97 MiB (a block of set
+    extremes, 1 MiB at 50,000 instances, beside 2 MiB blocks of weighted
+    gather), and what it still held above its returned arrays 0.6 KiB."""
 
     S, P = 10, 64
 
@@ -530,7 +537,7 @@ class TestBoundedMemory:
             assert all(block.set_groups for block in pre.blocks)
             assert peak - held <= ds.n_instances * self.S + 2 * 2**20
 
-    def test_float_path_beyond_the_returned_arrays_is_bounded(self, datasets):
+    def test_float_path_is_bounded(self, datasets):
         rng = np.random.default_rng(72)
         stack = np.stack([sample_random_real(self.S, rng).values for _ in range(self.P)], axis=1)
         for ds in datasets:
@@ -542,7 +549,7 @@ class TestBoundedMemory:
             finally:
                 tracemalloc.stop()
             returned = sum(a.nbytes for a in ev)
-            assert peak - returned <= 5 * 2**20
+            assert peak <= 5 * 2**20
             # nothing is cached on pre: the real path reads prepare's order
             assert held - returned <= 2**16
 
@@ -601,14 +608,36 @@ class TestBatchPaths:
             (sample_random(4, 0.5, rng) if binary else sample_random_real(4, rng)).values
             for _ in range(p)
         ], axis=1)
-        ev = _evaluate(as_stack(tables), prepare(ds))
+        ev, bag_contributions = evaluate(as_stack(tables), prepare(ds))
         negative = ds.labels() == 0
-        for contributions, *terms in zip(ev.contributions, ev.negative, ev.positive):
+        for contributions, *terms in zip(bag_contributions, ev.negative, ev.positive):
             for term, bags_of_term in zip(terms, (negative, ~negative)):
                 running = 0.0
                 for c in contributions[bags_of_term].tolist():
                     running += c
                 assert float(term) == running
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
+    def test_single_table_terms_sum_the_whole_column(self, monkeypatch, binary):
+        # numpy adds one column's runs of masked bags pairwise, so a single
+        # table's terms are its whole column's masked sums, never a fold of
+        # blocks, which would regroup runs of 200 bags of a label
+        rng = np.random.default_rng(92)
+        bags = random_dataset(rng, 4, n_bags=400).bags
+        ds = Dataset(4, tuple(sorted(bags, key=lambda bag: bag.label)))
+        monkeypatch.setattr(sys.modules["bfmfusion.objective"], "_BLOCK_SETS", 50)
+        pre = prepare(ds)
+        assert len(pre.blocks) > 1
+        g = sample_random(4, 0.5, rng) if binary else sample_random_real(4, rng)
+        stack = as_stack(g.values[:, None])
+        ev, contributions = evaluate(stack, pre)
+        negative = (ds.labels() == 0)[:, None]
+        want = [np.add.reduce(contributions.T, axis=0, where=m) for m in (negative, ~negative)]
+        alone = _evaluate(stack, pre)
+        for got in (ev, alone):
+            assert np.array_equal(got.negative, want[0]) and np.array_equal(got.positive, want[1])
+        out = objective(g, pre)
+        assert (out.negative_term, out.positive_term) == (float(want[0][0]), float(want[1][0]))
 
 
 class TestBagBlocks:
@@ -629,7 +658,8 @@ class TestBagBlocks:
         many = prepare(ds)
         assert len(one.blocks) == 1 and len(many.blocks) > 1
         assert max(np.diff(ds.bag_offsets)) > 5  # bags larger than the smaller blocks
-        for got, want in zip(_evaluate(stack, many), _evaluate(stack, one)):
+        (got, got_bags), (want, want_bags) = evaluate(stack, many), evaluate(stack, one)
+        for got, want in zip((*got, got_bags), (*want, want_bags)):
             assert np.array_equal(got, want)
         assert np.array_equal(set_extremes(stack, many), set_extremes(stack, one))
         for m in measures[:4]:
