@@ -27,20 +27,24 @@ JSON schema (UTF-8, plain decimal numbers):
 `instance_truth` carries evaluation-only per-instance labels; training
 never reads it.
 
-JSON I/O holds arrays, not trees. `save_dataset` writes the bytes of
-`json.dumps(dataset_to_dict(ds))` a block of bags at a time, one C-encoder
-call a block. `load_dataset` decodes the file through an object hook that
-packs each bag as it closes into a float64 rows array and its set sizes,
-when every row is a list of ints and floats of one length: `_pack` is the
-one conversion of JSON rows. The width and range checks run once, on the
-whole matrix, as on the `CandidateSet` arrays of a hand-made `Dataset`;
-only a refusal walks the rows as written, and a refused file is read
-again as plain JSON, so the plain reading words every refusal.
+JSON I/O holds arrays, not trees, nor a file's whole text. `save_dataset`
+writes the bytes of `json.dumps(dataset_to_dict(ds))` a block of bags at a
+time, one C-encoder call a block. `load_dataset` reads the text through a
+window of a few chunks, decodes the items of `bags` and `instance_truth`
+one at a time, and packs each bag as it is decoded into a float64 rows
+array and its set sizes, when every row is a list of ints and floats of
+one length: `_pack` is the one conversion of JSON rows. The width and
+range checks run once, on the whole matrix, as on the `CandidateSet`
+arrays of a hand-made `Dataset`; only a refusal walks the rows as
+written. Input the window does not take, and every refused file, is read
+again as plain JSON, so the plain reading decides it and words every
+refusal.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, pairwise
@@ -89,11 +93,14 @@ class CandidateSet:
             )
         if numbers:
             instances = instances.astype(np.float64, copy=False)
-        instances = np.atleast_2d(instances)
-        if instances.ndim != 2:
-            raise ValidationError(
-                f"instances must form a 2-D matrix, got shape {instances.shape}"
-            )
+        # numpy reads rows of unequal lengths as a 1-D array of them: kept so,
+        # one row an instance, as the loader reads them
+        if not (instances.ndim == 1 and any(type(v) is list for v in instances)):
+            instances = np.atleast_2d(instances)
+            if instances.ndim != 2:
+                raise ValidationError(
+                    f"instances must form a 2-D matrix, got shape {instances.shape}"
+                )
         if instances.size == 0:
             raise ValidationError("a candidate set needs at least one instance")
         instances = instances.view()  # frozen below; the caller's array stays writable
@@ -218,7 +225,7 @@ def _pack(sets) -> _PackedSets | None:
     """A bag's JSON candidate sets packed, if they are a non-empty list of
     non-empty lists of rows that are lists of ints and floats of one length,
     none too large for a float64; else None. Never raises."""
-    # each check is one pass in C: the decoder calls this once a bag
+    # each check is one pass in C: the loader calls this once a bag
     if type(sets) is not list or set(map(type, sets)) != {list} or not all(sets):
         return None
     rows = list(chain.from_iterable(sets))
@@ -230,16 +237,6 @@ def _pack(sets) -> _PackedSets | None:
         return _PackedSets(np.array(rows, dtype=np.float64), tuple(map(len, sets)))
     except OverflowError:
         return None
-
-
-def _pack_bag(obj: dict) -> dict:
-    """`json` object hook: an object's candidate_sets packed as it closes,
-    where `_pack` can; any other object is returned as it is."""
-    if "candidate_sets" in obj:
-        packed = _pack(obj["candidate_sets"])
-        if packed is not None:
-            obj["candidate_sets"] = packed
-    return obj
 
 
 def _parse(source_count, bags, truth) -> tuple:
@@ -313,12 +310,15 @@ def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> 
         nested = False
     if not nested or [len(tset) for tset in tsets] != set_sizes:
         raise ValidationError("instance_truth does not nest like the bags, sets and instances")
-    bad = next((k for k, t in enumerate(flat) if not _is_bit(t)), None)
-    if bad is not None:
-        raise ValidationError(
-            f"instance_truth at {_locate(bad, set_offsets, bag_offsets)}: "
-            f"labels must be the integer 0 or 1, got {flat[bad]!r}"
-        )
+    # one pass in C over Python ints; only a refusal, or labels of numpy
+    # integer types, walks them one by one
+    if not (set(map(type, flat)) == {int} and set(flat) <= {0, 1}):
+        bad = next((k for k, t in enumerate(flat) if not _is_bit(t)), None)
+        if bad is not None:
+            raise ValidationError(
+                f"instance_truth at {_locate(bad, set_offsets, bag_offsets)}: "
+                f"labels must be the integer 0 or 1, got {flat[bad]!r}"
+            )
     return np.array(flat, dtype=np.int8)
 
 
@@ -400,24 +400,132 @@ def save_dataset(path, ds: Dataset) -> None:
         fh.write("}\n")
 
 
+# characters `_Window` reads from a dataset file at a time
+_CHUNK = 1 << 16
+
+_SPACE = re.compile(r"[ \t\n\r]*").match
+_scan = json.JSONDecoder().scan_once
+
+
+class _Refused(Exception):
+    """Input the window reader does not take: the plain reading decides."""
+
+
+class _Window:
+    """A dataset file's text from the value being read on, read `_CHUNK`
+    characters at a time. Where a value does not parse, as where the window
+    ends inside it, the window reads on, at least as much as it holds, so
+    that a value of any length is parsed a number of times logarithmic in
+    it, in time linear in it; where the input has ended, it refuses. A file
+    that cannot be read twice, such as a pipe, keeps the text it read."""
+
+    def __init__(self, fh):
+        self.fh, self.text, self.at, self.error = fh, "", 0, None
+        self.kept = None if fh.seekable() else []
+
+    def value(self, chars: str) -> tuple:
+        """The JSON value after the whitespace at `at` and the delimiter in
+        `chars` after it, read past. Another character reads on, as the end
+        of a number the window cut does (1e of 1e5)."""
+        if len(self.text) - self.at < _CHUNK // 2:
+            self.more()  # before a parse fails: a failed one scans the window to word its error
+        while True:
+            text = self.text
+            try:
+                value, at = _scan(text, _SPACE(text, self.at).end())
+                at = _SPACE(text, at).end()
+                if text[at] in chars:
+                    self.at = at + 1
+                    return value, text[at]
+            except (StopIteration, ValueError, IndexError, RecursionError):
+                pass
+            if not self.more():
+                raise _Refused
+
+    def punct(self, chars: str) -> str:
+        """The character in `chars` after the whitespace at `at`, read past;
+        "" where another character follows or the input ends."""
+        while True:
+            at = _SPACE(self.text, self.at).end()
+            if at < len(self.text):
+                if self.text[at] not in chars:
+                    return ""
+                self.at = at + 1
+                return self.text[at]
+            if not self.more():
+                return ""
+
+    def more(self) -> bool:
+        """Reads on; False at the end of the input."""
+        try:
+            chunk = self.fh.read(max(_CHUNK, len(self.text) - self.at))
+        except UnicodeDecodeError as e:
+            self.error = e
+            raise _Refused from None
+        if self.kept is not None:
+            self.kept.append(chunk)
+        self.text, self.at = self.text[self.at :] + chunk, 0
+        return bool(chunk)
+
+    def rest(self) -> str:
+        """A pipe's whole text: what was read, then the rest."""
+        if self.error is not None:
+            raise self.error
+        return "".join(self.kept) + self.fh.read()
+
+
+def _read_object(window: _Window) -> dict:
+    """The top-level object of a dataset file, through `window`: the items
+    of its bags and instance_truth lists decoded one by one, each bag's
+    candidate sets packed where `_pack` can, other values whole. Input
+    that is not one such object and whitespace is refused."""
+    obj, char = {}, "," if window.punct("{") else ""
+    while char == ",":
+        key, _ = window.value(":")
+        if type(key) is not str:
+            raise _Refused
+        if key in ("bags", "instance_truth") and window.punct("["):
+            value, char = [], ","
+            while char == ",":
+                item, char = window.value(",]")
+                if key == "bags" and type(item) is dict and "candidate_sets" in item:
+                    packed = _pack(item["candidate_sets"])
+                    if packed is not None:
+                        item["candidate_sets"] = packed
+                value.append(item)
+            char = window.punct(",}")
+        else:
+            value, char = window.value(",}")
+        obj[key] = value
+    if char != "}":
+        raise _Refused
+    while True:
+        window.at = _SPACE(window.text, window.at).end()
+        if window.at < len(window.text):
+            raise _Refused
+        if not window.more():
+            return obj
+
+
 def load_dataset(path) -> Dataset:
     """Parse and validate a dataset file; diagnostics carry bag/set/instance
-    indices. Each bag's candidate sets are packed as the decoder closes the
-    bag (see `_pack`), so the whole file is never held as Python floats.
+    indices. The file's text is read through a window of `_CHUNK`
+    characters and more, as `_Window` needs, one bag at a time, and each
+    bag's candidate sets are packed as they are decoded (see `_pack`), so
+    neither the file's bytes nor its text nor its values as Python floats
+    are ever held whole.
 
-    A refused file is read again as plain JSON, the first reading and its
-    traceback dropped, so `dataset_from_dict(json.load(...))` words the
-    refusal; where it does not decode again (a drained pipe), the first
-    refusal, naming the same place, stands."""
-    obj = _read_json(path, object_hook=_pack_bag)
-    try:
-        return dataset_from_dict(obj)
-    except ValidationError as e:
-        obj, refusal = None, e.with_traceback(None)
-    try:
-        obj = _read_json(path)
-    except (ValidationError, OSError):
-        raise refusal from None
+    Input the window reader does not take, and every refusal, go to the
+    plain reading, `dataset_from_dict(json.load(...))`, which decides and
+    words the refusal; a pipe reads once, so that reading takes the text
+    read so far and the rest."""
+    with open(path, "r", encoding="utf-8") as fh:
+        window = _Window(fh)
+        try:
+            return dataset_from_dict(_read_object(window))
+        except (_Refused, ValidationError):
+            pass
+        obj = _read_json(path, None if window.kept is None else window.rest)
     return dataset_from_dict(obj)
 
 

@@ -607,15 +607,17 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path, object_hook=None):
-    """Parse a JSON input file, passing each decoded object through
-    `object_hook` if one is given; malformed text, bytes that are not UTF-8
-    and nesting too deep to decode are a ValidationError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_hook=object_hook)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-            raise ValidationError(f"{path}: not valid JSON: {e}") from e
+def _read_json(path, read=None):
+    """Parse a JSON input file, or the text `read()` returns for it (a
+    pipe's, which reads once); malformed text, bytes that are not UTF-8 and
+    nesting too deep to decode are a ValidationError naming the file."""
+    try:
+        if read is not None:
+            return json.loads(read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise ValidationError(f"{path}: not valid JSON: {e}") from e
 
 
 def load_measure(path) -> Measure:

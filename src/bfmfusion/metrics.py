@@ -145,7 +145,7 @@ def score(
 
     fpr, tpr = roc_curve(scores, t)
     auc = float(np.trapezoid(tpr, fpr))
-    points = tuple((float(x), float(y)) for x, y in zip(fpr, tpr))
+    points = tuple(zip(fpr.tolist(), tpr.tolist()))
     return ScoreReport(auc=auc, rmse=rmse, psnr=psnr, roc_points=points)
 
 

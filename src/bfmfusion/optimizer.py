@@ -282,6 +282,36 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
     )
 
 
+def _descend(
+    prepared: PreparedData, column: np.ndarray, deadline: float, tolerance: float
+) -> tuple:
+    """Steepest one-flip descent from the bitset column `column` (S >= 2):
+    until `deadline`, a `time.perf_counter()` reading, move to the best of
+    the 2**S - 2 tables that flip one coalition and repair by closure (the
+    lowest coalition among equal objectives), while it improves by more
+    than `tolerance`. Returns the column reached, its objective, the steps
+    taken and the tables evaluated, `column` and every neighbourhood."""
+    s = prepared.source_count
+    c = np.arange(1, (1 << s) - 1)
+    row, bit = _coalition_bits(c)
+    col = column[:, None]
+    best, steps, evaluated = float(_evaluate(col, prepared).total[0]), 0, 1
+    while time.perf_counter() < deadline:
+        raised = (col[row, 0] & bit) == 0
+        kids = _children(col, np.zeros(len(c), np.intp), c, raised, col[:, :0], s)
+        js = np.concatenate([
+            _evaluate(kids[:, i : i + 512], prepared).total for i in range(0, len(c), 512)
+        ])
+        evaluated += len(c)
+        # the children come raised first: back[k] is the one that flips c[k]
+        back = np.argsort(np.argsort(~raised, kind="stable"))
+        k = back[np.argmin(js[back])]
+        if best - js[k] <= tolerance:
+            break
+        col, best, steps = kids[:, [k]], float(js[k]), steps + 1
+    return col[:, 0], best, steps, evaluated
+
+
 def _trainable(data: Dataset | PreparedData) -> PreparedData:
     """The data prepared, refused unless evolutionary training can run on it."""
     prepared = _prepared(data)

@@ -223,6 +223,14 @@ class TestScoreInputs:
         by_array = score(fused.scores, ds.flat_truth())
         assert by_map == by_array
 
+    def test_roc_points_are_the_curve_as_python_floats(self):
+        rng = np.random.default_rng(5)
+        scores, truth = rng.random(500).round(2), rng.integers(0, 2, 500)
+        report = score(scores, truth)
+        fpr, tpr = roc_curve(scores, truth)
+        assert report.roc_points == tuple((float(x), float(y)) for x, y in zip(fpr, tpr))
+        assert {type(v) for point in report.roc_points for v in point} == {float}
+
     def test_single_class_truth(self):
         report = score(np.array([0.2, 0.8]), [1, 1])
         assert report.auc is None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bfmfusion import (
     EAConfig,
     SynthSpec,
     Bag,
+    BinaryFuzzyMeasure,
     Dataset,
     RealFuzzyMeasure,
     ValidationError,
@@ -20,14 +22,18 @@ from bfmfusion import (
     minimal_winning_coalitions,
     minimum_measure,
     objective,
+    prepare,
+    sample_random,
     sample_random_real,
+    set_with_repair,
     train_bfm,
     train_exhaustive,
     train_real_fm,
     validate,
 )
 from bfmfusion.measures import _close_up, _pack, _unpack
-from bfmfusion.optimizer import _BinaryOps, _RealOps
+from bfmfusion import optimizer as optimizer_module
+from bfmfusion.optimizer import _BinaryOps, _RealOps, _descend
 from bfmfusion.rng import substream
 from oracles import (
     naive_random_real_table,
@@ -507,3 +513,103 @@ class TestGoldenDefaultConfig:
         trace = np.array(res.objective_trace).tobytes()
         assert hashlib.sha256(trace).hexdigest()[:16] == trace_sha
         assert hashlib.sha256(res.best_measure.values.tobytes()).hexdigest()[:16] == table_sha
+
+
+def descent_case(s, seed, sigma=0.2):
+    """A planted dataset on S sources and a random start for descent."""
+    truth = from_minimal_coalitions(s, [set(range(s // 2 + 1)), set(range(s // 2, s))])
+    data = generate_synthetic(SynthSpec(s, 3 * s, 3 * s, (2, 3), (2, 3), sigma, truth, seed))
+    return data, sample_random(s, 0.5, seed)
+
+
+def one_flips(measure):
+    """Every one-flip neighbour of a binary measure, by coalition: the
+    coalition's value flipped and monotonicity repaired by closure."""
+    n = 1 << measure.source_count
+    return {c: set_with_repair(measure, c, 1 - int(measure.values[c])) for c in range(1, n - 1)}
+
+
+class TestDescent:
+    """`optimizer._descend` against a naive steepest descent: every
+    neighbour as `set_with_repair` makes it, scored by `objective`."""
+
+    @pytest.mark.parametrize("s, seed, sigma, tolerance", [
+        (2, 0, 0.2, 1e-6), (3, 1, 0.2, 1e-6), (4, 2, 0.2, 1e-6), (5, 3, 0.2, 1e-6),
+        (6, 4, 0.2, 1e-6), (5, 15, 0.2, 0.05),
+        # noise-free data, where many neighbours tie
+        (4, 6, 0.0, 1e-6), (5, 7, 0.0, 1e-6), (6, 8, 0.0, 1e-6),
+    ])
+    def test_every_neighbour_matches_the_oracle(self, monkeypatch, s, seed, sigma, tolerance):
+        self.check_against_oracle(monkeypatch, *descent_case(s, seed, sigma), tolerance)
+
+    def test_equal_neighbours_go_to_the_lowest_coalition(self, monkeypatch):
+        # from the coalitions holding source 0 winning, lowering {0}
+        # (coalition 1) fuses min(x0, x1) and raising {1} (coalition 2)
+        # max(x0, x1): both score 0.5625, and the raised child comes first
+        data = Dataset(3, [Bag(0, [[[0.75, 0.0, 0.0]]]), Bag(1, [[[0.25, 1.0, 0.0]]])])
+        start = BinaryFuzzyMeasure(3, np.array([0, 1, 0, 1, 0, 1, 0, 1], np.uint8))
+        path = self.check_against_oracle(monkeypatch, data, start, 1e-6)
+        assert path[1] == [0, 0, 0, 1, 0, 1, 0, 1]
+
+    @staticmethod
+    def check_against_oracle(monkeypatch, data, start, tolerance):
+        """Run `_descend` from `start`; check every neighbourhood it scored
+        and every step it took against the naive descent, and return the
+        tables it passed through."""
+        s = data.source_count
+        calls, evaluate = [], optimizer_module._evaluate
+
+        def spy(tables, prepared, *args):
+            ev = evaluate(tables, prepared, *args)
+            calls.append((_unpack(tables, s).T.tolist(), ev.total.tolist()))
+            return ev
+
+        monkeypatch.setattr(optimizer_module, "_evaluate", spy)
+        column, best, steps, evaluated = _descend(
+            prepare(data), _pack(start.values[:, None])[:, 0], math.inf, tolerance
+        )
+        assert calls[0][0] == [start.values.tolist()]
+        assert calls[0][1][0] == pytest.approx(objective(start, data).total, rel=1e-12, abs=1e-12)
+        # at S <= 6 a neighbourhood is one call: one per step, and the last
+        assert len(calls) == steps + 2
+        measure, current, path = start, calls[0][1][0], [start.values.tolist()]
+        for step, (tables, totals) in enumerate(calls[1:]):
+            scored = dict(zip(map(tuple, tables), totals))
+            neighbours = one_flips(measure)
+            assert sorted(scored) == sorted(tuple(m.values.tolist()) for m in neighbours.values())
+            for m in neighbours.values():
+                got = scored[tuple(m.values.tolist())]
+                assert got == pytest.approx(objective(m, data).total, rel=1e-12, abs=1e-12)
+            # the lowest coalition among equal minima
+            lowest = min(scored.values())
+            c = next(c for c, m in neighbours.items() if scored[tuple(m.values.tolist())] == lowest)
+            if current - lowest <= tolerance:
+                assert step == steps
+                break
+            measure, current = neighbours[c], lowest
+            path.append(measure.values.tolist())
+        assert column.tolist() == _pack(measure.values[:, None])[:, 0].tolist()
+        assert best == current
+        assert evaluated == 1 + (steps + 1) * ((1 << s) - 2)
+        return path
+
+    @pytest.mark.parametrize("s, seed", [(3, 6), (4, 7), (5, 8), (6, 9)])
+    def test_no_neighbour_improves_on_the_result(self, s, seed):
+        data, start = descent_case(s, seed)
+        column, best, steps, _ = _descend(
+            prepare(data), _pack(start.values[:, None])[:, 0], math.inf, 1e-6
+        )
+        result = BinaryFuzzyMeasure(s, _unpack(column[:, None], s)[:, 0])
+        assert steps > 0
+        assert best == pytest.approx(objective(result, data).total, rel=1e-12, abs=1e-12)
+        assert best < objective(start, data).total
+        for m in one_flips(result).values():
+            assert objective(m, data).total > best - 1e-6
+
+    def test_a_passed_deadline_takes_no_step(self):
+        data, start = descent_case(4, 0)
+        column = _pack(start.values[:, None])[:, 0]
+        got, best, steps, evaluated = _descend(prepare(data), column, -math.inf, 1e-6)
+        assert got.tolist() == column.tolist()
+        assert (steps, evaluated) == (0, 1)
+        assert best == pytest.approx(objective(start, data).total, rel=1e-12, abs=1e-12)
