@@ -95,12 +95,13 @@ def _decompose(flat: np.ndarray, rows: np.ndarray, order: np.ndarray) -> tuple:
 
 def _choquet(tables: np.ndarray, masks: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """(N, P) CI of every decomposed row under a (2**S, P) float64 column
-    stack of real-valued tables: the level-difference sum over a (P, N, S)
-    gather through the transposed view, weighted in place. Callers pass a
-    block of rows at a time, so the gather stays small."""
-    terms = tables.T[:, masks]
-    terms *= levels[:, :-1] - levels[:, 1:]
-    return terms.sum(axis=2).T
+    stack of real-valued tables: the level-difference sum over an (S, N, P)
+    gather, weighted in place and added a source at a time, left to right,
+    whatever P (numpy's sum adds a lone table's S terms pairwise). Callers
+    pass a block of rows at a time, so the gather stays small."""
+    terms = tables[masks.T]
+    terms *= (levels[:, :-1] - levels[:, 1:]).T[:, :, None]
+    return sum(terms[1:], terms[0])
 
 
 def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:

@@ -416,12 +416,10 @@ class _Window:
     characters at a time. Where a value does not parse, as where the window
     ends inside it, the window reads on, at least as much as it holds, so
     that a value of any length is parsed a number of times logarithmic in
-    it, in time linear in it; where the input has ended, it refuses. A file
-    that cannot be read twice, such as a pipe, keeps the text it read."""
+    it, in time linear in it; where the input has ended, it refuses."""
 
     def __init__(self, fh):
-        self.fh, self.text, self.at, self.error = fh, "", 0, None
-        self.kept = None if fh.seekable() else []
+        self.fh, self.text, self.at = fh, "", 0
 
     def value(self, chars: str) -> tuple:
         """The JSON value after the whitespace at `at` and the delimiter in
@@ -457,21 +455,9 @@ class _Window:
 
     def more(self) -> bool:
         """Reads on; False at the end of the input."""
-        try:
-            chunk = self.fh.read(max(_CHUNK, len(self.text) - self.at))
-        except UnicodeDecodeError as e:
-            self.error = e
-            raise _Refused from None
-        if self.kept is not None:
-            self.kept.append(chunk)
+        chunk = self.fh.read(max(_CHUNK, len(self.text) - self.at))
         self.text, self.at = self.text[self.at :] + chunk, 0
         return bool(chunk)
-
-    def rest(self) -> str:
-        """A pipe's whole text: what was read, then the rest."""
-        if self.error is not None:
-            raise self.error
-        return "".join(self.kept) + self.fh.read()
 
 
 def _read_object(window: _Window) -> dict:
@@ -513,19 +499,25 @@ def load_dataset(path) -> Dataset:
     characters and more, as `_Window` needs, one bag at a time, and each
     bag's candidate sets are packed as they are decoded (see `_pack`), so
     neither the file's bytes nor its text nor its values as Python floats
-    are ever held whole.
+    are ever held whole. A pipe reads once, so the window holds its whole
+    text, its bytes decoded at once: a byte that is not UTF-8 is placed in
+    the input, not in a block of it.
 
     Input the window reader does not take, and every refusal, go to the
     plain reading, `dataset_from_dict(json.load(...))`, which decides and
-    words the refusal; a pipe reads once, so that reading takes the text
-    read so far and the rest."""
+    words the refusal; for a pipe, it reads the text the window held."""
     with open(path, "r", encoding="utf-8") as fh:
-        window = _Window(fh)
+        window, text = _Window(fh), None
+        if not fh.seekable():
+            try:
+                text = window.text = fh.buffer.read().decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ValidationError(f"{path}: not valid JSON: {e}") from e
         try:
             return dataset_from_dict(_read_object(window))
-        except (_Refused, ValidationError):
+        except (_Refused, ValidationError, UnicodeDecodeError):
             pass
-        obj = _read_json(path, None if window.kept is None else window.rest)
+        obj = _read_json(path, text)
     return dataset_from_dict(obj)
 
 

@@ -607,13 +607,13 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path, read=None):
-    """Parse a JSON input file, or the text `read()` returns for it (a
+def _read_json(path, text=None):
+    """Parse a JSON input file, or `text`, the text already read from it (a
     pipe's, which reads once); malformed text, bytes that are not UTF-8 and
     nesting too deep to decode are a ValidationError naming the file."""
     try:
-        if read is not None:
-            return json.loads(read())
+        if text is not None:
+            return json.loads(text)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:

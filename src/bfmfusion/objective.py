@@ -24,8 +24,10 @@ binary tables as a bitset stack, 8 coalitions a byte in np.packbits order
 ones as a (2**S, P) float64 stack. It reads the set extremes of one block
 of bags at a time, reduces them to those bags' contributions and folds
 these into the running negative and positive terms, so its memory follows
-one block of bags and never holds an (n_bags, P) array; `objective` has
-each bag's contribution and selected set written out in the same pass.
+one block of bags and never holds an (n_bags, P) array. The fold adds
+each table's bags left to right in a stack of any width, so a table scores
+the same bits alone and among others; `objective` has each bag's
+contribution and selected set written out in the same pass.
 
 A binary table never needs CI itself, only each candidate set's extreme.
 Under a binary measure g a row's CI is its level at its first winning
@@ -313,7 +315,7 @@ def _real_extremes(tables: np.ndarray, prepared: PreparedData) -> Iterator[tuple
         signs = prepared.set_signs[block.sets]
         for segs, rows, _, _ in block.set_groups:
             size = rows.shape[1]
-            # 8 * _BLOCK elements, 2 MiB, of (P, rows, S) product a block: smaller
+            # 8 * _BLOCK elements, 2 MiB, of (S, rows, P) product a block: smaller
             # blocks pay more per block than they save in cache on small data
             for b in _blocks(len(segs), size * p * s, 8 * _BLOCK):
                 chunk = rows[b]
@@ -348,27 +350,24 @@ def _evaluate(
     negative bag contributes the square of its largest set minimum; a
     positive bag contributes (its largest set maximum - 1)^2, which is the
     smallest shortfall because (x - 1)^2 falls on [0, 1]. Each block's
-    contributions are folded into the running terms, so for P >= 2 no
-    (n_bags, P) array is formed either. Given an (n_bags, P) `contributions`, it also
+    contributions are folded into the running terms, so no (n_bags, P)
+    array is formed either, and each table's terms add its bags left to
+    right, whatever P. Given an (n_bags, P) `contributions`, it also
     writes each bag's contribution there, and given an (n_bags,)
     `selected`, each bag's first set to reach its extreme under the first
     table.
     """
     p = tables.shape[1]
     negative = prepared.labels == 0
-    if p == 1 and contributions is None:
-        # a single table's masked reduction sums each run of its bags
-        # pairwise, which a fold would regroup, so its bags are summed whole
-        contributions = np.empty((len(negative), 1))
-    terms = np.zeros((2, p))
     # row 0 holds a running term above a block's bags, and a masked reduction
-    # adds the rows in order: for P >= 2, each table's bags left to right, as
-    # one reduction over all the bags would
-    buffer = np.empty((max(b.bags.stop - b.bags.start for b in prepared.blocks) + 1, p))
+    # adds the rows in order, each table's bags left to right; it would add a
+    # lone column's runs of bags pairwise, so one table gets a spare column, 0
+    terms = np.zeros((2, max(p, 2)))
+    buffer = np.zeros((max(b.bags.stop - b.bags.start for b in prepared.blocks) + 1, len(terms[0])))
     where = np.ones((len(buffer), 1), bool)
     for block, extremes in _set_extremes(tables, prepared):
         n = block.bags.stop - block.bags.start
-        bags = buffer[1 : n + 1]
+        bags = buffer[1 : n + 1, :p]
         for segs, rows in block.bag_groups:
             for b in _blocks(len(segs), rows.shape[1] * p):
                 bags[segs[b]] = np.maximum.reduce(extremes[rows[b]], axis=1)
@@ -384,15 +383,11 @@ def _evaluate(
         np.square(bags, out=bags)
         if contributions is not None:
             contributions[block.bags] = bags
-        if p > 1:
-            for term, mask in zip(terms, (negative, ~negative)):
-                buffer[0] = term
-                where[1 : n + 1, 0] = mask[block.bags]
-                np.add.reduce(buffer[: n + 1], axis=0, where=where[: n + 1], out=term)
-    if p == 1:
-        terms = [np.add.reduce(contributions, axis=0, where=m[:, None])
-                 for m in (negative, ~negative)]
-    return _Evaluation(*terms)
+        for term, mask in zip(terms, (negative, ~negative)):
+            buffer[0] = term
+            where[1 : n + 1, 0] = mask[block.bags]
+            np.add.reduce(buffer[: n + 1], axis=0, where=where[: n + 1], out=term)
+    return _Evaluation(*terms[:, :p])
 
 
 def objective(measure: Measure, data: Union[Dataset, PreparedData]) -> ObjectiveBreakdown:

@@ -4,7 +4,8 @@
 production path), `train_real_fm` the same skeleton over real-valued
 measures (the baseline used for timing comparisons), and
 `train_exhaustive` scans every binary measure outright for small source
-counts, serving as the global-optimum oracle.
+counts, serving as the global-optimum oracle; it and the one-flip descent
+build and score tables 512 at a time through one scan, `_scan`.
 
 The binary candidate space is finite (every measure has at most 2**S - 2
 single-flip neighbours), which is what lets the binary search terminate by
@@ -282,6 +283,19 @@ def _evolve(prepared: PreparedData, cfg: EAConfig, ops) -> TrainResult:
     )
 
 
+def _scan(prepared: PreparedData, count: int, build) -> tuple:
+    """The objective and a copy of the first minimum of the `count` tables
+    that `build(i, j)` gives 512 at a time, as bitset stack columns i..j."""
+    best = (np.inf, None)
+    for i in range(0, count, 512):
+        tables = build(i, min(i + 512, count))
+        js = _evaluate(tables, prepared).total
+        k = int(np.argmin(js))
+        if js[k] < best[0]:
+            best = float(js[k]), tables[:, k].copy()
+    return best
+
+
 def _descend(
     prepared: PreparedData, column: np.ndarray, deadline: float, tolerance: float
 ) -> tuple:
@@ -290,25 +304,26 @@ def _descend(
     the 2**S - 2 tables that flip one coalition and repair by closure (the
     lowest coalition among equal objectives), while it improves by more
     than `tolerance`. Returns the column reached, its objective, the steps
-    taken and the tables evaluated, `column` and every neighbourhood."""
+    taken and the tables evaluated, `column` and every neighbourhood. Its
+    memory follows one slice of a neighbourhood (see `_scan`): 512 columns
+    of 2**S / 8 bytes, their closure and their evaluation."""
     s = prepared.source_count
     c = np.arange(1, (1 << s) - 1)
-    row, bit = _coalition_bits(c)
     col = column[:, None]
-    best, steps, evaluated = float(_evaluate(col, prepared).total[0]), 0, 1
+
+    def flips(i, j):
+        raised = _unpack(col, s)[c[i:j], 0] == 0
+        kids = _children(col, np.zeros(j - i, np.intp), c[i:j], raised, col[:, :0], s)
+        # the children come raised first: the take puts them in coalition order
+        return kids.take(np.argsort(np.argsort(~raised, kind="stable")), axis=1)
+
+    (best, _), steps, evaluated = _scan(prepared, 1, lambda i, j: col), 0, 1
     while time.perf_counter() < deadline:
-        raised = (col[row, 0] & bit) == 0
-        kids = _children(col, np.zeros(len(c), np.intp), c, raised, col[:, :0], s)
-        js = np.concatenate([
-            _evaluate(kids[:, i : i + 512], prepared).total for i in range(0, len(c), 512)
-        ])
+        js, kid = _scan(prepared, len(c), flips)
         evaluated += len(c)
-        # the children come raised first: back[k] is the one that flips c[k]
-        back = np.argsort(np.argsort(~raised, kind="stable"))
-        k = back[np.argmin(js[back])]
-        if best - js[k] <= tolerance:
+        if best - js <= tolerance:
             break
-        col, best, steps = kids[:, [k]], float(js[k]), steps + 1
+        col, best, steps = kid[:, None], js, steps + 1
     return col[:, 0], best, steps, evaluated
 
 
@@ -346,15 +361,10 @@ def train_exhaustive(data: Dataset | PreparedData) -> TrainResult:
     t0 = time.perf_counter()
     s = data.source_count
     tables = _all_tables(s)
-    prepared = _prepared(data)
-    js = np.concatenate([
-        _evaluate(tables[:, i : i + 512], prepared).total
-        for i in range(0, tables.shape[1], 512)
-    ])
-    best = int(np.argmin(js))  # the columns are sorted as bytes: the first minimum wins ties
-    best_objective = float(js[best])
+    # the columns are sorted as bytes: the first minimum wins ties
+    best_objective, best = _scan(_prepared(data), tables.shape[1], lambda i, j: tables[:, i:j])
     return TrainResult(
-        best_measure=BinaryFuzzyMeasure(s, _unpack(tables[:, best], s)),
+        best_measure=BinaryFuzzyMeasure(s, _unpack(best, s)),
         best_objective=best_objective,
         generations_run=tables.shape[1],
         wall_time_seconds=time.perf_counter() - t0,

@@ -8,6 +8,7 @@ agreement between oracle and production is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 
 
@@ -125,6 +126,53 @@ def naive_set_with_repair(table, c: int, bit: int) -> list[int]:
         if (bit == 1 and b & c == c) or (bit == 0 and b & c == b):
             out[b] = bit
     return out
+
+
+def naive_flipped_choquets(h, table) -> list[float]:
+    """The Choquet integral of row h under every one-flip neighbour of a
+    {0,1} table, coalition 1 to 2**S - 2 in order, in closed form from its
+    integral CI under the table: coalition c raised with its supersets gives
+    max(CI, min over s in c of h_s), lowered with its subsets min(CI, max
+    over s not in c of h_s). CI is read as the largest h_s whose prefix of
+    the sources by falling h wins, as the sum of `naive_choquet` would give
+    it without rounding, so every value is one of the h_s. The least and
+    greatest h_s over each coalition are built up one source at a time:
+    coalitions holding source s follow those of the sources below it."""
+    h = [float(v) for v in h]
+    n = len(table)
+    top = 0
+    for s in sorted(range(len(h)), key=lambda i: (-h[i], i)):
+        top |= 1 << s
+        if table[top]:
+            ci = h[s]
+            break
+    least, greatest = [math.inf], [-math.inf]
+    for x in h:
+        least += [a if a < x else x for a in least]
+        greatest += [a if a > x else x for a in greatest]
+    return [
+        max(ci, least[c]) if table[c] == 0 else min(ci, greatest[n - 1 ^ c])
+        for c in range(1, n - 1)
+    ]
+
+
+def naive_neighbourhood(table, dataset) -> list[float]:
+    """The objective of every one-flip neighbour of a {0,1} table, coalition
+    1 to 2**S - 2 in order, from `naive_flipped_choquets`. Each bag's
+    shortfall d is squared as d * d and added to its label's term, bags left
+    to right, and the total is the negative term plus the positive one."""
+    terms = [[0.0] * (len(table) - 2) for _ in range(2)]
+    for bag in dataset.bags:
+        pick = min if bag.label == 0 else max
+        per_set = [
+            [pick(cis) for cis in zip(*(naive_flipped_choquets(h, table) for h in cset.instances))]
+            for cset in bag.candidate_sets
+        ]
+        term = terms[bag.label]
+        for k, extremes in enumerate(zip(*per_set)):
+            d = max(extremes) - float(bag.label)
+            term[k] += d * d
+    return [negative + positive for negative, positive in zip(*terms)]
 
 
 def naive_minimal_winning(table) -> list[int]:

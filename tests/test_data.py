@@ -476,8 +476,9 @@ class TestLoaderOracle:
                        f" in [0, 1], got {shown}")
 
     def test_a_drained_pipe_keeps_the_first_refusal(self, tmp_path):
-        # /dev/stdin reads once: the refusal of the packed reading stands,
-        # and names the same bag, candidate set and instance
+        # /dev/stdin reads once: the plain reading takes the text the window
+        # held and words the refusal, naming the same bag, candidate set and
+        # instance as for a file
         text = ('{"source_count": 2, "bags": [{"label": 0, "candidate_sets": [[[0.5, 0.5]]]},'
                 ' {"label": 1, "candidate_sets": [[[0, 1], [0, 2]]]}]}')
         run = subprocess.run(
@@ -607,6 +608,32 @@ class TestWindowReader:
         assert outcome(lambda: load_dataset(path)) == want
         got, pipe = load_through_pipe(path.read_bytes())
         assert got == want.replace(str(path), pipe)
+
+    def test_a_pipe_places_a_byte_that_is_not_utf8_in_the_input(self, tmp_path):
+        # far past the first block that a text reader decodes: a pipe's
+        # refusal names the byte's position in the input, as a file's does
+        rows = np.random.default_rng(0).random((12000, 2)).round(6).tolist()
+        obj = {"source_count": 2, "bags": [{"label": 0, "candidate_sets": [rows]},
+                                           {"label": 1, "candidate_sets": [[[0.5, 0.5]]]}]}
+        data = json.dumps(obj).encode()
+        data = data[:200_000] + b"\xff" + data[200_001:]
+        path = tmp_path / "data.json"
+        path.write_bytes(data)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "bfmfusion.cli", "train", "--data", source,
+                 "--mode", "bfm", "--out", str(tmp_path / "result.json")],
+                input=data, capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+            for source in (str(path), "/dev/stdin")
+        ]
+        for run in runs:
+            assert run.returncode == 1
+            assert run.stderr.count(b"\n") == 1 and b"Traceback" not in run.stderr
+        assert b"can't decode byte 0xff in position 200000" in runs[0].stderr
+        assert runs[1].stderr == runs[0].stderr.replace(str(path).encode(), b"/dev/stdin")
+        assert not (tmp_path / "result.json").exists()
 
     def test_one_long_bag_is_read_in_few_steps(self, tmp_path, monkeypatch):
         # the window at least doubles while an item is open, so a bag of

@@ -586,18 +586,16 @@ class TestBatchPaths:
         assert np.array_equal(batch, singles)
 
     def test_batch_matches_scalar_to_rounding_on_many_bags(self):
-        # over 67 bags numpy may add one table's bag terms in another order
-        # inside a stack than alone, so totals can differ in the last bits
+        # over 67 bags, enough for numpy to add a lone column pairwise, each
+        # table's bags are still added left to right, alone or in a stack
         ds = skewed_dataset(4)
         rng = np.random.default_rng(7)
         measures = [sample_random(4, 0.5, rng) for _ in range(16)]
         singles = np.array([objective(m, ds).total for m in measures])
-        np.testing.assert_allclose(
-            stack_totals(measures, prepare(ds)), singles, rtol=1e-12, atol=0
-        )
+        assert np.array_equal(stack_totals(measures, prepare(ds)), singles)
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
-    @pytest.mark.parametrize("p", [2, 3, 64, 65, 130])
+    @pytest.mark.parametrize("p", [1, 2, 3, 64, 65, 130])
     def test_terms_add_bags_left_to_right(self, p, binary):
         # each term of each table in a stack adds that table's contributions
         # one at a time in bag order, with the labels shuffled among the bags
@@ -618,26 +616,33 @@ class TestBatchPaths:
                 assert float(term) == running
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "real"])
-    def test_single_table_terms_sum_the_whole_column(self, monkeypatch, binary):
-        # numpy adds one column's runs of masked bags pairwise, so a single
-        # table's terms are its whole column's masked sums, never a fold of
-        # blocks, which would regroup runs of 200 bags of a label
+    @pytest.mark.parametrize("s", [4, 8])
+    def test_a_table_has_the_same_terms_in_every_stack(self, monkeypatch, s, binary):
+        # one fold for every width: over 8 blocks of bags and more, a table's
+        # terms and total keep their bits in stacks of 1 to 513 tables, and
+        # `objective` gives the same; the bags sorted by label make runs of
+        # 200, and at S=8 a real CI adds 8 terms, which numpy would add
+        # pairwise for a lone table
         rng = np.random.default_rng(92)
-        bags = random_dataset(rng, 4, n_bags=400).bags
-        ds = Dataset(4, tuple(sorted(bags, key=lambda bag: bag.label)))
+        bags = random_dataset(rng, s, n_bags=400).bags
+        ds = Dataset(s, tuple(sorted(bags, key=lambda bag: bag.label)))
         monkeypatch.setattr(sys.modules["bfmfusion.objective"], "_BLOCK_SETS", 50)
         pre = prepare(ds)
-        assert len(pre.blocks) > 1
-        g = sample_random(4, 0.5, rng) if binary else sample_random_real(4, rng)
-        stack = as_stack(g.values[:, None])
-        ev, contributions = evaluate(stack, pre)
-        negative = (ds.labels() == 0)[:, None]
-        want = [np.add.reduce(contributions.T, axis=0, where=m) for m in (negative, ~negative)]
-        alone = _evaluate(stack, pre)
-        for got in (ev, alone):
-            assert np.array_equal(got.negative, want[0]) and np.array_equal(got.positive, want[1])
-        out = objective(g, pre)
-        assert (out.negative_term, out.positive_term) == (float(want[0][0]), float(want[1][0]))
+        assert len(pre.blocks) >= 8
+        measures = [
+            sample_random(s, 0.5, rng) if binary else sample_random_real(s, rng) for _ in range(513)
+        ]
+        tables = np.stack([m.values for m in measures], axis=1)
+        widest = _evaluate(as_stack(tables), pre)
+        for p in (1, 2, 3, 64, 65):
+            ev = _evaluate(as_stack(tables[:, :p]), pre)
+            for got, want in zip((ev.negative, ev.positive, ev.total), (*widest, widest.total)):
+                assert np.array_equal(got, want[:p])
+        for k, m in enumerate(measures[:3]):
+            out = objective(m, pre)
+            assert (out.negative_term, out.positive_term, out.total) == (
+                widest.negative[k], widest.positive[k], widest.total[k]
+            )
 
 
 class TestBagBlocks:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ from bfmfusion import optimizer as optimizer_module
 from bfmfusion.optimizer import _BinaryOps, _RealOps, _descend
 from bfmfusion.rng import substream
 from oracles import (
+    naive_choquet,
+    naive_flipped_choquets,
+    naive_neighbourhood,
     naive_random_real_table,
     naive_ranking,
     naive_real_redraw,
@@ -569,7 +573,7 @@ class TestDescent:
             prepare(data), _pack(start.values[:, None])[:, 0], math.inf, tolerance
         )
         assert calls[0][0] == [start.values.tolist()]
-        assert calls[0][1][0] == pytest.approx(objective(start, data).total, rel=1e-12, abs=1e-12)
+        assert calls[0][1][0] == objective(start, data).total
         # at S <= 6 a neighbourhood is one call: one per step, and the last
         assert len(calls) == steps + 2
         measure, current, path = start, calls[0][1][0], [start.values.tolist()]
@@ -579,7 +583,7 @@ class TestDescent:
             assert sorted(scored) == sorted(tuple(m.values.tolist()) for m in neighbours.values())
             for m in neighbours.values():
                 got = scored[tuple(m.values.tolist())]
-                assert got == pytest.approx(objective(m, data).total, rel=1e-12, abs=1e-12)
+                assert got == objective(m, data).total
             # the lowest coalition among equal minima
             lowest = min(scored.values())
             c = next(c for c, m in neighbours.items() if scored[tuple(m.values.tolist())] == lowest)
@@ -601,10 +605,90 @@ class TestDescent:
         )
         result = BinaryFuzzyMeasure(s, _unpack(column[:, None], s)[:, 0])
         assert steps > 0
-        assert best == pytest.approx(objective(result, data).total, rel=1e-12, abs=1e-12)
+        assert best == objective(result, data).total
         assert best < objective(start, data).total
         for m in one_flips(result).values():
             assert objective(m, data).total > best - 1e-6
+
+    @given(seed=st.integers(0, 2**31 - 1), s=st.integers(2, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_the_closed_form_matches_the_repaired_table(self, seed, s):
+        # rows on a 1/8 grid, so sources tie and the sum in `naive_choquet`
+        # is exact
+        rng = np.random.default_rng(seed)
+        table = sample_random(s, float(rng.random()), rng).values.tolist()
+        h = rng.integers(0, 9, size=s) / 8
+        flipped = naive_flipped_choquets(h, table)
+        assert flipped == [
+            naive_choquet(h, naive_set_with_repair(table, c, 1 - table[c]))
+            for c in range(1, len(table) - 1)
+        ]
+
+    @pytest.mark.parametrize("s, seed", [(10, 3), (11, 7)])
+    def test_sliced_neighbourhoods_match_the_closed_form(self, monkeypatch, s, seed):
+        # 2**S - 2 children scored 512 at a time: 2 slices at S=10, 4 at
+        # S=11, the last one partial. The last source is 0 in every row, so
+        # lowering c and lowering c with that source score the same, and a
+        # step's minimum ties across slices. The oracle squares d * d and adds
+        # each label's bags left to right, as `_evaluate` does, so the totals
+        # agree exactly
+        truth = from_minimal_coalitions(s, [set(range(s // 2 + 1)), set(range(s // 2, s))])
+        planted = generate_synthetic(SynthSpec(s, 3 * s, 3 * s, (2, 3), (2, 3), 0.2, truth, seed))
+        X = planted.instance_matrix().copy()
+        X[:, -1] = 0.0
+        data = Dataset._from_columns(
+            s, X, planted.set_offsets, planted.bag_offsets, planted.labels(), None
+        )
+        start = from_minimal_coalitions(s, [set(range(s // 2, s))])
+        calls, evaluate = [], optimizer_module._evaluate
+
+        def spy(tables, prepared, *args):
+            ev = evaluate(tables, prepared, *args)
+            calls.append((tables.copy(), ev.total.tolist()))
+            return ev
+
+        monkeypatch.setattr(optimizer_module, "_evaluate", spy)
+        column, best, steps, evaluated = _descend(
+            prepare(data), _pack(start.values[:, None])[:, 0], math.inf, 1e-6
+        )
+        slices = -(-((1 << s) - 2) // 512)
+        assert len(calls) == 1 + (steps + 1) * slices
+        table, current = start.values.tolist(), calls[0][1][0]
+        assert current == objective(start, data).total
+        tied = 0
+        for step in range(steps + 1):
+            hood = calls[1 + step * slices : 1 + (step + 1) * slices]
+            totals = [total for _, part in hood for total in part]
+            assert totals == naive_neighbourhood(table, data)
+            k = totals.index(min(totals))  # the lowest coalition among equal minima
+            if step == steps:
+                assert current - totals[k] <= 1e-6
+                break
+            assert current - totals[k] > 1e-6
+            tied += len({i // 512 for i, total in enumerate(totals) if total == totals[k]}) > 1
+            table = naive_set_with_repair(table, k + 1, 1 - table[k + 1])
+            chosen = np.concatenate([tables for tables, _ in hood], axis=1)[:, k]
+            assert chosen.tolist() == _pack(np.array(table, np.uint8)[:, None])[:, 0].tolist()
+            current = totals[k]
+        assert tied
+        assert column.tolist() == _pack(np.array(table, np.uint8)[:, None])[:, 0].tolist()
+        assert (best, evaluated) == (current, 1 + (steps + 1) * ((1 << s) - 2))
+
+    def test_a_neighbourhood_takes_the_memory_of_a_slice(self):
+        # S=14: 16,382 children of 2 KiB each, 32 MiB as one stack, are built
+        # and scored 512 at a time (measured with numpy 2.4: 12.3 MiB; 352.6
+        # MiB while the whole neighbourhood was built at once)
+        data, start = descent_case(14, 0)
+        prepared = prepare(data)
+        column = _pack(start.values[:, None])[:, 0]
+        tracemalloc.start()
+        try:
+            _, _, steps, evaluated = _descend(prepared, column, math.inf, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (steps, evaluated) == (0, (1 << 14) - 1)
+        assert peak <= 32 * 2**20
 
     def test_a_passed_deadline_takes_no_step(self):
         data, start = descent_case(4, 0)
@@ -612,4 +696,4 @@ class TestDescent:
         got, best, steps, evaluated = _descend(prepare(data), column, -math.inf, 1e-6)
         assert got.tolist() == column.tolist()
         assert (steps, evaluated) == (0, 1)
-        assert best == pytest.approx(objective(start, data).total, rel=1e-12, abs=1e-12)
+        assert best == objective(start, data).total
