@@ -3,7 +3,8 @@
 `fuse` turns a dataset plus a measure into one fused confidence per
 instance; `fuse_naive` provides the min/max/mean baselines. `score`
 compares fused confidences against per-instance binary truth with ROC/AUC,
-RMSE, and PSNR.
+RMSE, and PSNR, and keeps the ROC curve as arrays. The CSV writers format
+the curve and a fusion map a block of rows at a time, as csv.writer would.
 
 Scores keep the dataset's flattening order (bag, then candidate set, then
 instance), so a fusion map lines up with `Dataset.flat_truth()`.
@@ -11,14 +12,13 @@ instance), so a fusion map lines up with `Dataset.flat_truth()`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .choquet import choquet_batch
+from .choquet import _blocks, choquet_batch
 from .data import Dataset, _address
 from .errors import ValidationError
 from .measures import Measure, measure_to_dict
@@ -42,20 +42,38 @@ class FusionMap:
         return self.scores.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreReport:
     """Detection metrics for one fusion map.
 
-    auc is None when truth has a single class; auc_error then says why.
-    psnr is +inf when rmse is exactly 0. The ROC curve is kept out of
-    to_json_dict; write_roc_csv is its one writer.
+    auc is None when truth has a single class; auc_error then says why, and
+    the ROC curve is empty. psnr is +inf when rmse is exactly 0. The curve is
+    `roc_curve`'s arrays, read-only and kept out of to_json_dict; write_roc_csv
+    is its one writer. Reports compare field by field, the curve elementwise.
     """
 
     auc: Optional[float]
     rmse: float
     psnr: float
-    roc_points: tuple[tuple[float, float], ...]  # (fpr, tpr), (0,0) .. (1,1)
+    fpr: np.ndarray
+    tpr: np.ndarray
     auc_error: Optional[str] = None
+
+    def __post_init__(self):
+        for name in ("fpr", "tpr"):
+            curve = np.asarray(getattr(self, name), dtype=np.float64).view()
+            curve.flags.writeable = False
+            object.__setattr__(self, name, curve)
+
+    def __eq__(self, other):
+        return isinstance(other, ScoreReport) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values())
+        )
+
+    @property
+    def roc_points(self) -> tuple[tuple[float, float], ...]:
+        """The curve as (fpr, tpr) pairs of Python floats."""
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,12 +101,6 @@ def fuse_naive(data: Dataset, mode: str) -> FusionMap:
     return FusionMap(scores, {"mode": mode})
 
 
-def _as_scores(map_or_scores: Union[FusionMap, Sequence[float], np.ndarray]) -> np.ndarray:
-    if isinstance(map_or_scores, FusionMap):
-        return map_or_scores.scores
-    return np.asarray(map_or_scores, dtype=np.float64)
-
-
 def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tie-grouped ROC sweep, highest threshold first.
 
@@ -96,17 +108,14 @@ def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.nda
     as one step, which is what makes trapezoidal area match pair counting.
     """
     order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    t = truth[order]
     # last index of each tie group
-    boundary = np.nonzero(np.diff(s))[0]
-    ends = np.concatenate([boundary, [s.size - 1]])
-    tp = np.cumsum(t)[ends]
-    fp = np.cumsum(1 - t)[ends]
-    n_pos = tp[-1]
-    n_neg = fp[-1]
-    tpr = np.concatenate([[0.0], tp / n_pos if n_pos else np.zeros_like(tp, dtype=float)])
-    fpr = np.concatenate([[0.0], fp / n_neg if n_neg else np.zeros_like(fp, dtype=float)])
+    ends = np.append(np.flatnonzero(np.diff(scores[order])), scores.size - 1)
+    tpr, fpr = np.zeros((2, ends.size + 1))
+    # positives and negatives up to each end, then their shares (0 if none)
+    tpr[1:] = np.cumsum(truth[order])[ends]
+    fpr[1:] = ends + 1 - tpr[1:]
+    tpr /= max(tpr[-1], 1.0)
+    fpr /= max(fpr[-1], 1.0)
     return fpr, tpr
 
 
@@ -115,7 +124,7 @@ def score(
     truth: Sequence[int],
 ) -> ScoreReport:
     """ROC/AUC, RMSE, and PSNR of fused confidences against binary truth."""
-    scores = _as_scores(fmap)
+    scores = fmap.scores if isinstance(fmap, FusionMap) else np.asarray(fmap, dtype=np.float64)
     t = np.asarray(truth)
     if scores.ndim != 1 or t.shape != scores.shape:
         raise ValidationError(
@@ -127,53 +136,59 @@ def score(
         raise ValidationError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
     if not np.isin(t, (0, 1)).all():
         raise ValidationError("truth labels must be 0 or 1")
-    t = t.astype(np.int64)
+    # roc_curve's cumsum widens int8 to int64 itself
+    t = t.astype(np.int8, copy=False)
 
-    err = scores - t
-    rmse = float(np.sqrt(np.mean(err * err)))
+    rmse = float(np.sqrt(np.mean(np.square(scores - t))))
     psnr = math.inf if rmse == 0.0 else -20.0 * math.log10(rmse)
 
     if t.min() == t.max():
-        only = int(t[0])
         return ScoreReport(
-            auc=None,
-            rmse=rmse,
-            psnr=psnr,
-            roc_points=(),
-            auc_error=f"AUC undefined: truth contains only class {only}",
+            None, rmse, psnr, (), (), f"AUC undefined: truth contains only class {t[0]}"
         )
 
     fpr, tpr = roc_curve(scores, t)
     auc = float(np.trapezoid(tpr, fpr))
-    points = tuple(zip(fpr.tolist(), tpr.tolist()))
-    return ScoreReport(auc=auc, rmse=rmse, psnr=psnr, roc_points=points)
+    return ScoreReport(auc=auc, rmse=rmse, psnr=psnr, fpr=fpr, tpr=tpr)
 
 
-def fusion_rows(data: Dataset, fmap: FusionMap) -> Iterator[tuple]:
-    """(bag, set, instance, score[, truth]) rows in flattening order."""
+def _row_blocks(n: int, width: int, columns) -> Iterator[zip]:
+    """Rows 0..n-1 as tuples of Python numbers, a block at a time from `columns(rows)`."""
+    return (zip(*(c.tolist() for c in columns(rows))) for rows in _blocks(n, width))
+
+
+def _fusion_blocks(data: Dataset, fmap: FusionMap) -> Iterator[zip]:
     if len(fmap) != data.n_instances:
         raise ValidationError(
             f"map has {len(fmap)} scores, dataset has {data.n_instances} instances"
         )
-    address = _address(np.arange(data.n_instances), data.set_offsets, data.bag_offsets)
-    columns = [*address, fmap.scores]
-    if data.flat_truth() is not None:
-        columns.append(data.flat_truth())
-    return zip(*(column.tolist() for column in columns))
+    tail = [fmap.scores] + ([] if data.flat_truth() is None else [data.flat_truth()])
+    return _row_blocks(len(fmap), 3 + len(tail), lambda rows: [
+        *_address(np.arange(*rows.indices(len(fmap))), data.set_offsets, data.bag_offsets),
+        *(column[rows] for column in tail),
+    ])
+
+
+def fusion_rows(data: Dataset, fmap: FusionMap) -> Iterator[tuple]:
+    """(bag, set, instance, score[, truth]) rows in flattening order, made a
+    block of rows at a time; refuses a map of another length when called."""
+    return (row for block in _fusion_blocks(data, fmap) for row in block)
+
+
+def _write_csv(path, header: str, blocks) -> None:
+    """The header, then each block's rows, numbers by repr as csv.writer writes them."""
+    line = ",".join(["%r"] * (header.count(",") + 1)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n")
+        for block in blocks:
+            fh.write("".join(map(line.__mod__, block)))
 
 
 def write_fusion_csv(path, data: Dataset, fmap: FusionMap) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = ["bag", "candidate_set", "instance", "score"]
-        if data.flat_truth() is not None:
-            header.append("truth")
-        w.writerow(header)
-        w.writerows(fusion_rows(data, fmap))
+    header = "bag,candidate_set,instance,score" + ",truth" * (data.flat_truth() is not None)
+    _write_csv(path, header, _fusion_blocks(data, fmap))
 
 
 def write_roc_csv(path, report: ScoreReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["false_positive_rate", "true_positive_rate"])
-        w.writerows(report.roc_points)
+    curve = _row_blocks(len(report.fpr), 2, lambda rows: (report.fpr[rows], report.tpr[rows]))
+    _write_csv(path, "false_positive_rate,true_positive_rate", curve)

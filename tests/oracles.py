@@ -7,6 +7,7 @@ agreement between oracle and production is meaningful.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import struct
@@ -220,3 +221,30 @@ def naive_random_real_table(u) -> list[float]:
         out[b] = lo + float(u[b]) * (1.0 - lo)
     out[n - 1] = 1.0
     return out
+
+
+def naive_fusion_csv(path, dataset, scores) -> None:
+    """fusion.csv by walking the bags, one csv.writer row an instance: bag,
+    candidate set, instance, the instance's score, then its truth if any."""
+    truth = dataset.flat_truth()
+    header = ["bag", "candidate_set", "instance", "score"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header if truth is None else header + ["truth"])
+        k = 0
+        for b, bag in enumerate(dataset.bags):
+            for c, cs in enumerate(bag.candidate_sets):
+                for i in range(len(cs.instances)):
+                    row = [b, c, i, float(scores[k])]
+                    w.writerow(row if truth is None else row + [int(truth[k])])
+                    k += 1
+
+
+def naive_roc_csv(path, fpr, tpr) -> None:
+    """roc.csv, one csv.writer row a curve point; the header alone when the
+    curve is empty."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["false_positive_rate", "true_positive_rate"])
+        for x, y in zip(fpr, tpr):
+            w.writerow([float(x), float(y)])

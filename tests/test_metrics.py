@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,14 +22,17 @@ from bfmfusion import (
     roc_curve,
     score,
 )
+import bfmfusion.metrics
+from bfmfusion.choquet import _blocks
 from bfmfusion.metrics import (
     NAIVE_MODES,
     FusionMap,
+    ScoreReport,
     fusion_rows,
     write_fusion_csv,
     write_roc_csv,
 )
-from oracles import pair_count_auc
+from oracles import naive_fusion_csv, naive_roc_csv, pair_count_auc
 
 
 def toy_dataset():
@@ -36,6 +40,38 @@ def toy_dataset():
     b1 = Bag(1, [np.array([[0.8, 0.8, 0.8]]), np.array([[0.35, 0.5, 0.2]])])
     truth = (((0, 0),), ((1,), (1,)))
     return Dataset(3, (b0, b1), truth)
+
+
+def dataset_of(rng, n, with_truth=True):
+    """A 3-source dataset of exactly n instances, in sets of 1-3 rows and bags
+    of 1-3 sets, with random instance truth when asked."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 4)), n - sum(sizes)))
+    per_bag = []
+    while sum(per_bag) < len(sizes):
+        per_bag.append(min(int(rng.integers(1, 4)), len(sizes) - sum(per_bag)))
+    nested, k = [], 0
+    for m in per_bag:
+        nested.append(sizes[k:k + m])
+        k += m
+    bags = [Bag(b % 2, [rng.random((size, 3)) for size in bag]) for b, bag in enumerate(nested)]
+    truth = [[rng.integers(0, 2, size).tolist() for size in bag] for bag in nested]
+    return Dataset(3, bags, truth if with_truth else None)
+
+
+def small_blocks(monkeypatch, rows):
+    """Make the writers' blocks `rows` rows long; returns the list of the
+    block counts each call of `_blocks` made."""
+    counts = []
+
+    def blocks(n, per_item):
+        out = _blocks(n, per_item, budget=rows * per_item)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(bfmfusion.metrics, "_blocks", blocks)
+    return counts
 
 
 def random_scores_truth(rng, n, quantize=False):
@@ -238,6 +274,41 @@ class TestScoreInputs:
         assert report.roc_points == ()
         assert report.rmse == pytest.approx(math.sqrt((0.8**2 + 0.2**2) / 2), abs=1e-15)
 
+    @pytest.mark.parametrize("only", [0, 1])
+    def test_single_class_truth_has_an_empty_curve(self, only):
+        report = score(np.array([0.2, 0.8, 0.5]), np.full(3, only, dtype=np.int8))
+        for curve in (report.fpr, report.tpr):
+            assert curve.dtype == np.float64 and curve.shape == (0,)
+        assert report.auc_error == f"AUC undefined: truth contains only class {only}"
+
+    def test_the_curve_is_roc_curves_arrays_read_only(self):
+        rng = np.random.default_rng(7)
+        scores, truth = rng.random(300).round(2), rng.integers(0, 2, 300)
+        report = score(scores, truth)
+        for kept, expected in zip((report.fpr, report.tpr), roc_curve(scores, truth)):
+            assert kept.dtype == np.float64 and np.array_equal(kept, expected)
+            with pytest.raises(ValueError):
+                kept[0] = 0.5
+
+    def test_a_report_leaves_the_callers_curve_writable(self):
+        fpr, tpr = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        report = ScoreReport(0.5, 0.5, 6.0, fpr, tpr)
+        fpr[0] = 0.25
+        assert report.fpr[0] == 0.25  # a view: nothing was copied
+        with pytest.raises(ValueError):
+            report.tpr[0] = 0.5
+
+    def test_equality_covers_the_curve(self):
+        report = score(np.array([0.1, 0.4, 0.35, 0.8]), [0, 0, 1, 1])
+        twin = replace(report, fpr=report.fpr.copy(), tpr=report.tpr.copy())
+        assert twin == report
+        tpr = report.tpr.copy()
+        tpr[1] = 0.25  # another curve, every other field the same
+        assert replace(report, tpr=tpr) != report
+        assert replace(report, fpr=report.fpr[:-1], tpr=report.tpr[:-1]) != report
+        assert replace(report, auc_error="x") != report
+        assert report != report.to_json_dict()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError, match="aligned"):
             score(np.array([0.1, 0.2]), [0])
@@ -309,6 +380,71 @@ class TestWriters:
         short = FusionMap(np.array([0.1]), {"mode": "min"})
         with pytest.raises(ValidationError, match="scores"):
             list(fusion_rows(ds, short))
+
+    def test_fusion_rows_refuse_a_short_map_when_called(self, tmp_path):
+        ds = toy_dataset()
+        short = FusionMap(np.array([0.1]), {"mode": "min"})
+        with pytest.raises(ValidationError, match="1 scores, dataset has 4 instances"):
+            fusion_rows(ds, short)  # not iterated
+        with pytest.raises(ValidationError, match="1 scores"):
+            write_fusion_csv(tmp_path / "fusion.csv", ds, short)
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("mode", ["choquet", *NAIVE_MODES])
+    def test_fusion_csv_matches_the_naive_writer(self, tmp_path, with_truth, mode):
+        ds = dataset_of(np.random.default_rng(11), 300, with_truth)
+        fmap = (
+            fuse(ds, from_minimal_coalitions(3, [{0, 1}, {2}])) if mode == "choquet"
+            else fuse_naive(ds, mode)
+        )
+        write_fusion_csv(tmp_path / "fast.csv", ds, fmap)
+        naive_fusion_csv(tmp_path / "naive.csv", ds, fmap.scores)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [3 * 4 - 1, 3 * 4, 3 * 4 + 1])
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_fusion_csv_across_block_edges(self, tmp_path, monkeypatch, n, with_truth):
+        counts = small_blocks(monkeypatch, 4)
+        ds = dataset_of(np.random.default_rng(n), n, with_truth)
+        fmap = fuse_naive(ds, "mean")
+        write_fusion_csv(tmp_path / "fast.csv", ds, fmap)
+        naive_fusion_csv(tmp_path / "naive.csv", ds, fmap.scores)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
+        assert counts == [-(-n // 4)]
+        naive_rows = list(csv.reader((tmp_path / "naive.csv").read_text().splitlines()))[1:]
+        assert list(fusion_rows(ds, fmap)) == [
+            (int(b), int(c), int(i), float(v), *map(int, t)) for b, c, i, v, *t in naive_rows
+        ]
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_roc_csv_matches_the_naive_writer(self, tmp_path, ties):
+        rng = np.random.default_rng(12)
+        scores, truth = random_scores_truth(rng, 2000, quantize=ties)
+        report = score(scores ** 5, truth)  # levels across many binades
+        write_roc_csv(tmp_path / "fast.csv", report)
+        naive_roc_csv(tmp_path / "naive.csv", *roc_curve(scores ** 5, truth))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
+
+    @pytest.mark.parametrize("only", [0, 1])
+    def test_roc_csv_of_single_class_truth_is_the_header(self, tmp_path, only):
+        report = score(np.array([0.2, 0.8, 0.5]), [only] * 3)
+        write_roc_csv(tmp_path / "fast.csv", report)
+        naive_roc_csv(tmp_path / "naive.csv", [], [])
+        expected = b"false_positive_rate,true_positive_rate\r\n"
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+        assert (tmp_path / "naive.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("n", [3 * 4 - 1, 3 * 4, 3 * 4 + 1])
+    def test_roc_csv_across_block_edges(self, tmp_path, monkeypatch, n):
+        counts = small_blocks(monkeypatch, 4)
+        # n - 1 distinct scores, one each side of a class: a curve of n points
+        scores = np.arange(n - 1) / (n - 1)
+        report = score(scores, np.arange(n - 1) % 2)
+        assert len(report.fpr) == n
+        write_roc_csv(tmp_path / "fast.csv", report)
+        naive_roc_csv(tmp_path / "naive.csv", report.fpr, report.tpr)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
+        assert counts == [-(-n // 4)]
 
     def test_fusion_rows_follow_the_bags(self):
         rng = np.random.default_rng(4)
