@@ -10,6 +10,8 @@ Typical flow: build or load a `Dataset`, call `train_bfm` to learn a
 `score` to evaluate them against instance-level truth.
 """
 
+from types import ModuleType as _ModuleType
+
 from .choquet import choquet_batch, choquet_maxmin
 from .data import (
     Bag,
@@ -50,84 +52,15 @@ from .measures import (
     set_with_repair,
     validate,
 )
-from .metrics import (
-    FusionMap,
-    ScoreReport,
-    fuse,
-    fuse_naive,
-    roc_curve,
-    score,
-)
-from .objective import (
-    ObjectiveBreakdown,
-    PreparedData,
-    objective,
-    prepare,
-)
-from .optimizer import (
-    EAConfig,
-    TrainResult,
-    train_bfm,
-    train_exhaustive,
-    train_real_fm,
-)
+from .metrics import FusionMap, ScoreReport, fuse, fuse_naive, roc_curve, score
+from .objective import ObjectiveBreakdown, PreparedData, objective, prepare
+from .optimizer import EAConfig, TrainResult, train_bfm, train_exhaustive, train_real_fm
 
 __version__ = "0.1.0"
 
+# The import lines above are the one list of public names: __all__ is every
+# name they bind, less the submodules that importing from them binds too.
 __all__ = [
-    "AxiomViolation",
-    "Bag",
-    "BinaryFuzzyMeasure",
-    "CandidateSet",
-    "CapError",
-    "Dataset",
-    "EAConfig",
-    "ENUMERATION_CAP",
-    "FusionMap",
-    "MAX_SOURCES",
-    "MAX_SYNTH_INSTANCES",
-    "Measure",
-    "ObjectiveBreakdown",
-    "PinnedElementError",
-    "PreparedData",
-    "RealFuzzyMeasure",
-    "ScoreReport",
-    "SynthSpec",
-    "TrainResult",
-    "ValidationError",
-    "ValidityReport",
-    "choquet_batch",
-    "choquet_maxmin",
-    "count_all",
-    "dataset_from_dict",
-    "dataset_to_dict",
-    "enumerate_all",
-    "from_minimal_coalitions",
-    "fuse",
-    "fuse_naive",
-    "generate_synthetic",
-    "load_dataset",
-    "load_measure",
-    "maximum_measure",
-    "measure_from_dict",
-    "measure_to_antichain_dict",
-    "measure_to_dict",
-    "minimal_winning_coalitions",
-    "minimum_measure",
-    "objective",
-    "prepare",
-    "roc_curve",
-    "sample_random",
-    "sample_random_real",
-    "save_dataset",
-    "save_measure",
-    "score",
-    "set_with_repair",
-    "spec_from_dict",
-    "spec_to_dict",
-    "train_bfm",
-    "train_exhaustive",
-    "train_real_fm",
-    "validate",
-    "__version__",
-]
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

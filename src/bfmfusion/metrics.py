@@ -101,12 +101,21 @@ def fuse_naive(data: Dataset, mode: str) -> FusionMap:
     return FusionMap(scores, {"mode": mode})
 
 
+def _check_finite(scores: np.ndarray) -> None:
+    """The one refusal of NaN and infinite scores, for `score` and `roc_curve`."""
+    if not np.isfinite(scores).all():
+        raise ValidationError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+
+
 def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tie-grouped ROC sweep, highest threshold first.
 
     Returns (fpr, tpr) arrays anchored at (0,0) and (1,1). Equal scores move
     as one step, which is what makes trapezoidal area match pair counting.
+    Scores that are not finite are refused: tied infinities would split into
+    two steps, and NaN would sort first.
     """
+    _check_finite(scores)
     order = np.argsort(-scores, kind="stable")
     # last index of each tie group
     ends = np.append(np.flatnonzero(np.diff(scores[order])), scores.size - 1)
@@ -132,8 +141,7 @@ def score(
         )
     if scores.size == 0:
         raise ValidationError("cannot score an empty map")
-    if not np.isfinite(scores).all():
-        raise ValidationError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+    _check_finite(scores)
     if not np.isin(t, (0, 1)).all():
         raise ValidationError("truth labels must be 0 or 1")
     # roc_curve's cumsum widens int8 to int64 itself
@@ -167,12 +175,6 @@ def _fusion_blocks(data: Dataset, fmap: FusionMap) -> Iterator[zip]:
         *_address(np.arange(*rows.indices(len(fmap))), data.set_offsets, data.bag_offsets),
         *(column[rows] for column in tail),
     ])
-
-
-def fusion_rows(data: Dataset, fmap: FusionMap) -> Iterator[tuple]:
-    """(bag, set, instance, score[, truth]) rows in flattening order, made a
-    block of rows at a time; refuses a map of another length when called."""
-    return (row for block in _fusion_blocks(data, fmap) for row in block)
 
 
 def _write_csv(path, header: str, blocks) -> None:

@@ -28,7 +28,6 @@ from bfmfusion.metrics import (
     NAIVE_MODES,
     FusionMap,
     ScoreReport,
-    fusion_rows,
     write_fusion_csv,
     write_roc_csv,
 )
@@ -187,6 +186,23 @@ class TestRocAuc:
     def test_constant_scores_are_chance(self):
         report = score(np.full(6, 0.4), [0, 1, 0, 1, 0, 1])
         assert report.auc == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("tied", [[np.inf, np.inf, 0.5], [0.5, -np.inf, -np.inf]])
+    def test_tied_infinite_scores_are_refused(self, tied):
+        truth = np.array([1, 0, 1])
+        # tied finite scores make one step
+        assert roc_curve(np.array([0.9, 0.9, 0.5]), truth)[1].tolist() == [0.0, 0.5, 1.0]
+        # np.diff of tied infinities is NaN, which would split them into two steps
+        with pytest.raises(ValidationError, match=f"scores must be finite, got {tied[1]}"):
+            roc_curve(np.array(tied), truth)
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_nan_scores_are_refused(self, at):
+        # NaN would otherwise sort first, as the highest threshold
+        scores = np.array([0.2, 0.7, 0.4])
+        scores[at] = np.nan
+        with pytest.raises(ValidationError, match="scores must be finite, got nan"):
+            roc_curve(scores, np.array([0, 1, 1]))
 
     def test_curve_anchors_and_monotonicity(self):
         rng = np.random.default_rng(3)
@@ -375,18 +391,10 @@ class TestWriters:
         assert payload["psnr_is_infinite"] is False
         assert payload["auc_error"] is None
 
-    def test_fusion_rows_length_check(self):
-        ds = toy_dataset()
-        short = FusionMap(np.array([0.1]), {"mode": "min"})
-        with pytest.raises(ValidationError, match="scores"):
-            list(fusion_rows(ds, short))
-
-    def test_fusion_rows_refuse_a_short_map_when_called(self, tmp_path):
+    def test_fusion_csv_refuses_a_short_map(self, tmp_path):
         ds = toy_dataset()
         short = FusionMap(np.array([0.1]), {"mode": "min"})
         with pytest.raises(ValidationError, match="1 scores, dataset has 4 instances"):
-            fusion_rows(ds, short)  # not iterated
-        with pytest.raises(ValidationError, match="1 scores"):
             write_fusion_csv(tmp_path / "fusion.csv", ds, short)
 
     @pytest.mark.parametrize("with_truth", [True, False])
@@ -411,10 +419,6 @@ class TestWriters:
         naive_fusion_csv(tmp_path / "naive.csv", ds, fmap.scores)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
         assert counts == [-(-n // 4)]
-        naive_rows = list(csv.reader((tmp_path / "naive.csv").read_text().splitlines()))[1:]
-        assert list(fusion_rows(ds, fmap)) == [
-            (int(b), int(c), int(i), float(v), *map(int, t)) for b, c, i, v, *t in naive_rows
-        ]
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_roc_csv_matches_the_naive_writer(self, tmp_path, ties):
@@ -446,7 +450,7 @@ class TestWriters:
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
         assert counts == [-(-n // 4)]
 
-    def test_fusion_rows_follow_the_bags(self):
+    def test_fusion_csv_follows_the_bags(self, tmp_path):
         rng = np.random.default_rng(4)
         shapes = [[2, 1], [1, 3, 2], [3]]
         bags = [Bag(b % 2, [rng.random((n, 2)) for n in sizes]) for b, sizes in enumerate(shapes)]
@@ -458,4 +462,6 @@ class TestWriters:
             for c, cs in enumerate(bag.candidate_sets)
             for i, h in enumerate(cs.instances)
         ]
-        assert list(fusion_rows(ds, fmap)) == expected
+        write_fusion_csv(tmp_path / "fusion.csv", ds, fmap)
+        rows = list(csv.reader((tmp_path / "fusion.csv").read_text().splitlines()))[1:]
+        assert [(int(b), int(c), int(i), float(v)) for b, c, i, v in rows] == expected

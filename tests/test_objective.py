@@ -293,6 +293,33 @@ class TestThresholdWalk:
         assert (set_extremes(stack, pre)[:, 0] == expected).all()
         assert (ev.total == naive_objective(table, ds)).all()
 
+    def test_int32_walks_equal_choquet_batch(self):
+        # 1,600 bags at S=17 read U = 37,784 coalitions, so the 2U words of
+        # the walks pass 65,536 and every walk holds int32 word indices
+        s = 17
+        rng = np.random.default_rng(0)
+        ds = Dataset(s, tuple(
+            Bag(b % 2, [rng.random((int(rng.integers(1, 4)), s))
+                        for _ in range(int(rng.integers(1, 3)))])
+            for b in range(1600)
+        ))
+        pre = prepare(ds)
+        assert len(pre.coalitions[0]) == 37784
+        assert {walk.dtype for b in pre.blocks for _, _, walk, _ in b.set_groups} == {
+            np.dtype(np.int32)
+        }
+        measures = [sample_random(s, 0.5, rng) for _ in range(3)]
+        ev = _evaluate(_pack(np.stack([m.values for m in measures], axis=1)), pre)
+        for k, measure in enumerate(measures):
+            cis = choquet_batch(ds.instance_matrix(), measure)
+            sets = iter(np.split(cis, ds.set_offsets[1:-1]))
+            terms = [0.0, 0.0]  # each label's bags added left to right
+            for bag in ds.bags:
+                extreme = np.min if bag.label == 0 else np.max
+                x = max(float(extreme(next(sets))) for _ in bag.candidate_sets)
+                terms[bag.label] += (x - bag.label) ** 2
+            assert [ev.negative[k], ev.positive[k]] == terms
+
     def test_memory_does_not_grow_with_the_table(self):
         # at S=20 the table has 2**20 rows, but 20 instances test at most
         # 20 * 20 + 1 coalitions, and only those are packed
