@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .measures import BinaryFuzzyMeasure, Measure, _check_measure, _in_unit_interval
+from .measures import BinaryFuzzyMeasure, Measure, _check_binary, _check_measure, _in_unit_interval
 
 
 def _check_rows(X, source_count: int) -> np.ndarray:
@@ -136,8 +136,7 @@ def choquet_maxmin(h, measure: BinaryFuzzyMeasure) -> float:
     Equal to `choquet_batch` of the one row h for binary measures; kept as
     a brute-force oracle over the full subset scan.
     """
-    if not isinstance(measure, BinaryFuzzyMeasure):
-        raise ValidationError("the max-min form is defined for binary measures only")
+    _check_binary(measure, "the max-min form")
     h = _check_rows([h], measure.source_count)[0]
     winning = np.flatnonzero(measure.values == 1)
     winning = winning[winning != 0]

@@ -60,9 +60,11 @@ from .measures import (
     _check_measure,
     _check_real,
     _check_source_count,
+    _frozen,
     _in_unit_interval,
     _is_bit,
     _read_json,
+    _Value,
     measure_from_dict,
     measure_to_dict,
     minimal_winning_coalitions,
@@ -70,8 +72,8 @@ from .measures import (
 from .rng import substream
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+@dataclass(frozen=True, eq=False)
+class CandidateSet(_Value):
     """The plausible matchings for one coarse unit: an (n, S) matrix, n >= 1,
     float64 where numpy reads it as numbers. Bool, string and other object
     values are kept as given, so that `Dataset` refuses their rows as the
@@ -103,9 +105,7 @@ class CandidateSet:
                 )
         if instances.size == 0:
             raise ValidationError("a candidate set needs at least one instance")
-        instances = instances.view()  # frozen below; the caller's array stays writable
-        instances.flags.writeable = False
-        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "instances", _frozen(instances))
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -326,22 +326,16 @@ def _flatten_truth(truth, set_sizes, sets_per_bag, set_offsets, bag_offsets) -> 
 # JSON I/O
 
 
-def _nest(flat: list, *levels: list) -> list:
-    """A flat list split by each level of offsets in turn: rows into
-    candidate sets, then sets into bags."""
-    for offsets in levels:
-        flat = [flat[a:b] for a, b in pairwise(offsets)]
-    return flat
-
-
 def _nested(ds: Dataset, column: np.ndarray, bags: slice) -> list:
     """The rows of `column`, a per-instance array, in the bags `bags`, as
     nested lists: one per bag, holding one per candidate set."""
     sets = ds.bag_offsets[bags.start : bags.stop + 1]
     rows = ds.set_offsets[sets[0] : sets[-1] + 1]
-    return _nest(
-        column[rows[0] : rows[-1]].tolist(), (rows - rows[0]).tolist(), (sets - sets[0]).tolist()
-    )
+    nested = column[rows[0] : rows[-1]].tolist()
+    # split rows into candidate sets, then sets into bags
+    for offsets in ((rows - rows[0]).tolist(), (sets - sets[0]).tolist()):
+        nested = [nested[a:b] for a, b in pairwise(offsets)]
+    return nested
 
 
 def _bag_dicts(ds: Dataset, X: np.ndarray, bags: slice) -> list:

@@ -32,6 +32,7 @@ import numbers
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -113,7 +114,25 @@ def _as_mask(subset, source_count: int) -> int:
     return mask
 
 
-class _MeasureBase:
+class _Value:
+    """A frozen value that holds arrays: equal to one of its own type whose
+    fields are all equal, arrays elementwise. Defining __eq__ leaves
+    __hash__ None, so a subclass is unhashable unless it defines its own."""
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values())
+        )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only view of `array`; the caller's array stays writable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class _MeasureBase(_Value):
     """Shared behaviour of the two measure representations."""
 
     source_count: int
@@ -124,13 +143,6 @@ class _MeasureBase:
 
     def __getitem__(self, subset) -> float:
         return self.values[_as_mask(subset, self.source_count)].item()
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.source_count == other.source_count
-            and np.array_equal(self.values, other.values)
-        )
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.source_count, self.values.tobytes()))
@@ -197,6 +209,12 @@ class RealFuzzyMeasure(_MeasureBase):
 
 
 Measure = BinaryFuzzyMeasure | RealFuzzyMeasure
+
+
+def _check_binary(measure: Measure, what: str) -> None:
+    """Refuse a measure that is not binary, since `what` is not defined for it."""
+    if not isinstance(measure, BinaryFuzzyMeasure):
+        raise ValidationError(f"{what} exists only for binary measures")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +327,7 @@ def set_with_repair(
     subset; nothing else changes. This is the search's move, `_children`.
     The empty and full coalitions are pinned and may not be targeted.
     """
+    _check_binary(measure, "the repair move")
     mask = _as_mask(subset, measure.source_count)
     if mask == 0 or mask == (1 << measure.source_count) - 1:
         raise PinnedElementError(
@@ -335,15 +354,9 @@ def sample_random(
     source_count = _check_source_count(source_count)
     if not 0.0 < density < 1.0:
         raise ValidationError(f"density must lie strictly in (0, 1), got {density}")
-    values = _random_table(source_count, density, np.random.default_rng(seed))
-    return BinaryFuzzyMeasure(source_count, values)
-
-
-def _random_table(source_count: int, density: float, rng: np.random.Generator) -> np.ndarray:
-    """The value table behind `sample_random`, drawn from `rng` with one call."""
-    values = rng.random(1 << source_count) < density
+    values = np.random.default_rng(seed).random(1 << source_count) < density
     values[[0, -1]] = 0, 1
-    return _closure(values, source_count)
+    return BinaryFuzzyMeasure(source_count, _closure(values, source_count))
 
 
 # Bitsets. A stack of binary tables in bulk holds 8 coalitions a byte: a
@@ -489,9 +502,10 @@ def _all_tables(source_count: int) -> np.ndarray:
     the endpoints are pinned.
     """
     if source_count > ENUMERATION_CAP:
+        bound = f"more than 2**{comb(source_count, source_count // 2)}"
         raise CapError(
             f"enumeration of S={source_count} refused (cap {ENUMERATION_CAP}): "
-            f"there are {_estimate_count(source_count)} valid measures"
+            f"there are {_MEASURE_COUNTS.get(source_count, bound)} valid measures"
         )
     n, words = 1 << source_count, np.array([0, 1], dtype=np.uint64)
     for i in range(source_count):
@@ -511,14 +525,6 @@ def count_all(source_count: int) -> int:
         raise CapError(f"exact measure count unknown for S={source_count}")
 
 
-def _estimate_count(source_count: int):
-    if source_count in _MEASURE_COUNTS:
-        return _MEASURE_COUNTS[source_count]
-    from math import comb
-
-    return f"more than 2**{comb(source_count, source_count // 2)}"
-
-
 def minimal_winning_coalitions(measure: BinaryFuzzyMeasure) -> list[tuple[int, ...]]:
     """The antichain of winning coalitions whose every immediate subset loses,
     each as a tuple of 0-based source indices.
@@ -527,6 +533,7 @@ def minimal_winning_coalitions(measure: BinaryFuzzyMeasure) -> list[tuple[int, .
     measure exactly, so this is a complete, human-readable summary of which
     source combinations the measure trusts.
     """
+    _check_binary(measure, "the antichain of minimal winning coalitions")
     found = np.flatnonzero(_minimal(measure.values[:, None])[1:, 0]) + 1
     found = found[np.lexsort((found, np.bitwise_count(found)))]
     return [tuple(i for i in range(measure.source_count) if m >> i & 1) for m in found.tolist()]
@@ -549,8 +556,7 @@ def measure_to_dict(measure: Measure) -> dict:
 
 def measure_to_antichain_dict(measure: BinaryFuzzyMeasure) -> dict:
     # JSON numbers sources from 1 (display convention); the API is 0-based
-    if not isinstance(measure, BinaryFuzzyMeasure):
-        raise ValidationError("the antichain form exists only for binary measures")
+    _check_binary(measure, "the antichain form")
     _check_measure(measure, measure.source_count)  # an invalid table would load back changed
     return {
         "source_count": measure.source_count,

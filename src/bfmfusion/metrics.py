@@ -21,35 +21,33 @@ import numpy as np
 from .choquet import _blocks, choquet_batch
 from .data import Dataset, _address
 from .errors import ValidationError
-from .measures import Measure, measure_to_dict
+from .measures import Measure, _frozen, _Value, measure_to_dict
 
 NAIVE_MODES = ("min", "max", "mean")
 
 
-@dataclass(frozen=True)
-class FusionMap:
+@dataclass(frozen=True, eq=False)
+class FusionMap(_Value):
     """Per-instance fused confidences plus how they were produced."""
 
     scores: np.ndarray  # shape (n_instances,), values in [0, 1]
     provenance: dict  # {"mode": "choquet", "measure": {...}} or {"mode": "min"|...}
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64).view()  # the caller's stays writable
-        scores.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "scores", _frozen(np.asarray(self.scores, dtype=np.float64)))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreReport:
+class ScoreReport(_Value):
     """Detection metrics for one fusion map.
 
     auc is None when truth has a single class; auc_error then says why, and
     the ROC curve is empty. psnr is +inf when rmse is exactly 0. The curve is
     `roc_curve`'s arrays, read-only and kept out of to_json_dict; write_roc_csv
-    is its one writer. Reports compare field by field, the curve elementwise.
+    is its one writer.
     """
 
     auc: Optional[float]
@@ -61,19 +59,8 @@ class ScoreReport:
 
     def __post_init__(self):
         for name in ("fpr", "tpr"):
-            curve = np.asarray(getattr(self, name), dtype=np.float64).view()
-            curve.flags.writeable = False
-            object.__setattr__(self, name, curve)
-
-    def __eq__(self, other):
-        return isinstance(other, ScoreReport) and all(
-            map(np.array_equal, vars(self).values(), vars(other).values())
-        )
-
-    @property
-    def roc_points(self) -> tuple[tuple[float, float], ...]:
-        """The curve as (fpr, tpr) pairs of Python floats."""
-        return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
+            curve = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _frozen(curve))
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,9 +99,11 @@ def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Returns (fpr, tpr) arrays anchored at (0,0) and (1,1). Equal scores move
     as one step, which is what makes trapezoidal area match pair counting.
+    Both arguments are read as `score` reads them, lists and tuples too.
     Scores that are not finite are refused: tied infinities would split into
     two steps, and NaN would sort first.
     """
+    scores, truth = np.asarray(scores, dtype=np.float64), np.asarray(truth)
     _check_finite(scores)
     order = np.argsort(-scores, kind="stable")
     # last index of each tie group

@@ -78,9 +78,10 @@ class ObjectiveBreakdown:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedData:
-    """Measure-independent compilation of a dataset for repeated evaluation."""
+    """Measure-independent compilation of a dataset for repeated evaluation;
+    a compiled cache, so it compares by identity."""
 
     source_count: int
     instances: np.ndarray    # (N, S) the dataset's own confidence matrix, not a copy

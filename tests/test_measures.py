@@ -11,6 +11,7 @@ from bfmfusion import (
     PinnedElementError,
     RealFuzzyMeasure,
     ValidationError,
+    choquet_maxmin,
     count_all,
     enumerate_all,
     from_minimal_coalitions,
@@ -510,3 +511,13 @@ class TestMeasureSemantics:
         assert a == b and hash(a) == hash(b)
         assert a != maximum_measure(2)
         assert a != minimum_measure(3)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: set_with_repair(g, 1, 1),
+        minimal_winning_coalitions,
+        lambda g: choquet_maxmin([0.2, 0.9, 0.5], g),
+    ], ids=["set_with_repair", "minimal_winning_coalitions", "maxmin"])
+    def test_a_real_measure_is_refused_where_only_binary_ones_are_defined(self, call):
+        # as the antichain form refuses one (see TestSerialization)
+        with pytest.raises(ValidationError, match="only for binary measures"):
+            call(sample_random_real(3, 0))

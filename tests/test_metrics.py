@@ -204,6 +204,25 @@ class TestRocAuc:
         with pytest.raises(ValidationError, match="scores must be finite, got nan"):
             roc_curve(scores, np.array([0, 1, 1]))
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_lists_and_tuples_are_read_as_score_reads_them(self, kind):
+        scores, truth = [0.9, 0.5, 0.5, 0.1], [1, 0, 1, 0]
+        expected = roc_curve(np.array(scores), np.array(truth))
+        report = score(kind(scores), kind(truth))
+        for args in [
+            (kind(scores), kind(truth)),
+            (np.array(scores), kind(truth)),
+            (kind(scores), np.array(truth)),
+        ]:
+            for got, kept, want in zip(roc_curve(*args), (report.fpr, report.tpr), expected):
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want) and np.array_equal(kept, want)
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_a_list_holding_inf_is_refused(self, kind):
+        with pytest.raises(ValidationError, match="scores must be finite, got inf"):
+            roc_curve(kind([0.5, np.inf, 0.2]), kind([1, 0, 1]))
+
     def test_curve_anchors_and_monotonicity(self):
         rng = np.random.default_rng(3)
         scores, truth = random_scores_truth(rng, 50, quantize=True)
@@ -275,19 +294,11 @@ class TestScoreInputs:
         by_array = score(fused.scores, ds.flat_truth())
         assert by_map == by_array
 
-    def test_roc_points_are_the_curve_as_python_floats(self):
-        rng = np.random.default_rng(5)
-        scores, truth = rng.random(500).round(2), rng.integers(0, 2, 500)
-        report = score(scores, truth)
-        fpr, tpr = roc_curve(scores, truth)
-        assert report.roc_points == tuple((float(x), float(y)) for x, y in zip(fpr, tpr))
-        assert {type(v) for point in report.roc_points for v in point} == {float}
-
     def test_single_class_truth(self):
         report = score(np.array([0.2, 0.8]), [1, 1])
         assert report.auc is None
         assert "class 1" in report.auc_error
-        assert report.roc_points == ()
+        assert report.fpr.size == report.tpr.size == 0
         assert report.rmse == pytest.approx(math.sqrt((0.8**2 + 0.2**2) / 2), abs=1e-15)
 
     @pytest.mark.parametrize("only", [0, 1])
@@ -373,7 +384,7 @@ class TestWriters:
         write_roc_csv(path, report)
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["false_positive_rate", "true_positive_rate"]
-        assert len(rows) == len(report.roc_points) + 1
+        assert len(rows) == len(report.fpr) + 1 == len(report.tpr) + 1
         assert [float(v) for v in rows[1]] == [0.0, 0.0]
 
     def test_score_json_with_infinite_psnr(self):
@@ -382,7 +393,7 @@ class TestWriters:
         payload = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
         assert payload["psnr"] is None
         assert payload["psnr_is_infinite"] is True
-        assert "roc_points" not in payload
+        assert not {"fpr", "tpr"} & payload.keys()
 
     def test_score_json_finite(self):
         report = score(np.array([0.1, 0.9]), [0, 1])

@@ -7,7 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import bfmfusion
+from bfmfusion import (
+    Bag,
+    BinaryFuzzyMeasure,
+    CandidateSet,
+    Dataset,
+    FusionMap,
+    RealFuzzyMeasure,
+    ScoreReport,
+    prepare,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -114,3 +127,36 @@ def test_names_the_benchmark_calls_resolve():
     }
     assert "train_bfm" in trainers
     assert sorted(t for t in trainers if not callable(getattr(bfmfusion.optimizer, t, None))) == []
+
+
+# each public type that holds arrays, built around one array: a table, a
+# matrix or a curve; then that array and a copy of it that differs in one element
+VALUE_TYPES = {
+    "binary measure": (lambda v: BinaryFuzzyMeasure(2, v), [0, 0, 0, 1], [0, 1, 0, 1]),
+    "real measure": (lambda v: RealFuzzyMeasure(2, v), [0, 0.25, 0.5, 1], [0, 0.3, 0.5, 1]),
+    "CandidateSet": (CandidateSet, [[0.2, 0.9], [0.4, 0.1]], [[0.2, 0.9], [0.4, 0.2]]),
+    "Bag": (lambda v: Bag(1, [v]), [[0.2, 0.9], [0.4, 0.1]], [[0.2, 0.9], [0.4, 0.2]]),
+    "FusionMap": (lambda v: FusionMap(v, {"mode": "min"}), [0.2, 0.4], [0.2, 0.5]),
+    "ScoreReport": (lambda v: ScoreReport(0.5, 0.5, 6.0, v, [0, 1]), [0, 1], [0.5, 1]),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_values_holding_arrays_compare_by_content(name):
+    make, same, changed = VALUE_TYPES[name]
+    a, b = make(np.array(same)), make(np.array(same))
+    assert a == b and not a != b
+    assert make(np.array(changed)) != a and not make(np.array(changed)) == a
+    assert a != same
+    if "measure" in name:
+        assert hash(a) == hash(b) == hash((type(a).__name__, a.source_count, a.values.tobytes()))
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+
+def test_prepared_data_compares_by_identity():
+    data = Dataset(2, [Bag(0, [[[0.2, 0.9]]]), Bag(1, [[[0.8, 0.7]]])])
+    prepared = prepare(data)
+    assert prepared == prepared
+    assert prepared != prepare(data)
