@@ -52,7 +52,7 @@ from .measures import (
     set_with_repair,
     validate,
 )
-from .metrics import FusionMap, ScoreReport, fuse, fuse_naive, roc_curve, score
+from .metrics import FusionMap, ScoreReport, fuse, fuse_naive, score
 from .objective import ObjectiveBreakdown, PreparedData, objective, prepare
 from .optimizer import EAConfig, TrainResult, train_bfm, train_exhaustive, train_real_fm
 

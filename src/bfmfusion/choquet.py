@@ -133,17 +133,14 @@ def choquet_batch(X: np.ndarray, measure: Measure) -> np.ndarray:
 def choquet_maxmin(h, measure: BinaryFuzzyMeasure) -> float:
     """Max over winning coalitions of the min confidence inside the coalition.
 
-    Equal to `choquet_batch` of the one row h for binary measures; kept as
-    a brute-force oracle over the full subset scan.
+    Equal to `choquet_batch` of the one row h for binary measures, and
+    refuses what it refuses; kept as a brute-force oracle over the subset scan.
     """
     _check_binary(measure, "the max-min form")
+    _check_measure(measure, measure.source_count)
     h = _check_rows([h], measure.source_count)[0]
     winning = np.flatnonzero(measure.values == 1)
-    winning = winning[winning != 0]
-    if winning.size == 0:
-        raise ValidationError("measure has no winning coalition; is it valid?")
     mins = np.full(len(winning), np.inf)
     for i in range(measure.source_count):
-        inside = (winning >> i) & 1 == 1
-        mins[inside] = np.minimum(mins[inside], h[i])
+        mins = np.minimum(mins, np.where(winning >> i & 1, h[i], np.inf))
     return float(mins.max())

@@ -183,6 +183,9 @@ class BinaryFuzzyMeasure(_MeasureBase):
     def __repr__(self) -> str:
         if self.values is None:
             return f"BinaryFuzzyMeasure(S={self.source_count!r}, table not stored)"
+        found = validate(self).violations  # an invalid table is not its antichain's closure
+        if found:
+            return f"BinaryFuzzyMeasure(S={self.source_count}, invalid: {found[0]})"
         coalitions = minimal_winning_coalitions(self)
         return f"BinaryFuzzyMeasure(S={self.source_count}, minimal_winning={coalitions})"
 

@@ -34,7 +34,7 @@ class FusionMap(_Value):
     provenance: dict  # {"mode": "choquet", "measure": {...}} or {"mode": "min"|...}
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", _frozen(np.asarray(self.scores, dtype=np.float64)))
+        object.__setattr__(self, "scores", _frozen(_read_scores(self.scores)))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -46,8 +46,8 @@ class ScoreReport(_Value):
 
     auc is None when truth has a single class; auc_error then says why, and
     the ROC curve is empty. psnr is +inf when rmse is exactly 0. The curve is
-    `roc_curve`'s arrays, read-only and kept out of to_json_dict; write_roc_csv
-    is its one writer.
+    two 1-D arrays of one length, read-only and kept out of to_json_dict;
+    write_roc_csv is its one writer.
     """
 
     auc: Optional[float]
@@ -58,9 +58,11 @@ class ScoreReport(_Value):
     auc_error: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("fpr", "tpr"):
-            curve = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, _frozen(curve))
+        fpr, tpr = (np.asarray(curve, dtype=np.float64) for curve in (self.fpr, self.tpr))
+        if fpr.ndim != 1 or fpr.shape != tpr.shape:
+            raise ValidationError(f"fpr {fpr.shape} and tpr {tpr.shape} must be 1-D of one length")
+        object.__setattr__(self, "fpr", _frozen(fpr))
+        object.__setattr__(self, "tpr", _frozen(tpr))
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,23 +90,23 @@ def fuse_naive(data: Dataset, mode: str) -> FusionMap:
     return FusionMap(scores, {"mode": mode})
 
 
-def _check_finite(scores: np.ndarray) -> None:
-    """The one refusal of NaN and infinite scores, for `score` and `roc_curve`."""
+def _read_scores(scores) -> np.ndarray:
+    """The one reader of fused scores: a non-empty, 1-D, finite float64 array, or refused."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValidationError(
+            f"scores must be 1-D, non-empty and aligned with the instances, got {scores.shape}"
+        )
     if not np.isfinite(scores).all():
         raise ValidationError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+    return scores
 
 
-def roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tie-grouped ROC sweep, highest threshold first.
-
-    Returns (fpr, tpr) arrays anchored at (0,0) and (1,1). Equal scores move
-    as one step, which is what makes trapezoidal area match pair counting.
-    Both arguments are read as `score` reads them, lists and tuples too.
-    Scores that are not finite are refused: tied infinities would split into
-    two steps, and NaN would sort first.
-    """
-    scores, truth = np.asarray(scores, dtype=np.float64), np.asarray(truth)
-    _check_finite(scores)
+def _roc_curve(scores: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tie-grouped ROC sweep of `score`'s checked arrays, highest threshold
+    first: (fpr, tpr) from (0,0) to (1,1). Equal scores move as one step, so
+    trapezoidal area matches pair counting; `score` refuses NaN, which would
+    sort first, and tied infinities, which would split into two steps."""
     order = np.argsort(-scores, kind="stable")
     # last index of each tie group
     ends = np.append(np.flatnonzero(np.diff(scores[order])), scores.size - 1)
@@ -122,18 +124,14 @@ def score(
     truth: Sequence[int],
 ) -> ScoreReport:
     """ROC/AUC, RMSE, and PSNR of fused confidences against binary truth."""
-    scores = fmap.scores if isinstance(fmap, FusionMap) else np.asarray(fmap, dtype=np.float64)
+    # a map's array is read again: it is a view of the caller's, who may have changed it
+    scores = _read_scores(fmap.scores if isinstance(fmap, FusionMap) else fmap)
     t = np.asarray(truth)
-    if scores.ndim != 1 or t.shape != scores.shape:
-        raise ValidationError(
-            f"scores and truth must be 1-D and aligned, got {scores.shape} vs {t.shape}"
-        )
-    if scores.size == 0:
-        raise ValidationError("cannot score an empty map")
-    _check_finite(scores)
+    if t.shape != scores.shape:
+        raise ValidationError(f"scores and truth must be aligned, got {scores.shape} vs {t.shape}")
     if not np.isin(t, (0, 1)).all():
         raise ValidationError("truth labels must be 0 or 1")
-    # roc_curve's cumsum widens int8 to int64 itself
+    # _roc_curve's cumsum widens int8 to int64 itself
     t = t.astype(np.int8, copy=False)
 
     rmse = float(np.sqrt(np.mean(np.square(scores - t))))
@@ -144,7 +142,7 @@ def score(
             None, rmse, psnr, (), (), f"AUC undefined: truth contains only class {t[0]}"
         )
 
-    fpr, tpr = roc_curve(scores, t)
+    fpr, tpr = _roc_curve(scores, t)
     auc = float(np.trapezoid(tpr, fpr))
     return ScoreReport(auc=auc, rmse=rmse, psnr=psnr, fpr=fpr, tpr=tpr)
 

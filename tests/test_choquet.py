@@ -163,8 +163,17 @@ class TestValidation:
             choquet_maxmin([0.2, 0.9], g)
 
     def test_maxmin_refuses_a_table_without_a_winner(self):
-        with pytest.raises(ValidationError, match="no winning coalition"):
+        with pytest.raises(ValidationError, match="measure is invalid"):
             choquet_maxmin([0.2, 0.9], BinaryFuzzyMeasure(2, [0, 0, 0, 0]))
+
+    def test_maxmin_refuses_what_batch_refuses(self):
+        # {0} wins but {0, 1} loses: the max over winners read 0.9 here
+        bad, h = BinaryFuzzyMeasure(3, [0, 1, 0, 0, 0, 0, 0, 1]), [0.9, 0.1, 0.5]
+        with pytest.raises(ValidationError) as batch:
+            choquet_batch([h], bad)
+        with pytest.raises(ValidationError, match="measure is invalid") as maxmin:
+            choquet_maxmin(h, bad)
+        assert str(maxmin.value) == str(batch.value)
 
 
 class TestBatch:

@@ -482,6 +482,13 @@ class TestMeasureSemantics:
     def test_repr_lists_minimal_winning_coalitions(self):
         assert repr(PAPER_STYLE) == "BinaryFuzzyMeasure(S=3, minimal_winning=[(0, 1), (0, 2)])"
 
+    def test_repr_of_an_invalid_table_names_its_first_violation(self):
+        # its antichain [(0,)] would close to [0, 1, 0, 1], another table
+        shown = repr(BinaryFuzzyMeasure(2, [0, 1, 0, 0]))
+        assert shown == (
+            "BinaryFuzzyMeasure(S=2, invalid: normalization rule violated at subset 0b11)"
+        )
+
     @pytest.mark.parametrize("kind", [BinaryFuzzyMeasure, RealFuzzyMeasure])
     def test_a_short_table_is_refused_when_built(self, kind):
         # read as a smaller lattice it would give a wrong antichain or IndexError

@@ -19,15 +19,15 @@ from bfmfusion import (
     fuse_naive,
     maximum_measure,
     minimum_measure,
-    roc_curve,
     score,
 )
 import bfmfusion.metrics
-from bfmfusion.choquet import _blocks
+from bfmfusion.choquet import _blocks, choquet_batch
 from bfmfusion.metrics import (
     NAIVE_MODES,
     FusionMap,
     ScoreReport,
+    _roc_curve,
     write_fusion_csv,
     write_roc_csv,
 )
@@ -125,6 +125,26 @@ class TestFuse:
         with pytest.raises(ValueError):
             fused.scores[0] = 0.0
 
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((2, 2)), r"1-D, non-empty .* got \(2, 2\)"),
+        ([], r"1-D, non-empty .* got \(0,\)"),
+        ([np.nan, 0.5], "finite, got nan"),
+        ([0.5, np.inf], "finite, got inf"),
+        ([-np.inf, 0.5], "finite, got -inf"),
+    ])
+    def test_fusion_map_refuses_what_write_fusion_csv_cannot_write(self, bad, error):
+        # a 2-D map wrote rows 0,0,0,[0.0, 0.0]; a NaN map wrote nan, which score refuses
+        with pytest.raises(ValidationError, match=error):
+            FusionMap(bad, {"mode": "min"})
+
+    def test_maps_from_fuse_and_fuse_naive_are_their_arrays(self):
+        ds = toy_dataset()
+        X = ds.instance_matrix()
+        g = from_minimal_coalitions(3, [{0, 1}, {2}])
+        assert np.array_equal(fuse(ds, g).scores, choquet_batch(X, g))
+        for mode in NAIVE_MODES:
+            assert np.array_equal(fuse_naive(ds, mode).scores, getattr(X, mode)(axis=1))
+
     def test_binary_fusion_is_maxmin_exactly(self):
         # levels spread across several binades, where a sum would round
         rng = np.random.default_rng(6)
@@ -191,10 +211,10 @@ class TestRocAuc:
     def test_tied_infinite_scores_are_refused(self, tied):
         truth = np.array([1, 0, 1])
         # tied finite scores make one step
-        assert roc_curve(np.array([0.9, 0.9, 0.5]), truth)[1].tolist() == [0.0, 0.5, 1.0]
+        assert score(np.array([0.9, 0.9, 0.5]), truth).tpr.tolist() == [0.0, 0.5, 1.0]
         # np.diff of tied infinities is NaN, which would split them into two steps
         with pytest.raises(ValidationError, match=f"scores must be finite, got {tied[1]}"):
-            roc_curve(np.array(tied), truth)
+            score(np.array(tied), truth)
 
     @pytest.mark.parametrize("at", [0, 2])
     def test_nan_scores_are_refused(self, at):
@@ -202,32 +222,31 @@ class TestRocAuc:
         scores = np.array([0.2, 0.7, 0.4])
         scores[at] = np.nan
         with pytest.raises(ValidationError, match="scores must be finite, got nan"):
-            roc_curve(scores, np.array([0, 1, 1]))
+            score(scores, np.array([0, 1, 1]))
 
     @pytest.mark.parametrize("kind", [list, tuple])
-    def test_lists_and_tuples_are_read_as_score_reads_them(self, kind):
+    def test_lists_and_tuples_score_as_arrays_do(self, kind):
         scores, truth = [0.9, 0.5, 0.5, 0.1], [1, 0, 1, 0]
-        expected = roc_curve(np.array(scores), np.array(truth))
-        report = score(kind(scores), kind(truth))
+        expected = _roc_curve(np.array(scores), np.array(truth))
         for args in [
             (kind(scores), kind(truth)),
             (np.array(scores), kind(truth)),
             (kind(scores), np.array(truth)),
         ]:
-            for got, kept, want in zip(roc_curve(*args), (report.fpr, report.tpr), expected):
-                assert got.dtype == np.float64
-                assert np.array_equal(got, want) and np.array_equal(kept, want)
+            report = score(*args)
+            for kept, want in zip((report.fpr, report.tpr), expected):
+                assert kept.dtype == np.float64 and np.array_equal(kept, want)
 
     @pytest.mark.parametrize("kind", [list, tuple])
     def test_a_list_holding_inf_is_refused(self, kind):
         with pytest.raises(ValidationError, match="scores must be finite, got inf"):
-            roc_curve(kind([0.5, np.inf, 0.2]), kind([1, 0, 1]))
+            score(kind([0.5, np.inf, 0.2]), kind([1, 0, 1]))
 
     def test_curve_anchors_and_monotonicity(self):
         rng = np.random.default_rng(3)
         scores, truth = random_scores_truth(rng, 50, quantize=True)
         truth[0], truth[1] = 0, 1
-        fpr, tpr = roc_curve(scores, truth)
+        fpr, tpr = _roc_curve(scores, truth)
         assert (fpr[0], tpr[0]) == (0.0, 0.0)
         assert (fpr[-1], tpr[-1]) == (1.0, 1.0)
         assert (np.diff(fpr) >= 0).all()
@@ -312,7 +331,7 @@ class TestScoreInputs:
         rng = np.random.default_rng(7)
         scores, truth = rng.random(300).round(2), rng.integers(0, 2, 300)
         report = score(scores, truth)
-        for kept, expected in zip((report.fpr, report.tpr), roc_curve(scores, truth)):
+        for kept, expected in zip((report.fpr, report.tpr), _roc_curve(scores, truth)):
             assert kept.dtype == np.float64 and np.array_equal(kept, expected)
             with pytest.raises(ValueError):
                 kept[0] = 0.5
@@ -355,6 +374,32 @@ class TestScoreInputs:
     def test_nonbinary_truth(self):
         with pytest.raises(ValidationError, match="0 or 1"):
             score(np.array([0.1, 0.2]), [0, 2])
+
+    @pytest.mark.parametrize("scores, truth, error", [
+        ([0.9, 0.5, 0.2], [1, 2, 0], "0 or 1"),  # the curve read fpr [0, 0, -1, 0]
+        ([0.9, 0.5, 0.2], [1, 0], "aligned"),  # IndexError
+        ([], [], "empty"),  # IndexError
+        (np.zeros((2, 2)), np.zeros((2, 2), int), "aligned"),  # a six-point curve
+    ])
+    def test_inputs_the_curve_once_turned_into_wrong_output(self, scores, truth, error):
+        with pytest.raises(ValidationError, match=error):
+            score(scores, truth)
+
+    def test_a_map_set_to_nan_after_construction_is_refused(self):
+        s = np.array([0.2, 0.8])
+        fmap = FusionMap(s, {"mode": "min"})
+        s[0] = np.nan  # the map's scores are a view of this array
+        with pytest.raises(ValidationError, match="scores must be finite, got nan"):
+            score(fmap, [0, 1])
+
+    @pytest.mark.parametrize("fpr, tpr", [
+        ([0, 0.5, 1], [0, 1]),  # roc.csv held two points
+        ([[0, 1]], [[0, 1]]),  # roc.csv held [0.0, 1.0] cells
+        ([[0, 1]], [0, 1]),
+    ])
+    def test_a_report_refuses_a_curve_it_cannot_write(self, fpr, tpr):
+        with pytest.raises(ValidationError, match="must be 1-D of one length"):
+            ScoreReport(0.5, 0.1, 20.0, fpr, tpr)
 
 
 class TestWriters:
@@ -437,7 +482,7 @@ class TestWriters:
         scores, truth = random_scores_truth(rng, 2000, quantize=ties)
         report = score(scores ** 5, truth)  # levels across many binades
         write_roc_csv(tmp_path / "fast.csv", report)
-        naive_roc_csv(tmp_path / "naive.csv", *roc_curve(scores ** 5, truth))
+        naive_roc_csv(tmp_path / "naive.csv", *_roc_curve(scores ** 5, truth))
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
 
     @pytest.mark.parametrize("only", [0, 1])
