@@ -26,13 +26,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .measures import BinaryFuzzyMeasure, Measure, _check_binary, _check_measure, _in_unit_interval
+from .measures import (
+    BinaryFuzzyMeasure,
+    Measure,
+    _check_binary,
+    _check_measure,
+    _in_unit_interval,
+    _number_array,
+)
 
 
 def _check_rows(X, source_count: int) -> np.ndarray:
-    """X as an (N, S) float64 matrix; refuse another width, or a confidence
-    outside [0, 1]."""
-    X = np.asarray(X, dtype=np.float64)
+    """X as an (N, S) float64 matrix; refuse other than numbers, another
+    width, or a confidence outside [0, 1]."""
+    X = _number_array(X, "confidences")
     if X.ndim != 2 or X.shape[1] != source_count:
         raise ValidationError(
             f"confidences of shape {X.shape} do not fit a measure over {source_count} sources"

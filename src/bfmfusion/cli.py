@@ -280,10 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2
-    except CapError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 3
-    except MemoryError as e:
+    except (CapError, MemoryError) as e:
         # outputs are written only after the work, so nothing is left behind
         print(f"refused: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3

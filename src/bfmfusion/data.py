@@ -63,6 +63,7 @@ from .measures import (
     _frozen,
     _in_unit_interval,
     _is_bit,
+    _number_array,
     _read_json,
     _Value,
     measure_from_dict,
@@ -75,26 +76,17 @@ from .rng import substream
 @dataclass(frozen=True, eq=False)
 class CandidateSet(_Value):
     """The plausible matchings for one coarse unit: an (n, S) matrix, n >= 1,
-    float64 where numpy reads it as numbers. Bool, string and other object
+    float64 where `_number_array` reads it as numbers. Bool, string and other
     values are kept as given, so that `Dataset` refuses their rows as the
-    loader refuses such rows, and never reads True as 1.0 or "0.5" as 0.5."""
+    loader refuses such rows, naming the row."""
 
     instances: np.ndarray
 
     def __post_init__(self):
-        instances = self.instances
-        if isinstance(instances, np.ndarray) and instances.dtype != object:
-            numbers = instances.dtype.kind in "iuf"
-        else:
-            # numpy reads True, "0.5" and None among numbers as 1.0, 0.5 and
-            # nan, so each value's own type decides
-            instances = np.asarray(instances, dtype=object)
-            numbers = all(
-                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-                for v in instances.flat
-            )
-        if numbers:
-            instances = instances.astype(np.float64, copy=False)
+        try:
+            instances = _number_array(self.instances, "instances")
+        except ValidationError:
+            instances = np.asarray(self.instances, dtype=object)
         # numpy reads rows of unequal lengths as a 1-D array of them: kept so,
         # one row an instance, as the loader reads them
         if not (instances.ndim == 1 and any(type(v) is list for v in instances)):

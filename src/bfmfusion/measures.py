@@ -22,7 +22,8 @@ Two representations live here:
 
 Measures are immutable values. Mutating operations return new measures and
 always repair monotonicity, so anything constructed through this module
-passes `validate`.
+passes `validate`. Every array of numbers a caller hands in, in any module,
+is read by one rule, `_number_array`: bools, strings and None are refused.
 """
 
 from __future__ import annotations
@@ -82,6 +83,20 @@ def _check_real(value, name: str) -> int | float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ValidationError(f"{name} must be a finite real number, got {value!r:.80}")
     return value
+
+
+def _number_array(values, what: str) -> np.ndarray:
+    """The one reader of callers' arrays of numbers, as float64: an int, uint
+    or float ndarray as it is, else only real numbers, never bools, in float range."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(np.float64, copy=False)
+    try:  # each value's own type decides: numpy reads True as 1.0 and "0.5" as 0.5
+        given = np.asarray(values, dtype=object)
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in given.flat):
+            return given.astype(np.float64)
+    except (ValueError, OverflowError):  # nesting numpy cannot hold; an int too large
+        pass
+    raise ValidationError(f"{what} must be numbers in float range, never bools, got {values!r:.80}")
 
 
 def _in_unit_interval(x: np.ndarray) -> bool:
@@ -148,8 +163,10 @@ class _MeasureBase(_Value):
         return hash((type(self).__name__, self.source_count, self.values.tobytes()))
 
     def _store(self, values: np.ndarray) -> None:
-        """Keep `values` read-only as the table, refused unless 2**S long."""
+        """Keep `values` read-only as the table, refused unless 1-D and 2**S long."""
         n = 1 << self.source_count
+        if values.ndim != 1:
+            raise ValidationError(f"values must be 1-D, got shape {values.shape}")
         if len(values) != n:
             raise ValidationError(f"values length {len(values)} != 2**{self.source_count} = {n}")
         values.flags.writeable = False
@@ -173,9 +190,7 @@ class BinaryFuzzyMeasure(_MeasureBase):
         # unset until stored, so a measure refused here shows no structure
         object.__setattr__(self, "values", None)
         object.__setattr__(self, "source_count", _check_source_count(self.source_count))
-        values = np.asarray(values)
-        if values.ndim != 1:
-            raise ValidationError(f"values must be 1-D, got shape {values.shape}")
+        values = _number_array(values, "binary measure values")
         if not np.isin(values, (0, 1)).all():
             raise ValidationError("binary measure values must all be 0 or 1")
         self._store(values.astype(np.uint8))
@@ -200,12 +215,10 @@ class RealFuzzyMeasure(_MeasureBase):
 
     def __post_init__(self):
         object.__setattr__(self, "source_count", _check_source_count(self.source_count))
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValidationError(f"values must be 1-D, got shape {values.shape}")
+        values = _number_array(self.values, "real measure values")
         if not _in_unit_interval(values):
             raise ValidationError("real measure values must all lie in [0, 1]")
-        self._store(values.copy())
+        self._store(values.copy() if values is self.values else values)
 
     def __repr__(self) -> str:
         return f"RealFuzzyMeasure(S={self.source_count})"
@@ -355,6 +368,7 @@ def sample_random(
     minimum measure, density -> 1 the maximum one.
     """
     source_count = _check_source_count(source_count)
+    density = _check_real(density, "density")
     if not 0.0 < density < 1.0:
         raise ValidationError(f"density must lie strictly in (0, 1), got {density}")
     values = np.random.default_rng(seed).random(1 << source_count) < density

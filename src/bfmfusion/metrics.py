@@ -21,7 +21,7 @@ import numpy as np
 from .choquet import _blocks, choquet_batch
 from .data import Dataset, _address
 from .errors import ValidationError
-from .measures import Measure, _frozen, _Value, measure_to_dict
+from .measures import Measure, _frozen, _number_array, _Value, measure_to_dict
 
 NAIVE_MODES = ("min", "max", "mean")
 
@@ -58,7 +58,7 @@ class ScoreReport(_Value):
     auc_error: Optional[str] = None
 
     def __post_init__(self):
-        fpr, tpr = (np.asarray(curve, dtype=np.float64) for curve in (self.fpr, self.tpr))
+        fpr, tpr = (_number_array(curve, "a ROC curve") for curve in (self.fpr, self.tpr))
         if fpr.ndim != 1 or fpr.shape != tpr.shape:
             raise ValidationError(f"fpr {fpr.shape} and tpr {tpr.shape} must be 1-D of one length")
         object.__setattr__(self, "fpr", _frozen(fpr))
@@ -92,7 +92,7 @@ def fuse_naive(data: Dataset, mode: str) -> FusionMap:
 
 def _read_scores(scores) -> np.ndarray:
     """The one reader of fused scores: a non-empty, 1-D, finite float64 array, or refused."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _number_array(scores, "scores")
     if scores.ndim != 1 or scores.size == 0:
         raise ValidationError(
             f"scores must be 1-D, non-empty and aligned with the instances, got {scores.shape}"

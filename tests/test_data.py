@@ -29,6 +29,7 @@ from bfmfusion import (
     objective,
     sample_random,
     save_dataset,
+    score,
     spec_from_dict,
     spec_to_dict,
 )
@@ -737,9 +738,23 @@ class TestHandMadePacking:
 
     def test_numbers_of_any_int_and_float_type_are_read(self):
         rows = [[0.5, 1], [np.int64(0), np.float32(0.25)]]
+        source_0 = from_minimal_coalitions(2, [[0]])
         for given in (rows, np.array(rows, dtype=object)):
             ds = Dataset(2, [Bag(0, [given]), Bag(1, [[[0.1, 0.2]]])])
             assert ds.instance_matrix()[:2].tolist() == [[0.5, 1.0], [0.0, 0.25]]
+            assert choquet_batch(given, source_0).tolist() == [0.5, 0.0]
+            assert score([row[1] for row in given], [1, 0]) == score([1.0, 0.25], [1, 0])
+
+    def test_an_int_too_large_for_a_float_is_refused_as_the_loader_refuses_it(self):
+        rows = [[0.5, 0.5], [10**400, 0.5]]
+        message = ("bag 0, candidate set 0, instance 1: expected a list of 2 numbers in [0, 1],"
+                   f" got {[10**400, 0.5]!r:.80}")
+        with pytest.raises(ValidationError) as exc:
+            Dataset(2, [Bag(0, [rows])])
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError) as exc:
+            dataset_from_dict({"source_count": 2, "bags": [{"label": 0, "candidate_sets": [rows]}]})
+        assert str(exc.value) == message
 
 
 def hand_dataset(rng, s, shapes, truth):

@@ -267,6 +267,10 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_random(3, 1.0, 1)
 
+    def test_density_must_be_a_real_number(self):
+        with pytest.raises(ValidationError, match="density must be a finite real number"):
+            sample_random(2, "0.5")
+
 
 class TestEnumeration:
     def test_frozen_counts(self):

@@ -19,8 +19,14 @@ from bfmfusion import (
     FusionMap,
     RealFuzzyMeasure,
     ScoreReport,
+    ValidationError,
+    choquet_batch,
+    choquet_maxmin,
+    from_minimal_coalitions,
     prepare,
+    score,
 )
+from bfmfusion.measures import _number_array
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -160,3 +166,42 @@ def test_prepared_data_compares_by_identity():
     prepared = prepare(data)
     assert prepared == prepared
     assert prepared != prepare(data)
+
+
+# every entry point that takes an array of numbers from its caller, with one
+# value of it given as `v`, and the start of its refusal; a hand-made
+# dataset's refusal names the row, as the loader's does
+SOURCE_0 = from_minimal_coalitions(2, [[0]])
+RULE = " must be numbers in float range, never bools, got "
+NUMBER_READERS = {
+    "hand-made dataset": (
+        lambda v: Dataset(2, [Bag(0, [[[v, 0.5]]])]),
+        "bag 0, candidate set 0, instance 0: expected a list of 2 numbers in [0, 1], got ",
+    ),
+    "binary measure": (
+        lambda v: BinaryFuzzyMeasure(2, [0, v, 0, 1]), "binary measure values" + RULE
+    ),
+    "real measure": (lambda v: RealFuzzyMeasure(2, [0, v, 0.5, 1]), "real measure values" + RULE),
+    "batch fusion": (lambda v: choquet_batch([[v, 0.5]], SOURCE_0), "confidences" + RULE),
+    "max-min form": (lambda v: choquet_maxmin([v, 0.5], SOURCE_0), "confidences" + RULE),
+    "fusion map": (lambda v: FusionMap([v, 0.5], {"mode": "min"}), "scores" + RULE),
+    "scoring": (lambda v: score([v, 0.5], [1, 0]), "scores" + RULE),
+    "ROC curve": (lambda v: ScoreReport(0.5, 0.5, 6.0, [0, v], [0, 1]), "a ROC curve" + RULE),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, "a", 10**400],
+                         ids=["numeric_string", "bool", "none", "string", "huge_int"])
+@pytest.mark.parametrize("entry", NUMBER_READERS)
+def test_every_array_of_numbers_refuses_what_is_not_a_number(entry, value):
+    # numpy alone reads "0.5" as 0.5 and True as 1.0, and overflows on 10**400
+    make, start = NUMBER_READERS[entry]
+    with pytest.raises(ValidationError, match=f"^{re.escape(start)}"):
+        make(value)
+
+
+def test_a_float64_array_of_numbers_is_read_without_a_copy():
+    x = np.array([0.25, 0.5])
+    assert _number_array(x, "x") is x
+    assert np.shares_memory(FusionMap(x, {"mode": "min"}).scores, x)
+    assert _number_array(x.astype(np.float32), "x").dtype == np.float64
